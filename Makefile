@@ -2,15 +2,17 @@
 # tier-1 suite as-is, then again with the fault-injection smoke profile
 # enabled so the degraded (retry/fallback) path is exercised end to end,
 # then the hardening tier (protocol fuzz, codec properties, the frozen
-# golden trace) and the tracing smoke run.  REPRO_FAULT_PROFILE selects
-# the profile consumed by tests/test_faults.py (none | smoke | harsh |
-# partition); REPRO_REGEN_GOLDEN=1 rewrites the golden-trace fixture
-# after an intentional behaviour change.
+# golden trace), the tracing smoke run and a smoke run of the end-to-end
+# benchmark (`make bench-e2e` is the full one).  `make fuzz` reruns the
+# property suites under the randomized Hypothesis profile.
+# REPRO_FAULT_PROFILE selects the profile consumed by tests/test_faults.py
+# (none | smoke | harsh | partition); REPRO_REGEN_GOLDEN=1 rewrites the
+# golden-trace fixture after an intentional behaviour change.
 
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
 
-.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden stress verify bench bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
+.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
 
 test:
 	$(PYTEST)
@@ -39,10 +41,23 @@ golden:
 stress:
 	$(PYTEST) -m par tests/test_thread_safety.py
 
-verify: test fault-smoke golden stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke bench-check-dry
+# Exploratory: randomized examples, many more of them, with the example
+# database on.  Commit anything it finds as an explicit @example.
+fuzz:
+	$(PYTEST) --hypothesis-profile=fuzz tests/test_codec_properties.py tests/test_properties.py tests/test_properties_extensions.py tests/test_plan_properties.py tests/test_tau_control.py tests/test_observability.py
+
+verify: test fault-smoke golden stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke bench-check-dry bench-e2e-smoke
 
 bench:
 	PYTHONPATH=src $(PY) benchmarks/bench_kernels.py
+
+# The repo benchmark (BENCHMARK.json): every workload in its own process,
+# untraced then traced; results land in bench_results/.
+bench-e2e:
+	$(PY) benchmarks/e2e/run.py --seed 0 --out bench_results/
+
+bench-e2e-smoke:
+	$(PY) benchmarks/e2e/run.py --seed 0 --smoke
 
 bench-sched:
 	PYTHONPATH=src $(PY) benchmarks/bench_scheduler.py

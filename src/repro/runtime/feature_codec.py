@@ -89,13 +89,16 @@ def _encode_int8(features: np.ndarray) -> bytes:
         raise CodecError("int8 codec requires finite features")
     lo = float(features.min())
     hi = float(features.max())
-    # Quantization in float64: a denormal (hi - lo) / 255 range would
-    # flush to zero in float32 and divide by zero.
-    scale = (hi - lo) / 255.0 if hi > lo else 1.0
+    # Quantize against the float32 scale the header actually carries, so
+    # encode and decode share one grid.  A denormal (hi - lo) / 255 range
+    # would round to 0 in float32, which decode rejects; flooring at the
+    # smallest positive float32 keeps every header decodable.
+    scale = np.float32((hi - lo) / 255.0) if hi > lo else np.float32(1.0)
+    scale = max(scale, np.finfo(np.float32).smallest_subnormal)
     q = np.clip(
-        np.round((features.astype(np.float64) - lo) / scale), 0.0, 255.0
+        np.round((features.astype(np.float64) - lo) / float(scale)), 0.0, 255.0
     ).astype(np.uint8)
-    return struct.pack("<ff", np.float32(lo), np.float32(scale)) + q.tobytes()
+    return struct.pack("<ff", np.float32(lo), scale) + q.tobytes()
 
 
 def _decode_int8(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:

@@ -176,31 +176,79 @@ class SessionTrace:
         return np.cumsum(lat) / np.arange(1, len(lat) + 1)
 
 
-def _price_steps(
-    steps: Sequence[PlanStep],
-    link: NetworkLink,
-    browser: DeviceProfile,
-    edge: DeviceProfile,
-) -> tuple[float, float]:
-    """Return (compute_ms, communication_ms) for a step sequence."""
-    compute = 0.0
-    comm = 0.0
-    for step in steps:
-        if isinstance(step, ComputeStep):
-            device = browser if step.location is Location.BROWSER else edge
-            compute += step.duration_ms(device)
-        elif isinstance(step, TransferStep):
-            comm += step.duration_ms(link)
-        elif isinstance(step, ModelLoadStep):
-            comm += link.download_ms(step.num_bytes)
-            compute += browser.parse_ms(int(step.num_bytes))
-        else:  # pragma: no cover - exhaustive by construction
-            raise TypeError(f"unknown plan step {step!r}")
-    return compute, comm
+@dataclass(frozen=True)
+class _PricedPhase:
+    """One step list priced down to what still varies per sample.
+
+    Compute is deterministic per device, so it folds to one subtotal —
+    summed from ``0.0`` in step order, exactly as a per-step loop would.
+    Transfers draw link jitter, so they stay as ``(num_bytes, upload)``
+    in step order and are priced per call.
+    """
+
+    compute_ms: float
+    transfers: tuple
+
+    @classmethod
+    def of(
+        cls, steps: Sequence[PlanStep], browser: DeviceProfile, edge: DeviceProfile
+    ) -> "_PricedPhase":
+        compute = 0.0
+        transfers = []
+        for step in steps:
+            if isinstance(step, ComputeStep):
+                device = browser if step.location is Location.BROWSER else edge
+                compute += step.duration_ms(device)
+            elif isinstance(step, TransferStep):
+                transfers.append((step.num_bytes, step.upload))
+            elif isinstance(step, ModelLoadStep):
+                transfers.append((step.num_bytes, False))
+                compute += browser.parse_ms(int(step.num_bytes))
+            else:  # pragma: no cover - exhaustive by construction
+                raise TypeError(f"unknown plan step {step!r}")
+        return cls(compute, tuple(transfers))
+
+    def communication_ms(self, link: NetworkLink) -> float:
+        comm = 0.0
+        for num_bytes, upload in self.transfers:
+            comm += link.upload_ms(num_bytes) if upload else link.download_ms(num_bytes)
+        return comm
+
+
+@dataclass(frozen=True)
+class PricedPlan:
+    """An :class:`ExecutionPlan` priced once for a (browser, edge) pair.
+
+    Each phase keeps its compute subtotal and its transfers in their
+    original order, so :func:`simulate_plan` over a priced plan makes the
+    same float sums and the same link calls — and draws the same jitter
+    stream — as pricing the raw steps would.  Build it once per device
+    pair and reuse it across samples and sessions.
+    """
+
+    plan: ExecutionPlan
+    browser: DeviceProfile
+    edge: DeviceProfile
+    setup: _PricedPhase
+    per_sample: _PricedPhase
+    miss: _PricedPhase
+
+    @classmethod
+    def of(
+        cls, plan: ExecutionPlan, browser: DeviceProfile, edge: DeviceProfile
+    ) -> "PricedPlan":
+        return cls(
+            plan=plan,
+            browser=browser,
+            edge=edge,
+            setup=_PricedPhase.of(plan.setup_steps, browser, edge),
+            per_sample=_PricedPhase.of(plan.per_sample_steps, browser, edge),
+            miss=_PricedPhase.of(plan.miss_steps, browser, edge),
+        )
 
 
 def simulate_plan(
-    plan: ExecutionPlan,
+    plan: ExecutionPlan | PricedPlan,
     num_samples: int,
     link: NetworkLink,
     browser: DeviceProfile,
@@ -213,6 +261,10 @@ def simulate_plan(
     quality_tier: int = 1,
 ) -> SessionTrace:
     """Price a plan over ``num_samples`` samples.
+
+    ``plan`` is an :class:`ExecutionPlan`, or a :class:`PricedPlan`
+    built for the same ``browser``/``edge`` (one built for other devices
+    is re-priced from its steps).
 
     ``miss_mask[i]`` marks samples whose ``miss_steps`` fire (for LCRS:
     binary-branch misses that travel to the edge).  In warm sessions the
@@ -241,32 +293,28 @@ def simulate_plan(
         raise ValueError("retry_ms shorter than num_samples")
     if queue_ms is not None and len(queue_ms) < num_samples:
         raise ValueError("queue_ms shorter than num_samples")
+    if not isinstance(plan, PricedPlan):
+        plan = PricedPlan.of(plan, browser, edge)
+    elif plan.browser != browser or plan.edge != edge:
+        plan = PricedPlan.of(plan.plan, browser, edge)
 
+    has_miss_steps = bool(plan.plan.miss_steps)
     samples: list[SampleCost] = []
     for i in range(num_samples):
         compute = 0.0
         comm = 0.0
         if include_setup and (cold_start or i == 0):
-            setup_compute, setup_comm = _price_steps(
-                plan.setup_steps, link, browser, edge
-            )
-            compute += setup_compute
-            comm += setup_comm
-        step_compute, step_comm = _price_steps(
-            plan.per_sample_steps, link, browser, edge
-        )
-        compute += step_compute
-        comm += step_comm
+            compute += plan.setup.compute_ms
+            comm += plan.setup.communication_ms(link)
+        compute += plan.per_sample.compute_ms
+        comm += plan.per_sample.communication_ms(link)
 
         missed: Optional[bool] = None
-        if plan.miss_steps:
+        if has_miss_steps:
             missed = bool(miss_mask[i]) if miss_mask is not None else False
             if missed:
-                miss_compute, miss_comm = _price_steps(
-                    plan.miss_steps, link, browser, edge
-                )
-                compute += miss_compute
-                comm += miss_comm
+                compute += plan.miss.compute_ms
+                comm += plan.miss.communication_ms(link)
 
         retries = float(retry_ms[i]) if retry_ms is not None else 0.0
         queued = float(queue_ms[i]) if queue_ms is not None else 0.0
@@ -283,7 +331,9 @@ def simulate_plan(
                 quality_tier=int(quality_tier),
             )
         )
-    return SessionTrace(approach=plan.approach, network=plan.network, samples=samples)
+    return SessionTrace(
+        approach=plan.plan.approach, network=plan.plan.network, samples=samples
+    )
 
 
 # ----------------------------------------------------------------------

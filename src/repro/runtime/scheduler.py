@@ -49,7 +49,6 @@ from ..observability.clock import now_ms
 from ..profiling import SchedulerCounters
 from ..profiling.layer_stats import NetworkProfile
 from .concurrency import ServiceTimeModel
-from .latency import ComputeStep
 from .profiles import DeviceProfile, EDGE_SERVER
 from .protocol import (
     BatchInferenceRequest,
@@ -566,20 +565,15 @@ class EdgeScheduler:
         return self._results.pop(ticket)
 
 
-def _browser_chunk_ms(ctx, browser_device: DeviceProfile, count: int) -> float:
+def _browser_chunk_ms(ctx, count: int) -> float:
     """Deterministic estimate of a chunk's local compute time.
 
     Arrival timestamps must not consume link RNG (that would perturb the
-    latency pricing stream), so the submit time is the plan's browser
-    compute steps alone — when the stem/branch work is done and the miss
-    frame is ready to leave the device.
+    latency pricing stream), so the submit time is the plan's per-sample
+    compute alone — when the stem/branch work is done and the miss frame
+    is ready to leave the device.
     """
-    per_sample = sum(
-        step.duration_ms(browser_device)
-        for step in ctx.plan.per_sample_steps
-        if isinstance(step, ComputeStep)
-    )
-    return per_sample * count
+    return ctx.plan.per_sample.compute_ms * count
 
 
 @dataclass
@@ -696,9 +690,7 @@ def run_concurrent_sessions(
             pending = deployment._begin_chunk(s.images, s.cursor, s.ctx)
             ticket = None
             if pending.request is not None:
-                arrival = s.clock_ms + _browser_chunk_ms(
-                    s.ctx, deployment.browser_device, pending.count
-                )
+                arrival = s.clock_ms + _browser_chunk_ms(s.ctx, pending.count)
                 ticket, attempts, retry_ms = deployment._submit_with_retry(
                     scheduler,
                     pending.request,

@@ -47,6 +47,7 @@ from .latency import (
     ExecutionPlan,
     Location,
     ModelLoadStep,
+    PricedPlan,
     SampleCost,
     SessionTrace,
     TransferStep,
@@ -193,6 +194,8 @@ class SessionConfig:
 class _SessionContext:
     """One session's resolved knobs (config defaults filled in).
 
+    ``plan`` is the deployment's cached :class:`PricedPlan` for the
+    session's codec and starting tier.
     ``recorder``/``track`` carry the session's tracing context (the
     default :data:`~repro.observability.NULL_RECORDER` keeps the serving
     loop allocation-free); ``stem_ms``/``branch_ms`` are the per-sample
@@ -201,7 +204,7 @@ class _SessionContext:
     """
 
     config: SessionConfig
-    plan: "ExecutionPlan"
+    plan: PricedPlan
     codec: FeatureCodec
     policy: RetryPolicy
     threshold: float
@@ -214,8 +217,6 @@ class _SessionContext:
     # A closed-loop controller may mutate `threshold`/`quality_tier`
     # between chunks; in-flight chunks keep the values they started with.
     quality_tier: int = 1
-    # Tier → priced plan cache (tier plans differ only in branch FLOPs).
-    tier_plans: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -784,6 +785,9 @@ class LCRSDeployment:
             },
         )
         self._session_id = next(_SESSION_IDS)
+        # (codec, tier, browser device, edge device) → PricedPlan: every
+        # input of the price, so the cache never needs invalidating.
+        self._priced_plans: dict = {}
         # Backoff jitter draws are independent of the link's latency
         # jitter, so fault-free sessions consume identical RNG streams
         # to the pre-retry implementation.
@@ -794,6 +798,23 @@ class LCRSDeployment:
     def plan(self) -> ExecutionPlan:
         """The LCRS execution plan for the latency engine."""
         return self.assets.plan(codec=self.feature_codec)
+
+    def _priced_plan(self, codec: FeatureCodec, quality_tier: int) -> PricedPlan:
+        """The LCRS plan for a codec and tier, priced once per device pair.
+
+        The link is not part of the key: it enters only per call, through
+        the plan's transfers.
+        """
+        key = (codec, quality_tier, self.browser_device, self.edge_device)
+        priced = self._priced_plans.get(key)
+        if priced is None:
+            priced = PricedPlan.of(
+                self.assets.plan(codec=codec, quality_tier=quality_tier),
+                self.browser_device,
+                self.edge_device,
+            )
+            self._priced_plans[key] = priced
+        return priced
 
     # ------------------------------------------------------------------
     # Fault-tolerant miss-path transport
@@ -1114,10 +1135,9 @@ class LCRSDeployment:
                 f"quality_tier {tier} exceeds the deployment's "
                 f"{self.browser.max_quality_tier} tier(s)"
             )
-        plan = self.assets.plan(codec=codec, quality_tier=tier)
         return _SessionContext(
             config=config,
-            plan=plan,
+            plan=self._priced_plan(codec, tier),
             codec=codec,
             policy=config.retry_policy or self.retry_policy,
             threshold=(
@@ -1131,7 +1151,6 @@ class LCRSDeployment:
             stem_ms=stem_ms,
             branch_ms=branch_ms,
             quality_tier=tier,
-            tier_plans={tier: plan},
         )
 
     def _begin_chunk(
@@ -1249,11 +1268,12 @@ class LCRSDeployment:
     ) -> None:
         """Pricing phase: per-sample latency model + outcome emission.
 
-        Costs stay per sample regardless of chunking: the latency model
-        prices each frame exactly as a per-sample session does.  Every
-        miss in the chunk waited out the same failed attempts (and the
-        same scheduler queue delay, when one is attached), so each
-        carries the chunk's full retry/queue cost.
+        Costs stay per sample regardless of chunking: one
+        :func:`simulate_plan` call prices the chunk's frames in order,
+        exactly as a per-sample session would.  Every miss in the chunk
+        waited out the same failed attempts (and the same scheduler queue
+        delay, when one is attached), so each carries the chunk's full
+        retry/queue cost.
 
         ``sim_now`` is the session's simulated clock at chunk start;
         when the chunk is traced, its spans are placed on the simulated
@@ -1263,58 +1283,60 @@ class LCRSDeployment:
         ``link.exchange``) and the root span is closed.
         """
         config = ctx.config
-        # Price with the plan of the tier the chunk *ran* at (captured at
-        # begin time), not the context's current tier — a controller may
-        # have stepped the tier while this chunk was in flight.
-        plan = ctx.tier_plans.get(pending.quality_tier)
-        if plan is None:
-            plan = self.assets.plan(
-                codec=ctx.codec, quality_tier=pending.quality_tier
-            )
-            ctx.tier_plans[pending.quality_tier] = plan
+        misses = [not e for e in pending.exits.tolist()]
+        edge_served = pending.served_by == SERVED_BY_EDGE
+        trace = simulate_plan(
+            # Price with the plan of the tier the chunk *ran* at
+            # (captured at begin time), not the context's current
+            # tier — a controller may have stepped the tier while
+            # this chunk was in flight.
+            self._priced_plan(ctx.codec, pending.quality_tier),
+            num_samples=pending.count,
+            link=ctx.link,
+            browser=self.browser_device,
+            edge=self.edge_device,
+            cold_start=config.cold_start,
+            # Miss steps are priced only when the exchange succeeded;
+            # a fallback sample pays its failed attempts via retry_ms.
+            miss_mask=[m and edge_served for m in misses],
+            retry_ms=[pending.retry_ms if m else 0.0 for m in misses],
+            queue_ms=[pending.queue_ms if m else 0.0 for m in misses],
+            # The bundle loads on the first visit only unless every
+            # scan is a fresh page load (cold_start).
+            include_setup=config.cold_start or pending.start == 0,
+            quality_tier=pending.quality_tier,
+        )
+        costs.extend(trace.samples)
         # Degraded tiers are visible in `served_by` for branch-served
         # samples; edge-served answers came from the fp32 trunk, whose
         # quality is tier-independent.
-        degraded_tier = pending.quality_tier < self.browser.max_quality_tier
-        for j in range(pending.count):
-            i = pending.start + j
-            is_miss = not bool(pending.exits[j])
-            trace = simulate_plan(
-                plan,
-                num_samples=1,
-                link=ctx.link,
-                browser=self.browser_device,
-                edge=self.edge_device,
-                cold_start=True,
-                # Miss steps are priced only when the exchange succeeded;
-                # a fallback sample pays its failed attempts via retry_ms.
-                miss_mask=[is_miss and pending.served_by == SERVED_BY_EDGE],
-                retry_ms=[pending.retry_ms if is_miss else 0.0],
-                queue_ms=[pending.queue_ms if is_miss else 0.0],
-                # The bundle loads on the first visit only unless every
-                # scan is a fresh page load (cold_start).
-                include_setup=config.cold_start or i == 0,
-                quality_tier=pending.quality_tier,
+        branch_served = SERVED_BY_BRANCH
+        if pending.quality_tier < self.browser.max_quality_tier:
+            branch_served = f"{SERVED_BY_BRANCH}@tier{pending.quality_tier}"
+        miss_served = pending.served_by
+        if miss_served == SERVED_BY_BRANCH:
+            miss_served = branch_served
+        for j, (cost, miss, prediction, entropy) in enumerate(
+            zip(
+                trace.samples,
+                misses,
+                pending.predictions.tolist(),
+                pending.entropies.tolist(),
             )
-            cost = trace.samples[0]
-            costs.append(cost)
-            served_by = pending.served_by if is_miss else SERVED_BY_BRANCH
-            if degraded_tier and served_by == SERVED_BY_BRANCH:
-                served_by = f"{served_by}@tier{pending.quality_tier}"
+        ):
             outcomes.append(
                 RecognitionOutcome(
-                    index=i,
-                    prediction=int(pending.predictions[j]),
-                    exited_locally=bool(pending.exits[j]),
-                    entropy=float(pending.entropies[j]),
+                    index=pending.start + j,
+                    prediction=prediction,
+                    exited_locally=not miss,
+                    entropy=entropy,
                     cost=cost,
-                    served_by=served_by,
-                    attempts=pending.attempts if is_miss else 0,
+                    served_by=miss_served if miss else branch_served,
+                    attempts=pending.attempts if miss else 0,
                 )
             )
         if pending.root is not None:
-            chunk_costs = costs[len(costs) - pending.count :]
-            chunk_total = sum(c.total_ms for c in chunk_costs)
+            chunk_total = sum(c.total_ms for c in trace.samples)
             stem_total = ctx.stem_ms * pending.count
             branch_total = ctx.branch_ms * pending.count
             spans = pending.spans

@@ -5,9 +5,11 @@ dispatch — many tiny relu/batch-norm/pool ops around each conv — not by
 popcount math.  This module is the record-once/replay-many answer
 (ROADMAP item 2): walking a model's layer specs for a *fixed* input
 geometry and batch capacity compiles a flat list of :class:`PlanStep`
-objects, each a handful of C kernel calls (:mod:`.plan_compile`) plus
-the occasional BLAS matmul, all reading and writing preallocated arena
-buffers.  Replay touches zero Python-level layer or ``Tensor`` objects.
+objects, each a handful of C kernels (:mod:`.plan_compile`) plus the
+occasional BLAS matmul, all reading and writing preallocated arena
+buffers.  A step's consecutive C kernels are int64 records in a
+plan-owned table and replay in one native call.  Replay touches zero
+Python-level layer or ``Tensor`` objects.
 
 Fusion set (one step per *anchor* op, adjacent elementwise ops ride
 along):
@@ -33,10 +35,11 @@ express raises :class:`PlanCompileError`, which callers treat as
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .model_format import (
     parse_model,
     serialize_browser_bundle,
 )
-from .plan_compile import KernelBackendError, get_backend
+from .plan_compile import OPCODES, RECORD_FIELDS, KernelBackendError, get_backend
 
 __all__ = [
     "CompiledPlan",
@@ -108,6 +111,47 @@ class Arena:
         ]
 
 
+class _Record(NamedTuple):
+    """One C kernel call: its table words and the arrays they point to.
+
+    ``popcount`` is ``(rows, oc, row_bytes)`` for a popdot record — the
+    popcount traffic it issues per sample — and empty otherwise.
+    """
+
+    kernel: str
+    words: tuple
+    arrays: tuple
+    popcount: tuple = ()
+
+
+class NativeSegment:
+    """A run of consecutive C kernel records, replayed in one native call.
+
+    The segment owns its int64 record table and every array a record
+    points to, so no address it hands the kernels can outlive its buffer.
+    Popcount traffic is accounted once, after the call, from ``n``.
+    """
+
+    def __init__(self, run_program, records: Sequence[_Record]) -> None:
+        self.kernels = tuple(r.kernel for r in records)
+        self.table = np.array([w for r in records for w in r.words], dtype=np.int64)
+        self._arrays = [a for r in records for a in r.arrays]
+        self._popcounts = tuple(r.popcount for r in records if r.popcount)
+        self._run = run_program
+        self._table_ptr = self.table.ctypes.data
+        self._count = len(records)
+
+    def __call__(self, n: int) -> None:
+        status = self._run(self._table_ptr, self._count, n)
+        if status:
+            raise PlanExecutionError(
+                f"native segment record {status - 1} has an unknown opcode"
+            )
+        for rows, oc, row_bytes in self._popcounts:
+            m = n * rows
+            bitpack.record_plan_popcount(m * row_bytes, output_shape=(m, oc))
+
+
 @dataclass
 class PlanStep:
     """One fused step: a short list of runners over arena buffers."""
@@ -117,7 +161,8 @@ class PlanStep:
     name: str
     #: Source op kinds fused into this step, in execution order.
     kinds: list
-    #: Callables ``runner(n)`` — C kernel calls or NumPy matmul/reductions.
+    #: Callables ``runner(n)``: :class:`NativeSegment`\ s and the NumPy
+    #: matmuls/reductions between them.
     runners: list = field(default_factory=list)
     counter: object = None
 
@@ -279,7 +324,11 @@ def _widen_to_words(packed: np.ndarray, word_count: int) -> np.ndarray:
 
 
 class _PlanBuilder:
-    """Walks parsed layer specs once, emitting runners over an arena.
+    """Walks parsed layer specs once, emitting ops over an arena.
+
+    Each step's ops are C kernel records (:meth:`_kernel`) and NumPy
+    runners; :meth:`_runners` merges every run of consecutive records
+    into one :class:`NativeSegment`.
 
     ``flavor`` selects which reference executor's float semantics each
     runner replicates: ``"wasm"`` for the browser interpreter,
@@ -311,7 +360,8 @@ class _PlanBuilder:
         #: of im2col + np.matmul for convs with oc <= 16.  Probe-guarded
         #: the same way.
         self.direct_conv = bool(direct_conv)
-        self.kernels = get_backend()  # KernelBackendError → caller falls back
+        # KernelBackendError → caller falls back
+        self.run_program = get_backend().run_program
         self.arena = Arena()
         self.input_shape = tuple(int(d) for d in parsed.input_shape)
         self.buf = self.arena.new("input", (capacity, *self.input_shape))
@@ -321,8 +371,37 @@ class _PlanBuilder:
 
     # -- helpers --------------------------------------------------------
     @staticmethod
-    def _ptr(arr: Optional[np.ndarray]):
-        return None if arr is None else arr.ctypes.data
+    def _kernel(ops: list, kernel: str, *, popcount: tuple = (), **fields) -> None:
+        """Append one C kernel record: arrays become (owned) addresses."""
+        layout = RECORD_FIELDS[kernel]
+        if len(fields) != len(layout):
+            raise PlanCompileError(f"{kernel} record needs fields {layout}")
+        words = [OPCODES[kernel]]
+        arrays = []
+        for name in layout:
+            value = fields[name]
+            if value is None:
+                words.append(0)
+            elif isinstance(value, np.ndarray):
+                if not value.flags.c_contiguous:
+                    raise PlanCompileError(f"{kernel}.{name} is not C-contiguous")
+                arrays.append(value)
+                words.append(value.ctypes.data)
+            else:
+                words.append(int(value))
+        ops.append(_Record(kernel, tuple(words), tuple(arrays), popcount))
+
+    def _runners(self, ops: list) -> list:
+        """Merge each run of consecutive kernel records into one call."""
+        runners: list = []
+        for is_record, run in itertools.groupby(
+            ops, key=lambda op: isinstance(op, _Record)
+        ):
+            if is_record:
+                runners.append(NativeSegment(self.run_program, list(run)))
+            else:
+                runners.extend(run)
+        return runners
 
     def _param(self, spec: dict, key: str, required: bool = True):
         if key not in spec:
@@ -342,17 +421,22 @@ class _PlanBuilder:
     def build(self) -> CompiledPlan:
         input_buf = self.buf
         for index, group in enumerate(_split_groups(self.parsed.layers)):
-            runners: list = []
+            ops: list = []
             kinds: list = []
             for spec in group["pre"]:
-                self._emit_append(spec, runners, kinds)
+                self._emit_append(spec, ops, kinds)
             if group["anchor"] is not None:
                 post = list(group["post"])
-                self._emit_anchor(group["anchor"], post, runners, kinds)
+                self._emit_anchor(group["anchor"], post, ops, kinds)
                 for spec in post:
-                    self._emit_append(spec, runners, kinds)
+                    self._emit_append(spec, ops, kinds)
             self.steps.append(
-                PlanStep(index=index, name="+".join(kinds), kinds=kinds, runners=runners)
+                PlanStep(
+                    index=index,
+                    name="+".join(kinds),
+                    kinds=kinds,
+                    runners=self._runners(ops),
+                )
             )
         return CompiledPlan(
             flavor=self.flavor,
@@ -366,15 +450,16 @@ class _PlanBuilder:
         )
 
     # -- appendable micro-kernels --------------------------------------
-    def _emit_append(self, spec: dict, runners: list, kinds: list) -> None:
+    def _emit_append(self, spec: dict, ops: list, kinds: list) -> None:
         kind = spec["type"]
         kinds.append(kind)
-        K = self.kernels
         if kind == "relu":
-            mode = 1 if self.flavor == "wasm" else 2
-            elems = int(np.prod(self.shape))
-            ptr = self._ptr(self.buf)
-            runners.append(lambda n: K.relu_inplace(ptr, n * elems, mode))
+            self._kernel(
+                ops, "relu_inplace",
+                x=self.buf,
+                elems=int(np.prod(self.shape)),
+                mode=1 if self.flavor == "wasm" else 2,
+            )
         elif kind == "flatten":
             self.shape = (int(np.prod(self.shape)),)
         elif kind == "batch_norm":
@@ -385,25 +470,22 @@ class _PlanBuilder:
             eps = float(spec["eps"])
             c = int(self.shape[0])
             hw = int(np.prod(self.shape[1:])) if len(self.shape) > 1 else 1
-            ptr = self._ptr(self.buf)
             if self.flavor == "wasm":
                 # Interpreter folds BN to affine at load: exactly two
                 # float32 roundings per element.
                 scale = gamma / np.sqrt(var + eps)
                 shift = beta - mean * scale
-                ps, psh = self._ptr(scale), self._ptr(shift)
-                runners.append(
-                    lambda n, _keep=(scale, shift): K.affine_ch(ptr, ptr, ps, psh, n, c, hw)
+                self._kernel(
+                    ops, "affine_ch",
+                    x=self.buf, out=self.buf, scale=scale, shift=shift, c=c, hw=hw,
                 )
             else:
                 # Framework eval BN: four roundings, inv_std precomputed.
                 inv_std = 1.0 / np.sqrt(var + eps)
-                pg, pb = self._ptr(gamma), self._ptr(beta)
-                pm, pi = self._ptr(mean), self._ptr(inv_std)
-                runners.append(
-                    lambda n, _keep=(gamma, beta, mean, inv_std): K.bn_eval_ch(
-                        ptr, ptr, pg, pb, pm, pi, n, c, hw
-                    )
+                self._kernel(
+                    ops, "bn_eval_ch",
+                    x=self.buf, out=self.buf, gamma=gamma, beta=beta,
+                    mean=mean, inv_std=inv_std, c=c, hw=hw,
                 )
         elif kind == "max_pool2d":
             c, h, w = self._require_chw(spec)
@@ -412,10 +494,10 @@ class _PlanBuilder:
             geom = conv_geometry(c, h, w, k, stride, 0)
             oh, ow = geom.out_height, geom.out_width
             dst = self.arena.new("pool", (self.capacity, c, oh, ow))
-            tie_first = 0 if self.flavor == "wasm" else 1
-            psrc, pdst = self._ptr(self.buf), self._ptr(dst)
-            runners.append(
-                lambda n: K.maxpool_nchw(psrc, pdst, n, c, h, w, k, stride, oh, ow, tie_first)
+            self._kernel(
+                ops, "maxpool_nchw",
+                x=self.buf, out=dst, c=c, h=h, w=w, k=k, stride=stride,
+                oh=oh, ow=ow, tie_first=0 if self.flavor == "wasm" else 1,
             )
             self.buf = dst
             self.shape = (c, oh, ow)
@@ -436,7 +518,7 @@ class _PlanBuilder:
                 def runner(n, src=src, dst=dst, inv_count=inv_count):
                     dst[:n] = src[:n].sum(axis=(2, 3)) * inv_count
 
-            runners.append(runner)
+            ops.append(runner)
             self.buf = dst
             self.shape = (c,)
         elif kind == "base_fold":
@@ -463,7 +545,7 @@ class _PlanBuilder:
                         out = out + bias
                     dst[:n] = out
 
-                runners.append(runner)
+                ops.append(runner)
                 self.buf = dst
                 self.shape = (oc, h, w)
             elif len(self.shape) == 1:
@@ -482,7 +564,7 @@ class _PlanBuilder:
                         out = out + bias
                     dst[:n] = out
 
-                runners.append(runner)
+                ops.append(runner)
                 self.buf = dst
                 self.shape = (f,)
             else:
@@ -493,7 +575,7 @@ class _PlanBuilder:
             raise PlanCompileError(f"cannot fuse op kind {kind!r}")
 
     # -- anchors --------------------------------------------------------
-    def _emit_anchor(self, spec: dict, post: list, runners: list, kinds: list) -> None:
+    def _emit_anchor(self, spec: dict, post: list, ops: list, kinds: list) -> None:
         kind = spec["type"]
         kinds.append(kind)
         if kind.startswith("binary") and self.flavor != "wasm":
@@ -508,53 +590,51 @@ class _PlanBuilder:
 
         if kind == "conv2d":
             self._emit_conv_matmul(
-                runners, spec, self._param(spec, "weight"), None, relu_mode
+                ops, spec, self._param(spec, "weight"), None, relu_mode
             )
         elif kind == "binary_conv2d":
             if bool(spec["binarize_input"]):
-                self._emit_binary_conv(runners, spec, relu_mode, fuse_relu)
+                self._emit_binary_conv(ops, spec, relu_mode)
             else:
                 packed_w = self.parsed.buffer(spec["weight_bits"]).astype(np.uint8)
                 signs = unpack_signs(packed_w, int(spec["bit_length"]))
                 alpha = self._param(spec, "alpha")
-                self._emit_conv_matmul(runners, spec, signs, alpha, relu_mode)
+                self._emit_conv_matmul(ops, spec, signs, alpha, relu_mode)
         elif kind == "linear":
             weight = self._param(spec, "weight")
             bias = self._param(spec, "bias", required=False)
-            self._emit_linear_matmul(runners, spec, weight, None, bias, relu_mode)
+            self._emit_linear_matmul(ops, spec, weight, None, bias, relu_mode)
         elif kind == "binary_linear":
             if bool(spec["binarize_input"]):
-                self._emit_binary_linear(runners, spec, relu_mode)
+                self._emit_binary_linear(ops, spec, relu_mode)
             else:
                 packed_w = self.parsed.buffer(spec["weight_bits"]).astype(np.uint8)
                 signs = unpack_signs(packed_w, int(spec["bit_length"]))
                 alpha = self._param(spec, "alpha")
                 bias = self._param(spec, "bias", required=False)
-                self._emit_linear_matmul(runners, spec, signs, alpha, bias, relu_mode)
+                self._emit_linear_matmul(ops, spec, signs, alpha, bias, relu_mode)
         else:  # pragma: no cover - _split_groups filters kinds
             raise PlanCompileError(f"unknown anchor kind {kind!r}")
 
-    def _emit_padded_source(self, runners: list, c: int, h: int, w: int, pad: int):
-        """Return (ptr, h, w) of a zero-bordered copy of the current buffer.
+    def _emit_padded_source(self, ops: list, c: int, h: int, w: int, pad: int):
+        """Return (buffer, h, w) of a zero-bordered copy of the current buffer.
 
         The border is zeroed once when the arena allocates the buffer and
-        never written afterwards; the per-call runner copies only interior
+        never written afterwards; the per-call kernel copies only interior
         rows.  Downstream kernels then gather with pad=0 and no fringe
         branches — padded entries contribute ``fmaf(+0, w, acc)``, exactly
         what the zero-filled im2col columns fed to the GEMM.
         """
         if pad == 0:
-            return self._ptr(self.buf), h, w
-        K = self.kernels
+            return self.buf, h, w
         hp, wp = h + 2 * pad, w + 2 * pad
         xpad = self.arena.new("xpad", (self.capacity, c, hp, wp))
-        psrc, ppad = self._ptr(self.buf), self._ptr(xpad)
-        runners.append(lambda n: K.pad_nchw(psrc, ppad, n, c, h, w, pad))
-        return ppad, hp, wp
+        self._kernel(ops, "pad_nchw", x=self.buf, xp=xpad, c=c, h=h, w=w, pad=pad)
+        return xpad, hp, wp
 
     def _emit_conv_direct(
         self,
-        runners: list,
+        ops: list,
         geom,
         c: int,
         h: int,
@@ -574,9 +654,6 @@ class _PlanBuilder:
         ``row_len × 16`` lanes so the kernel broadcasts one source scalar
         against all output channels per FMA.
         """
-        K = self.kernels
-        k, stride = geom.kernel, geom.stride
-        oh, ow = geom.out_height, geom.out_width
         wt = np.zeros((geom.row_len, 16), dtype=np.float32)
         wt[:, :oc] = w_flat.T
         scale16 = None
@@ -587,29 +664,27 @@ class _PlanBuilder:
         if bias is not None:
             bias16 = np.zeros(16, dtype=np.float32)
             bias16[:oc] = bias
-        ppad, hp, wp = self._emit_padded_source(runners, c, h, w, geom.padding)
+        src, hp, wp = self._emit_padded_source(ops, c, h, w, geom.padding)
+        oh, ow = geom.out_height, geom.out_width
         out = self.arena.new("act", (self.capacity, oc, oh, ow))
-        pwt, pout = self._ptr(wt), self._ptr(out)
-        pscale, pbias = self._ptr(scale16), self._ptr(bias16)
-        runners.append(
-            lambda n, _keep=(wt, scale16, bias16): K.conv_direct(
-                ppad, pwt, pscale, pbias, pout,
-                n, c, hp, wp, k, stride, oh, ow, oc, relu_mode,
-            )
+        self._kernel(
+            ops, "conv_direct",
+            xp=src, wt=wt, scale=scale16, bias=bias16, out=out,
+            c=c, hp=hp, wp=wp, k=geom.kernel, stride=geom.stride,
+            oh=oh, ow=ow, oc=oc, relu_mode=relu_mode,
         )
         self.buf = out
         self.shape = (oc, oh, ow)
 
     def _emit_conv_matmul(
         self,
-        runners: list,
+        ops: list,
         spec: dict,
         weight: np.ndarray,
         alpha: Optional[np.ndarray],
         relu_mode: int,
     ) -> None:
         """Float conv (or non-binarized binary conv): gather → GEMM → epilogue."""
-        K = self.kernels
         c, h, w = self._require_chw(spec)
         oc = int(spec["out_channels"])
         geom = conv_geometry(
@@ -621,7 +696,7 @@ class _PlanBuilder:
             raise PlanCompileError("conv weight does not match geometry")
         if self.direct_conv and oc <= 16:
             self._emit_conv_direct(
-                runners, geom, c, h, w, oc, w_flat, alpha, bias, relu_mode
+                ops, geom, c, h, w, oc, w_flat, alpha, bias, relu_mode
             )
             return
         if self.flavor == "wasm":
@@ -631,34 +706,30 @@ class _PlanBuilder:
             # the same strides so the GEMM call is identical.
             wmat = np.ascontiguousarray(w_flat).T
         rows = geom.rows
+        oh, ow = geom.out_height, geom.out_width
         cols = self.arena.new("cols", (self.capacity * rows, geom.row_len))
         mm = self.arena.new("mm", (self.capacity * rows, oc))
-        out = self.arena.new("act", (self.capacity, oc, geom.out_height, geom.out_width))
-        psrc, pcols = self._ptr(self.buf), self._ptr(cols)
-        pmm, pout = self._ptr(mm), self._ptr(out)
-        pscale, pbias = self._ptr(alpha), self._ptr(bias)
-        k, s, p = geom.kernel, geom.stride, geom.padding
-        oh, ow = geom.out_height, geom.out_width
-
-        runners.append(lambda n: K.im2col_f32(psrc, pcols, n, c, h, w, k, s, p, oh, ow))
+        out = self.arena.new("act", (self.capacity, oc, oh, ow))
+        self._kernel(
+            ops, "im2col_f32",
+            x=self.buf, cols=cols, c=c, h=h, w=w, k=geom.kernel,
+            stride=geom.stride, pad=geom.padding, oh=oh, ow=ow,
+        )
 
         def matmul(n, cols=cols, wmat=wmat, mm=mm, rows=rows):
             np.matmul(cols[: n * rows], wmat, out=mm[: n * rows])
 
-        runners.append(matmul)
-        runners.append(
-            lambda n, _keep=(alpha, bias): K.conv_post(
-                pmm, pscale, pbias, pout, n, rows, oc, relu_mode
-            )
+        ops.append(matmul)
+        self._kernel(
+            ops, "conv_post",
+            mm=mm, scale=alpha, bias=bias, out=out, rows=rows, oc=oc,
+            relu_mode=relu_mode,
         )
         self.buf = out
         self.shape = (oc, oh, ow)
 
-    def _emit_binary_conv(
-        self, runners: list, spec: dict, relu_mode: int, fuse_relu: bool
-    ) -> None:
+    def _emit_binary_conv(self, ops: list, spec: dict, relu_mode: int) -> None:
         """Fused unfold → XNOR → popcount → scale chain for binarized convs."""
-        K = self.kernels
         c, h, w = self._require_chw(spec)
         oc = int(spec["out_channels"])
         geom = conv_geometry(
@@ -677,10 +748,10 @@ class _PlanBuilder:
             # activation words, so (a&m)^(b&m) == (a^b)&m drops the mask
             # load + AND from the popcount inner loop.
             wmasked = np.ascontiguousarray(wwords[:, None, :] & mwords[None, :, :])
+            wplain = None
         else:
-            mwords = None
-            valid = None
-            wmasked = None
+            mwords = valid = wmasked = None
+            wplain = wwords
         # With a small window (row_len <= 128) the |v| row fits the C
         # kernel's stack buffer and the kfac mean folds into the gather —
         # no abscols arena buffer, no separate NumPy pass.
@@ -691,64 +762,46 @@ class _PlanBuilder:
             abscols = self.arena.new("abscols", (self.capacity * rows, row_len))
         words = self.arena.new("bits", (self.capacity * rows, word_count), dtype=np.uint64)
         kfac = self.arena.new("kfac", (self.capacity * rows,))
-        out = self.arena.new("act", (self.capacity, oc, geom.out_height, geom.out_width))
+        oh, ow = geom.out_height, geom.out_width
+        out = self.arena.new("act", (self.capacity, oc, oh, ow))
         # Pre-padding lets the gather run fringe-free (pad=0 below):
         # padded entries are +0.0 → fabsf gives +0 and the sign bit is 1,
         # exactly what the kernel's zero-fill produced.  The validity
         # masks/counts from the *original* geometry still apply unchanged.
-        psrc, hp, wp = self._emit_padded_source(runners, c, h, w, geom.padding)
-        pabs, pwords, pkfac = self._ptr(abscols), self._ptr(words), self._ptr(kfac)
-        pmw, pvalid = self._ptr(mwords), self._ptr(valid)
-        pww = self._ptr(wwords) if wmasked is None else None
-        pwm = self._ptr(wmasked)
-        palpha, pbias, pout = self._ptr(alpha), self._ptr(bias), self._ptr(out)
-        k, s = geom.kernel, geom.stride
-        oh, ow = geom.out_height, geom.out_width
-        mask_bytes_per_row = word_count * 8 if mwords is not None else 0
-        # popdot's epilogue ends at the bias; a directly-adjacent relu
-        # (rare — zoo binary convs feed BN/pool) runs as one extra pass.
-        if fuse_relu:
-            runners_relu = (self._ptr(out), oc * oh * ow, relu_mode)
-        else:
-            runners_relu = None
-
-        pkf_prep = pkfac if use_c_mean else None
-        runners.append(
-            lambda n, _keep=(mwords,): K.binconv_prepare(
-                psrc, pabs, pkf_prep, pwords, pmw,
-                n, c, hp, wp, k, s, 0, oh, ow, word_count,
-            )
+        src, hp, wp = self._emit_padded_source(ops, c, h, w, geom.padding)
+        self._kernel(
+            ops, "binconv_prepare",
+            x=src, abscols=abscols, kfac=kfac if use_c_mean else None,
+            words=words, maskw=mwords, c=c, h=hp, w=wp, k=geom.kernel,
+            stride=geom.stride, pad=0, oh=oh, ow=ow, W=word_count,
         )
-
         if not use_c_mean:
 
             def kfac_mean(n, abscols=abscols, kfac=kfac, rows=rows):
                 m = n * rows
                 np.mean(abscols[:m], axis=1, out=kfac[:m])
 
-            runners.append(kfac_mean)
-
-        def popdot(n, _keep=(wwords, wmasked, valid, alpha, bias)):
-            m = n * rows
-            K.popdot_scale(
-                pwords, pww, pwm, pvalid, palpha, pkfac, pbias, pout,
-                n, rows, oc, word_count, row_len,
+            ops.append(kfac_mean)
+        mask_bytes_per_row = word_count * 8 if mwords is not None else 0
+        self._kernel(
+            ops, "popdot_scale",
+            va=words, vw=wplain, vwm=wmasked, valid=valid, alpha=alpha,
+            kfac=kfac, bias=bias, out=out, rows=rows, oc=oc, W=word_count,
+            fallback_valid=row_len,
+            popcount=(rows, oc, oc * word_count * 8 + mask_bytes_per_row),
+        )
+        # popdot's epilogue ends at the bias; a directly-adjacent relu
+        # (rare — zoo binary convs feed BN/pool) runs as one extra pass.
+        if relu_mode:
+            self._kernel(
+                ops, "relu_inplace", x=out, elems=oc * oh * ow, mode=relu_mode
             )
-            bitpack.record_plan_popcount(
-                m * oc * word_count * 8 + m * mask_bytes_per_row,
-                output_shape=(m, oc),
-            )
-
-        runners.append(popdot)
-        if runners_relu is not None:
-            pr, elems, mode = runners_relu
-            runners.append(lambda n: K.relu_inplace(pr, n * elems, mode))
         self.buf = out
         self.shape = (oc, oh, ow)
 
     def _emit_linear_matmul(
         self,
-        runners: list,
+        ops: list,
         spec: dict,
         weight: np.ndarray,
         alpha: Optional[np.ndarray],
@@ -771,21 +824,24 @@ class _PlanBuilder:
         def matmul(n, x2d=x2d, wmat=wmat, out=out):
             np.matmul(x2d[:n], wmat, out=out[:n])
 
-        runners.append(matmul)
+        ops.append(matmul)
         if alpha_row is not None:
-            runners.append(lambda n, a=alpha_row, o=out: np.multiply(o[:n], a, out=o[:n]))
+            ops.append(lambda n, a=alpha_row, o=out: np.multiply(o[:n], a, out=o[:n]))
         if bias is not None:
-            runners.append(lambda n, b=bias, o=out: np.add(o[:n], b, out=o[:n]))
-        if relu_mode == 1:
-            runners.append(lambda n, o=out: np.maximum(o[:n], 0.0, out=o[:n]))
-        elif relu_mode == 2:
-            runners.append(lambda n, o=out: np.multiply(o[:n], o[:n] > 0, out=o[:n]))
+            ops.append(lambda n, b=bias, o=out: np.add(o[:n], b, out=o[:n]))
+        self._emit_numpy_relu(ops, out, relu_mode)
         self.buf = out
         self.shape = (out_features,)
 
-    def _emit_binary_linear(self, runners: list, spec: dict, relu_mode: int) -> None:
+    @staticmethod
+    def _emit_numpy_relu(ops: list, out: np.ndarray, relu_mode: int) -> None:
+        if relu_mode == 1:
+            ops.append(lambda n, o=out: np.maximum(o[:n], 0.0, out=o[:n]))
+        elif relu_mode == 2:
+            ops.append(lambda n, o=out: np.multiply(o[:n], o[:n] > 0, out=o[:n]))
+
+    def _emit_binary_linear(self, ops: list, spec: dict, relu_mode: int) -> None:
         """Fused abs-mean → pack → XNOR popcount → scale for binary linear."""
-        K = self.kernels
         features = int(np.prod(self.shape))
         bit_length = int(spec["bit_length"])
         if bit_length != features:
@@ -801,31 +857,23 @@ class _PlanBuilder:
         betabuf = self.arena.new("beta", (self.capacity,))
         out = self.arena.new("act", (self.capacity, oc))
         x2d = self.buf.reshape(self.capacity, -1)
-        px, pwords = self._ptr(self.buf), self._ptr(words)
-        pww, palpha, pbias = self._ptr(wwords), self._ptr(alpha), self._ptr(bias)
-        pbeta, pout = self._ptr(betabuf), self._ptr(out)
 
         def absmean(n, x2d=x2d, absbuf=absbuf, betabuf=betabuf):
             np.abs(x2d[:n], out=absbuf[:n])
             np.mean(absbuf[:n], axis=1, out=betabuf[:n])
 
-        runners.append(absmean)
-        runners.append(lambda n: K.pack_rows(px, pwords, n, features, word_count))
-
-        def popdot(n, _keep=(wwords, alpha, bias)):
-            K.popdot_scale(
-                pwords, pww, None, None, palpha, pbeta, pbias, pout,
-                n, 1, oc, word_count, bit_length,
-            )
-            bitpack.record_plan_popcount(
-                n * oc * word_count * 8, output_shape=(n, oc)
-            )
-
-        runners.append(popdot)
-        if relu_mode == 1:
-            runners.append(lambda n, o=out: np.maximum(o[:n], 0.0, out=o[:n]))
-        elif relu_mode == 2:
-            runners.append(lambda n, o=out: np.multiply(o[:n], o[:n] > 0, out=o[:n]))
+        ops.append(absmean)
+        self._kernel(
+            ops, "pack_rows", x=self.buf, words=words, f=features, W=word_count
+        )
+        self._kernel(
+            ops, "popdot_scale",
+            va=words, vw=wwords, vwm=None, valid=None, alpha=alpha,
+            kfac=betabuf, bias=bias, out=out, rows=1, oc=oc, W=word_count,
+            fallback_valid=bit_length,
+            popcount=(1, oc, oc * word_count * 8),
+        )
+        self._emit_numpy_relu(ops, out, relu_mode)
         self.buf = out
         self.shape = (oc,)
 

@@ -5,7 +5,9 @@ linear) with its adjacent elementwise ops into one flat step.  The hot
 inner loops of those steps — window gather, bit packing, XNOR+popcount,
 scale/bias/relu epilogues, pooling, batch-norm affines — live here as a
 single C translation unit compiled once per process with the system C
-compiler and loaded through :mod:`ctypes`.
+compiler and loaded through :mod:`ctypes`.  Python calls exactly one
+function, ``run_program``, which replays a table of kernel records (see
+:data:`RECORD_FIELDS`).
 
 Everything about the build is defensive:
 
@@ -34,9 +36,12 @@ import tempfile
 import threading
 from pathlib import Path
 from shutil import which
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 __all__ = [
+    "OPCODES",
+    "RECORD_FIELDS",
     "KernelBackendError",
     "backend_available",
     "backend_error",
@@ -1337,26 +1342,133 @@ API void popdot_scale(const uint64_t *va, const uint64_t *vw,
         popdot_impl(va, vw, vwm, valid, alpha, kfac, bias, out,
                     n, rows, oc, W, fallback_valid);
 }
+
+/* The one entry point Python calls.  A plan step's consecutive kernels
+   arrive as a table of int64 records [opcode, fields...] (pointers as
+   addresses, 0 for NULL; layouts in RECORD_FIELDS on the Python side,
+   which also generates the OP_ and LEN_ constants).  n, the live batch,
+   is the only per-call argument.  Returns 0, or 1 + the index of the
+   first record with an unknown opcode — nothing from it on runs. */
+#define P(T, i) ((T *)(intptr_t)rec[i])
+#define L(i) ((long)rec[i])
+API long run_program(const int64_t *rec, long count, long n)
+{
+    for (long i = 0; i < count; i++) {
+        switch (rec[0]) {
+        case OP_pad_nchw:
+            pad_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5), L(6));
+            rec += LEN_pad_nchw;
+            break;
+        case OP_im2col_f32:
+            im2col_f32(P(const float, 1), P(float, 2), n, L(3), L(4), L(5),
+                       L(6), L(7), L(8), L(9), L(10));
+            rec += LEN_im2col_f32;
+            break;
+        case OP_conv_direct:
+            conv_direct(P(const float, 1), P(const float, 2),
+                        P(const float, 3), P(const float, 4), P(float, 5),
+                        n, L(6), L(7), L(8), L(9), L(10), L(11), L(12),
+                        L(13), (int)L(14));
+            rec += LEN_conv_direct;
+            break;
+        case OP_conv_post:
+            conv_post(P(const float, 1), P(const float, 2), P(const float, 3),
+                      P(float, 4), n, L(5), L(6), (int)L(7));
+            rec += LEN_conv_post;
+            break;
+        case OP_maxpool_nchw:
+            maxpool_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5),
+                         L(6), L(7), L(8), L(9), (int)L(10));
+            rec += LEN_maxpool_nchw;
+            break;
+        case OP_affine_ch:
+            affine_ch(P(const float, 1), P(float, 2), P(const float, 3),
+                      P(const float, 4), n, L(5), L(6));
+            rec += LEN_affine_ch;
+            break;
+        case OP_bn_eval_ch:
+            bn_eval_ch(P(const float, 1), P(float, 2), P(const float, 3),
+                       P(const float, 4), P(const float, 5),
+                       P(const float, 6), n, L(7), L(8));
+            rec += LEN_bn_eval_ch;
+            break;
+        case OP_relu_inplace:
+            relu_inplace(P(float, 1), n * L(2), (int)L(3));
+            rec += LEN_relu_inplace;
+            break;
+        case OP_binconv_prepare:
+            binconv_prepare(P(const float, 1), P(float, 2), P(float, 3),
+                            P(uint64_t, 4), P(const uint64_t, 5), n, L(6),
+                            L(7), L(8), L(9), L(10), L(11), L(12), L(13),
+                            L(14));
+            rec += LEN_binconv_prepare;
+            break;
+        case OP_pack_rows:
+            pack_rows(P(const float, 1), P(uint64_t, 2), n, L(3), L(4));
+            rec += LEN_pack_rows;
+            break;
+        case OP_popdot_scale:
+            popdot_scale(P(const uint64_t, 1), P(const uint64_t, 2),
+                         P(const uint64_t, 3), P(const int32_t, 4),
+                         P(const float, 5), P(const float, 6),
+                         P(const float, 7), P(float, 8), n, L(9), L(10),
+                         L(11), L(12));
+            rec += LEN_popdot_scale;
+            break;
+        default:
+            return i + 1;
+        }
+    }
+    return 0;
+}
+#undef P
+#undef L
 """
 
-_VOIDP = ctypes.c_void_p
-_LONG = ctypes.c_long
-_INT = ctypes.c_int
+#: The record-table ABI of ``run_program``: kernel name → the fields its
+#: record stores after the opcode, in order.  Opcodes are the 1-based
+#: positions in this table; the C ``OP_<name>``/``LEN_<name>`` constants
+#: are generated from it, so each opcode is defined exactly once.
+RECORD_FIELDS: Mapping[str, tuple] = MappingProxyType(
+    {
+        "pad_nchw": ("x", "xp", "c", "h", "w", "pad"),
+        "im2col_f32": ("x", "cols", "c", "h", "w", "k", "stride", "pad", "oh", "ow"),
+        "conv_direct": (
+            "xp", "wt", "scale", "bias", "out",
+            "c", "hp", "wp", "k", "stride", "oh", "ow", "oc", "relu_mode",
+        ),
+        "conv_post": ("mm", "scale", "bias", "out", "rows", "oc", "relu_mode"),
+        "maxpool_nchw": (
+            "x", "out", "c", "h", "w", "k", "stride", "oh", "ow", "tie_first",
+        ),
+        "affine_ch": ("x", "out", "scale", "shift", "c", "hw"),
+        "bn_eval_ch": ("x", "out", "gamma", "beta", "mean", "inv_std", "c", "hw"),
+        # elems is per sample: the kernel relus n * elems values.
+        "relu_inplace": ("x", "elems", "mode"),
+        "binconv_prepare": (
+            "x", "abscols", "kfac", "words", "maskw",
+            "c", "h", "w", "k", "stride", "pad", "oh", "ow", "W",
+        ),
+        "pack_rows": ("x", "words", "f", "W"),
+        "popdot_scale": (
+            "va", "vw", "vwm", "valid", "alpha", "kfac", "bias", "out",
+            "rows", "oc", "W", "fallback_valid",
+        ),
+    }
+)
+OPCODES: Mapping[str, int] = MappingProxyType(
+    {name: code for code, name in enumerate(RECORD_FIELDS, start=1)}
+)
 
-_SIGNATURES = {
-    # name -> argtypes (all pointers passed as raw addresses)
-    "im2col_f32": [_VOIDP, _VOIDP] + [_LONG] * 9,
-    "pad_nchw": [_VOIDP, _VOIDP] + [_LONG] * 5,
-    "conv_direct": [_VOIDP] * 5 + [_LONG] * 9 + [_INT],
-    "conv_post": [_VOIDP, _VOIDP, _VOIDP, _VOIDP, _LONG, _LONG, _LONG, _INT],
-    "maxpool_nchw": [_VOIDP, _VOIDP] + [_LONG] * 8 + [_INT],
-    "affine_ch": [_VOIDP, _VOIDP, _VOIDP, _VOIDP, _LONG, _LONG, _LONG],
-    "bn_eval_ch": [_VOIDP] * 6 + [_LONG] * 3,
-    "relu_inplace": [_VOIDP, _LONG, _INT],
-    "binconv_prepare": [_VOIDP, _VOIDP, _VOIDP, _VOIDP, _VOIDP] + [_LONG] * 10,
-    "pack_rows": [_VOIDP, _VOIDP, _LONG, _LONG, _LONG],
-    "popdot_scale": [_VOIDP] * 8 + [_LONG] * 5,  # n, rows, oc, W, fallback_valid
-}
+
+def _abi_header() -> str:
+    return "".join(
+        f"#define OP_{name} {code}\n#define LEN_{name} {len(RECORD_FIELDS[name]) + 1}\n"
+        for name, code in OPCODES.items()
+    )
+
+
+_SOURCE = _abi_header() + _C_SOURCE
 
 _BACKEND: Optional[ctypes.CDLL] = None
 _BACKEND_ERROR: Optional[str] = None
@@ -1381,15 +1493,13 @@ def _find_compiler() -> Optional[str]:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = None
+    lib.run_program.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
+    lib.run_program.restype = ctypes.c_long
     return lib
 
 
 def _source_digest() -> str:
-    payload = (" ".join(_CFLAGS) + "\n" + _C_SOURCE).encode()
+    payload = (" ".join(_CFLAGS) + "\n" + _SOURCE).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -1412,7 +1522,7 @@ def _build_library() -> ctypes.CDLL:
         if cc is None:
             raise KernelBackendError("no C compiler (cc/gcc/clang) on PATH")
         src_path = directory / f"plan_kernels_{digest}.c"
-        src_path.write_text(_C_SOURCE)
+        src_path.write_text(_SOURCE)
         tmp_so = directory / f"{so_name}.tmp{os.getpid()}"
         cmd = [cc, *_CFLAGS, str(src_path), "-lm", "-o", str(tmp_so)]
         proc = subprocess.run(cmd, capture_output=True, text=True)

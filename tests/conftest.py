@@ -2,16 +2,31 @@
 
 Expensive artifacts (the trained system) are session-scoped so the
 integration tests share one joint-training run.
+
+The one Hypothesis profile for the suite is registered here.  ``tier1``
+(the default) is derandomized and keeps no example database, so every
+run draws the same examples; a counterexample worth keeping is committed
+as an explicit ``@example``.  ``fuzz`` is the randomized exploratory
+profile behind ``make fuzz`` (``--hypothesis-profile=fuzz``).  A module
+that needs a different example count sets it per test with
+``@settings(max_examples=...)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import LCRS, JointTrainingConfig
 from repro.data import ArrayDataset, make_dataset
 from repro.profiling import counters_scope
+
+settings.register_profile(
+    "tier1", max_examples=25, deadline=None, derandomize=True, database=None
+)
+settings.register_profile("fuzz", max_examples=500, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

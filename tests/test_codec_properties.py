@@ -16,7 +16,7 @@ carry ±inf/NaN) and a faithful round trip for the float codecs.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.runtime import (
@@ -28,11 +28,6 @@ from repro.runtime import (
     UnknownCodecError,
     get_codec,
 )
-
-# Keep hypothesis fast and deterministic for CI-style runs.
-settings.register_profile("repro", max_examples=25, deadline=None)
-settings.load_profile("repro")
-
 
 #: Shapes the miss path actually ships (batch, C, H, W) plus degenerate
 #: ranks, odd primes, and zero-length axes.
@@ -117,6 +112,10 @@ class TestFp16Properties:
 
 class TestInt8Properties:
     @given(finite_tensors)
+    # Denormal ranges whose step once rounded to a 0.0 float32 scale,
+    # which the decoder rejects as a bad header.
+    @example(x=np.array([2e-44, 0], dtype=np.float32))
+    @example(x=np.array([0, 1e-45], dtype=np.float32))
     def test_error_within_half_step(self, x):
         decoded = _roundtrip(INT8_CODEC, x)
         assert decoded.shape == x.shape

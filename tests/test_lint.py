@@ -80,12 +80,8 @@ _MUTABLE_GLOBAL_ALLOWLIST: dict[str, set[str]] = {
     # Executor pool cache: guarded by _EXECUTORS_LOCK.
     # _NUM_THREADS: atomic rebind of an int via set_num_threads.
     "src/repro/wasm/bitpack.py": {"_EXECUTORS", "global _NUM_THREADS"},
-    # Kernel ctypes signature table: frozen after import.
     # Backend singleton: double-checked init under _BACKEND_LOCK.
-    "src/repro/wasm/plan_compile.py": {
-        "_SIGNATURES",
-        "global _BACKEND, _BACKEND_ERROR, _TRIED",
-    },
+    "src/repro/wasm/plan_compile.py": {"global _BACKEND, _BACKEND_ERROR, _TRIED"},
     # Preset/registry tables, frozen after import:
     "src/repro/runtime/feature_codec.py": {"FEATURE_CODECS"},
     "src/repro/runtime/network.py": {"LINK_PRESETS", "FAULT_PROFILES"},

@@ -7,13 +7,18 @@ claims to support, at every batch size up to its capacity — not merely
 batch shapes through plan-vs-interpreter comparisons with
 ``np.array_equal`` (no tolerance), and the plumbing tests pin the cache,
 counters, span, fallback, and error behaviour the runtime relies on.
+
+Every plan compiled here records the C kernels its record tables
+dispatch to; the last test checks that together they cover the whole
+opcode table, so no kernel ships without a bit-identity property.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import nn
+from repro import nn, wasm
+from repro.models import lenet
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.binary import BinaryConv2d, BinaryLinear
 from repro.observability import Tracer
@@ -22,10 +27,10 @@ from repro.wasm import (
     PlanExecutionError,
     WasmModel,
     backend_available,
-    compile_trunk_plan,
-    compile_wasm_plan,
     serialize_browser_bundle,
 )
+from repro.wasm.plan import NativeSegment
+from repro.wasm.plan_compile import OPCODES
 
 pytestmark = [
     pytest.mark.plan,
@@ -34,8 +39,27 @@ pytestmark = [
     ),
 ]
 
-settings.register_profile("repro-plan", max_examples=20, deadline=None)
-settings.load_profile("repro-plan")
+#: Every example compiles and probe-verifies a plan: draw fewer of them.
+fewer_examples = settings(max_examples=20)
+
+#: C kernels dispatched by the plans this module compiled so far.
+EXERCISED_KERNELS: set = set()
+
+
+def _recording(compile_fn):
+    def compile_and_record(*args, **kwargs):
+        plan = compile_fn(*args, **kwargs)
+        for step in plan.steps:
+            for runner in step.runners:
+                if isinstance(runner, NativeSegment):
+                    EXERCISED_KERNELS.update(runner.kernels)
+        return plan
+
+    return compile_and_record
+
+
+compile_wasm_plan = _recording(wasm.compile_wasm_plan)
+compile_trunk_plan = _recording(wasm.compile_trunk_plan)
 
 
 def engine_for(bundle: nn.Sequential, input_shape) -> WasmModel:
@@ -55,6 +79,7 @@ def assert_plan_bit_identical(bundle, input_shape, capacity=8, batches=(1, 3, 8)
 
 
 class TestFloatStackProperties:
+    @fewer_examples
     @given(
         in_channels=st.integers(1, 3),
         out_channels=st.sampled_from([1, 4, 7, 16, 20]),
@@ -91,6 +116,7 @@ class TestFloatStackProperties:
             nn.Sequential(*layers), (in_channels, size, size)
         )
 
+    @fewer_examples
     @given(
         features=st.integers(4, 96),
         hidden=st.integers(1, 24),
@@ -106,6 +132,7 @@ class TestFloatStackProperties:
         )
         assert_plan_bit_identical(bundle, (features, 1, 1))
 
+    @fewer_examples
     @given(
         channels=st.integers(1, 4),
         size=st.integers(4, 10),
@@ -127,6 +154,7 @@ class TestFloatStackProperties:
 
 
 class TestBinaryStackProperties:
+    @fewer_examples
     @given(
         in_channels=st.integers(1, 3),
         out_channels=st.integers(1, 6),
@@ -148,6 +176,7 @@ class TestBinaryStackProperties:
         )
         assert_plan_bit_identical(bundle, (in_channels, size, size))
 
+    @fewer_examples
     @given(
         features=st.sampled_from([16, 63, 64, 100, 784]),
         out=st.integers(2, 12),
@@ -159,6 +188,7 @@ class TestBinaryStackProperties:
         bundle = nn.Sequential(nn.Flatten(), BinaryLinear(features, out, rng=rng))
         assert_plan_bit_identical(bundle, (features, 1, 1))
 
+    @fewer_examples
     @given(
         num_bases=st.integers(2, 4),
         out_channels=st.integers(1, 5),
@@ -182,6 +212,7 @@ class TestBinaryStackProperties:
             x = rng.standard_normal((n, 2, size, size)).astype(np.float32)
             np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
 
+    @fewer_examples
     @given(
         num_bases=st.integers(2, 4),
         features=st.sampled_from([16, 63, 100]),
@@ -202,6 +233,7 @@ class TestBinaryStackProperties:
             x = rng.standard_normal((n, features, 1, 1)).astype(np.float32)
             np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
 
+    @fewer_examples
     @given(num_bases=st.integers(2, 3), seed=st.integers(0, 2**31 - 1))
     def test_tiered_branch_shaped_stack_matches_interpreter(
         self, num_bases, seed
@@ -225,6 +257,7 @@ class TestBinaryStackProperties:
         x = rng.standard_normal((4, 2, 10, 10)).astype(np.float32)
         np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
 
+    @fewer_examples
     @given(seed=st.integers(0, 2**31 - 1))
     def test_branch_shaped_stack_matches_interpreter(self, seed):
         """The LeNet binary-branch shape: bn→binconv→pool→bn→flatten→binlin."""
@@ -243,6 +276,7 @@ class TestBinaryStackProperties:
 
 
 class TestBatchShapeProperties:
+    @fewer_examples
     @given(capacity=st.sampled_from([1, 2, 8, 16]), seed=st.integers(0, 2**31 - 1))
     def test_every_live_batch_size_is_exact(self, capacity, seed):
         """One plan serves every n ≤ capacity by slicing its arena."""
@@ -269,6 +303,7 @@ class TestBatchShapeProperties:
 
 
 class TestTrunkPlan:
+    @fewer_examples
     @given(seed=st.integers(0, 2**31 - 1))
     def test_trunk_plan_matches_module(self, seed):
         rng = np.random.default_rng(seed)
@@ -286,6 +321,30 @@ class TestTrunkPlan:
             expected = trunk(Tensor(x)).data
         np.testing.assert_array_equal(plan.execute(x), expected)
 
+    @fewer_examples
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_trunk_with_batch_norm_and_unfused_relu_matches_module(self, seed):
+        """Framework batch-norm and a relu the anchor cannot fuse (it
+        follows the pool) each replay as their own kernel record."""
+        rng = np.random.default_rng(seed)
+        bn = nn.BatchNorm2d(4)
+        bn.running_mean.data[:] = rng.standard_normal(4).astype(np.float32)
+        bn.running_var.data[:] = rng.random(4).astype(np.float32) + 0.5
+        trunk = nn.Sequential(
+            nn.Conv2d(2, 4, 3, padding=1, rng=rng),
+            nn.MaxPool2d(2),
+            bn,
+            nn.ReLU(),
+            nn.Flatten(),
+            nn.Linear(4 * 4 * 4, 5, rng=rng),
+        )
+        plan = compile_trunk_plan(trunk, (2, 8, 8), 4)
+        x = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
+        trunk.eval()
+        with no_grad():
+            expected = trunk(Tensor(x)).data
+        np.testing.assert_array_equal(plan.execute(x), expected)
+
     def test_unsupported_trunk_raises_compile_error(self):
         class Opaque(nn.Module):
             def forward(self, x):
@@ -296,6 +355,7 @@ class TestTrunkPlan:
 
 
 class TestEntropyGateProperty:
+    @fewer_examples
     @given(
         threshold=st.floats(0.01, 0.99),
         seed=st.integers(0, 2**31 - 1),
@@ -388,3 +448,37 @@ class TestPlanPlumbing:
         names = [s.name for s in tracer.spans()]
         assert names == [f"plan.step[{i}]" for i in range(plan.num_steps)]
         assert all(s.attrs["samples"] == 2 for s in tracer.spans())
+
+
+class TestRecordTable:
+    def test_lenet_stem_step_replays_in_one_native_call(self):
+        network = lenet(rng=np.random.default_rng(0))
+        engine = engine_for(network.stem, (1, 28, 28))
+        plan = compile_wasm_plan(engine, 8)
+        (step,) = plan.steps
+        (segment,) = step.runners
+        assert isinstance(segment, NativeSegment)
+        assert segment.kernels == ("pad_nchw", "conv_direct", "maxpool_nchw")
+        calls = []
+        native = segment._run
+        segment._run = lambda *args: calls.append(args) or native(*args)
+        x = np.random.default_rng(1).standard_normal((5, 1, 28, 28)).astype(np.float32)
+        np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
+        assert len(calls) == 1
+
+    def test_unknown_opcode_raises_instead_of_skipping(self):
+        rng = np.random.default_rng(4)
+        engine = engine_for(
+            nn.Sequential(nn.Conv2d(1, 2, 3, padding=1, rng=rng), nn.MaxPool2d(2)),
+            (1, 6, 6),
+        )
+        plan = compile_wasm_plan(engine, 2)
+        (segment,) = plan.steps[0].runners
+        segment.table[0] = max(OPCODES.values()) + 1
+        with pytest.raises(PlanExecutionError, match="record 0 .*unknown opcode"):
+            plan.execute(np.ones((2, 1, 6, 6), dtype=np.float32))
+
+    def test_property_suite_exercises_every_opcode(self):
+        """Runs last: the plans compiled by this module, together, must
+        dispatch every kernel in the opcode table."""
+        assert EXERCISED_KERNELS == set(OPCODES)

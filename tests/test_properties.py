@@ -8,7 +8,7 @@ serialization format must round-trip arbitrary layer stacks.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn
@@ -17,11 +17,6 @@ from repro.nn import functional as F
 from repro.nn.autograd import Tensor, _unbroadcast
 from repro.nn.binary import binarize
 from repro.wasm.bitpack import pack_rows_with_mask, pack_signs, packed_dot, unpack_signs
-
-# Keep hypothesis fast and deterministic for CI-style runs.
-settings.register_profile("repro", max_examples=25, deadline=None)
-settings.load_profile("repro")
-
 
 signs_matrix = hnp.arrays(
     dtype=np.float32,

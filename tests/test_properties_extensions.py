@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn.quantized import dequantize, quantize_weights
@@ -16,9 +16,6 @@ from repro.runtime.protocol import (
     decode_frame,
     encode_frame,
 )
-
-settings.register_profile("repro-ext", max_examples=25, deadline=None)
-settings.load_profile("repro-ext")
 
 
 class TestQuantizationProperties:

@@ -35,8 +35,8 @@ from repro.runtime.tau_control import (
 
 pytestmark = pytest.mark.tau
 
-settings.register_profile("repro-tau", max_examples=50, deadline=None)
-settings.load_profile("repro-tau")
+#: Controller traces are cheap to replay: draw twice the suite default.
+more_examples = settings(max_examples=50)
 
 
 class TestTauControlConfig:
@@ -295,6 +295,7 @@ waits = st.one_of(st.none(), st.floats(0.0, 10_000.0))
 
 
 class TestProperties:
+    @more_examples
     @given(cfg=configs, tiers=st.integers(1, 4), trace=st.lists(waits, max_size=80))
     def test_tau_and_tier_always_within_bounds(self, cfg, tiers, trace):
         ctl = TauController(cfg, max_quality_tier=tiers)
@@ -303,6 +304,7 @@ class TestProperties:
             assert cfg.start_tau <= ctl.threshold(0) <= cfg.tau_max
             assert cfg.min_quality_tier <= ctl.quality_tier(0) <= tiers
 
+    @more_examples
     @given(
         cfg=configs,
         tiers=st.integers(1, 4),
@@ -319,6 +321,7 @@ class TestProperties:
             assert ctl.quality_tier(0) <= last_tier
             last_tau, last_tier = ctl.threshold(0), ctl.quality_tier(0)
 
+    @more_examples
     @given(
         cfg=configs,
         tiers=st.integers(1, 4),
@@ -337,6 +340,7 @@ class TestProperties:
             assert ctl.quality_tier(0) >= last_tier
             last_tau, last_tier = ctl.threshold(0), ctl.quality_tier(0)
 
+    @more_examples
     @given(
         highs=st.lists(st.floats(100.0, 1_000.0), min_size=10, max_size=30),
         lows=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=30),
