@@ -10,8 +10,8 @@ on shared hardware — and ``bit_identical`` asserts the two paths
 returned exactly the same predictions, entropies, and serving sources.
 
 Also recorded: the per-fused-step wall times of the stem/branch plans
-(where the compiled time goes), and the edge trunk's module-vs-plan
-batch time.
+(where the compiled time goes) with the kernel variant serving each
+native record, and the edge trunk's module-vs-plan batch time.
 
 Standalone — run it directly, not under pytest::
 
@@ -164,16 +164,20 @@ def bench_trunk(system, images) -> dict:
 
 def main() -> dict:
     from repro.wasm import backend_available, backend_error
+    from repro.wasm.plan_compile import host_isa
 
     if not backend_available():
         raise SystemExit(f"C kernel backend unavailable: {backend_error()}")
 
     results = {
         "benchmark": "bench_plan",
+        # Every number below is measured wall time, not a simulated clock.
+        "clock": "wall",
         "platform": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "plan_kernel_isa": host_isa(),
         },
         "session": bench_plan_session(),
     }

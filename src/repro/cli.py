@@ -28,7 +28,7 @@ Twelve commands cover the library's lifecycle without writing Python:
 * ``plan``    — compile the trace-compiled inference plans (stem,
   binary branch, edge trunk) from a checkpoint, verify them bit-for-bit
   against the interpreter, and dump the fused steps with per-step
-  counters.
+  counters and the kernel variant serving each native record.
 * ``tau``     — run the open- vs closed-loop adaptive-τ overload drill
   (the :class:`~repro.runtime.tau_control.TauController` relief valve)
   and print the shed/latency/accuracy trade-off curve.
@@ -886,7 +886,7 @@ def _print_plan(name: str, plan, identical: bool) -> None:
     print(
         f"\n{name}: {desc['num_steps']} fused steps, capacity {desc['capacity']}, "
         f"arena {desc['arena_bytes'] / 1e6:.2f}MB, "
-        f"bit_identical={identical}"
+        f"tier {desc['tier'] or 'first'}, bit_identical={identical}"
     )
     for step in desc["steps"]:
         wall = step.get("wall_ms", 0.0)
@@ -894,6 +894,8 @@ def _print_plan(name: str, plan, identical: bool) -> None:
             f"  step[{step['index']}] {step['name']:<40} "
             f"runners={step['runners']} wall={wall:.3f}ms"
         )
+        if step["kernels"]:
+            print(f"      kernels: {' '.join(step['kernels'])}")
 
 
 def _cmd_tau(args: argparse.Namespace) -> int:

@@ -55,7 +55,14 @@ from .model_format import (
     parse_model,
     serialize_browser_bundle,
 )
-from .plan_compile import OPCODES, RECORD_FIELDS, KernelBackendError, get_backend
+from .plan_compile import (
+    ISA_LEVELS,
+    OPCODES,
+    RECORD_FIELDS,
+    KernelBackendError,
+    get_backend,
+    host_isa,
+)
 
 __all__ = [
     "CompiledPlan",
@@ -130,19 +137,28 @@ class NativeSegment:
     The segment owns its int64 record table and every array a record
     points to, so no address it hands the kernels can outlive its buffer.
     Popcount traffic is accounted once, after the call, from ``n``.
+    ``isa`` caps the kernels' SIMD level (an :data:`ISA_LEVELS` value);
+    ``variants`` names the kernel variant that serves each record, e.g.
+    ``"conv_direct:chan_avx512"``.
     """
 
-    def __init__(self, run_program, records: Sequence[_Record]) -> None:
+    def __init__(self, backend, records: Sequence[_Record], isa: int) -> None:
         self.kernels = tuple(r.kernel for r in records)
         self.table = np.array([w for r in records for w in r.words], dtype=np.int64)
         self._arrays = [a for r in records for a in r.arrays]
         self._popcounts = tuple(r.popcount for r in records if r.popcount)
-        self._run = run_program
+        self._run = backend.run_program
+        self._isa = isa
         self._table_ptr = self.table.ctypes.data
         self._count = len(records)
+        starts = itertools.accumulate((len(r.words) for r in records), initial=0)
+        self.variants = tuple(
+            f"{r.kernel}:{backend.record_variant(self._table_ptr + 8 * start, isa).decode()}"
+            for r, start in zip(records, starts)
+        )
 
     def __call__(self, n: int) -> None:
-        status = self._run(self._table_ptr, self._count, n)
+        status = self._run(self._table_ptr, self._count, n, self._isa)
         if status:
             raise PlanExecutionError(
                 f"native segment record {status - 1} has an unknown opcode"
@@ -200,6 +216,9 @@ class CompiledPlan:
         self.output_shape = tuple(output_shape)
         self.steps = list(steps)
         self.arena = arena
+        #: The probe tier this plan was built at: the ``_PlanBuilder``
+        #: options, ``{}`` for the first (fastest) tier.
+        self.tier: dict = {}
         self._input_buf = input_buf
         self._output_view = output_buf.reshape((self.capacity,) + self.output_shape)
         self.counters = ModelCounters.for_kinds([s.name for s in self.steps])
@@ -272,12 +291,19 @@ class CompiledPlan:
             "output_shape": list(self.output_shape),
             "num_steps": self.num_steps,
             "arena_bytes": self.arena.total_bytes,
+            "tier": dict(self.tier),
             "steps": [
                 {
                     "index": step.index,
                     "name": step.name,
                     "kinds": list(step.kinds),
                     "runners": len(step.runners),
+                    "kernels": [
+                        variant
+                        for runner in step.runners
+                        if isinstance(runner, NativeSegment)
+                        for variant in runner.variants
+                    ],
                     **step.counter.as_dict(),
                 }
                 for step in self.steps
@@ -342,6 +368,7 @@ class _PlanBuilder:
         flavor: str,
         c_mean: bool = True,
         direct_conv: bool = True,
+        isa: Optional[str] = None,
     ) -> None:
         if flavor not in ("wasm", "framework"):
             raise PlanCompileError(f"unknown plan flavor {flavor!r}")
@@ -351,17 +378,25 @@ class _PlanBuilder:
         self.parsed = parsed
         self.capacity = capacity
         self.flavor = flavor
-        #: Fold the kfac |window| mean into the C gather (replicating
-        #: NumPy's small-axis pairwise sum).  compile_wasm_plan retries
-        #: with False if probe verification ever disagrees.
+        #: Fold the binary layers' |x| means (binary-conv kfac, binary
+        #: linear beta) into C, replicating NumPy's pairwise sum.
+        #: ``_compile_verified`` retries with False if probe verification
+        #: ever disagrees.
         self.c_mean = bool(c_mean)
         #: Use the fused direct-conv kernel (sequential-K fmaf, the
         #: reduction BLAS sgemm applies at narrow output widths) instead
-        #: of im2col + np.matmul for convs with oc <= 16.  Probe-guarded
-        #: the same way.
+        #: of im2col + np.matmul for convs with 2 <= oc <= 16 and at
+        #: least two output positions.  Probe-guarded the same way.
         self.direct_conv = bool(direct_conv)
+        #: Cap on the kernels' SIMD level, an ``ISA_LEVELS`` name (None:
+        #: the host's best).  The probe tiers step down to "avx2" before
+        #: they drop the direct conv; the tests run every level the host
+        #: supports.
+        if isa is not None and isa not in ISA_LEVELS:
+            raise PlanCompileError(f"unknown SIMD level {isa!r}")
+        self.isa = ISA_LEVELS[isa] if isa else max(ISA_LEVELS.values())
         # KernelBackendError → caller falls back
-        self.run_program = get_backend().run_program
+        self.backend = get_backend()
         self.arena = Arena()
         self.input_shape = tuple(int(d) for d in parsed.input_shape)
         self.buf = self.arena.new("input", (capacity, *self.input_shape))
@@ -398,7 +433,7 @@ class _PlanBuilder:
             ops, key=lambda op: isinstance(op, _Record)
         ):
             if is_record:
-                runners.append(NativeSegment(self.run_program, list(run)))
+                runners.append(NativeSegment(self.backend, list(run), self.isa))
             else:
                 runners.extend(run)
         return runners
@@ -651,8 +686,9 @@ class _PlanBuilder:
         products bit-for-bit for these skinny shapes (probe-verified; the
         matmul tier takes over via ``_compile_verified`` if a BLAS build
         ever blocks the K loop for them).  Weights are laid out as
-        ``row_len × 16`` lanes so the kernel broadcasts one source scalar
-        against all output channels per FMA.
+        ``row_len × 16`` lanes: one load holds every output channel of
+        a window tap, and one broadcast serves one channel.  The C side
+        picks the SIMD variant from ``oc``, ``ow`` and the stride.
         """
         wt = np.zeros((geom.row_len, 16), dtype=np.float32)
         wt[:, :oc] = w_flat.T
@@ -694,7 +730,11 @@ class _PlanBuilder:
         w_flat = weight.reshape(oc, -1) if weight.ndim != 2 else weight
         if w_flat.shape[1] != geom.row_len:
             raise PlanCompileError("conv weight does not match geometry")
-        if self.direct_conv and oc <= 16:
+        # With one output channel, or one output position (the whole
+        # product at batch 1), the reference matmul is a matrix-vector
+        # product, which BLAS does not reduce sequentially: the direct
+        # conv could never match it, so such a conv keeps the matmul.
+        if self.direct_conv and 2 <= oc <= 16 and geom.rows >= 2:
             self._emit_conv_direct(
                 ops, geom, c, h, w, oc, w_flat, alpha, bias, relu_mode
             )
@@ -752,14 +792,15 @@ class _PlanBuilder:
         else:
             mwords = valid = wmasked = None
             wplain = wwords
-        # With a small window (row_len <= 128) the |v| row fits the C
-        # kernel's stack buffer and the kfac mean folds into the gather —
-        # no abscols arena buffer, no separate NumPy pass.
-        use_c_mean = self.c_mean and row_len <= 128
-        if use_c_mean:
-            abscols = None
-        else:
+        # The kfac mean folds into the gather: each |v| row lives on the
+        # C kernel's stack (row_len <= 128) or in one scratch row — no
+        # abscols matrix, no separate NumPy pass.
+        if not self.c_mean:
             abscols = self.arena.new("abscols", (self.capacity * rows, row_len))
+        elif row_len > 128:
+            abscols = self.arena.new("absrow", (row_len,))
+        else:
+            abscols = None
         words = self.arena.new("bits", (self.capacity * rows, word_count), dtype=np.uint64)
         kfac = self.arena.new("kfac", (self.capacity * rows,))
         oh, ow = geom.out_height, geom.out_width
@@ -771,11 +812,11 @@ class _PlanBuilder:
         src, hp, wp = self._emit_padded_source(ops, c, h, w, geom.padding)
         self._kernel(
             ops, "binconv_prepare",
-            x=src, abscols=abscols, kfac=kfac if use_c_mean else None,
+            x=src, abscols=abscols, kfac=kfac if self.c_mean else None,
             words=words, maskw=mwords, c=c, h=hp, w=wp, k=geom.kernel,
             stride=geom.stride, pad=0, oh=oh, ow=ow, W=word_count,
         )
-        if not use_c_mean:
+        if not self.c_mean:
 
             def kfac_mean(n, abscols=abscols, kfac=kfac, rows=rows):
                 m = n * rows
@@ -852,17 +893,20 @@ class _PlanBuilder:
         bias = self._param(spec, "bias", required=False)
         word_count = (bit_length + 63) // 64
         wwords = _widen_to_words(packed_w, word_count)
-        absbuf = self.arena.new("abs", (self.capacity, features))
         words = self.arena.new("bits", (self.capacity, word_count), dtype=np.uint64)
         betabuf = self.arena.new("beta", (self.capacity,))
         out = self.arena.new("act", (self.capacity, oc))
-        x2d = self.buf.reshape(self.capacity, -1)
+        if self.c_mean:
+            self._kernel(ops, "absmean_rows", x=self.buf, out=betabuf, f=features)
+        else:
+            absbuf = self.arena.new("abs", (self.capacity, features))
+            x2d = self.buf.reshape(self.capacity, -1)
 
-        def absmean(n, x2d=x2d, absbuf=absbuf, betabuf=betabuf):
-            np.abs(x2d[:n], out=absbuf[:n])
-            np.mean(absbuf[:n], axis=1, out=betabuf[:n])
+            def absmean(n, x2d=x2d, absbuf=absbuf, betabuf=betabuf):
+                np.abs(x2d[:n], out=absbuf[:n])
+                np.mean(absbuf[:n], axis=1, out=betabuf[:n])
 
-        ops.append(absmean)
+            ops.append(absmean)
         self._kernel(
             ops, "pack_rows", x=self.buf, words=words, f=features, W=word_count
         )
@@ -892,6 +936,17 @@ def _probe_batch(input_shape: tuple, capacity: int) -> np.ndarray:
     return x
 
 
+#: Probe step-down order: the host's best kernels, its AVX2 kernels, then
+#: each library-call fallback.
+_TIERS = (
+    {},
+    {"isa": "avx2"},
+    {"direct_conv": False},
+    {"c_mean": False},
+    {"direct_conv": False, "c_mean": False},
+)
+
+
 def _compile_verified(
     parsed: ParsedModel, capacity: int, flavor: str, reference: Callable
 ) -> CompiledPlan:
@@ -899,28 +954,29 @@ def _compile_verified(
 
     Two fused kernels replicate library numerics exactly-by-construction
     rather than by spec: the direct conv's sequential-K FMA loop mirrors
-    the BLAS GEMM microkernel for skinny shapes, and the in-C kfac mean
-    mirrors NumPy's small-axis pairwise sum.  If a BLAS/NumPy upgrade
-    ever changes either, the probe catches it and the next tier swaps
-    the offending fusion back to the library call — the plan survives,
-    slightly slower, instead of being lost.
+    the BLAS GEMM microkernel for skinny shapes, and the in-C |x| means
+    mirror NumPy's pairwise sum.  If a BLAS/NumPy upgrade ever changes
+    either, the probe catches it and a later tier swaps the offending
+    fusion back to the library call — the plan survives, slightly
+    slower, instead of being lost.  Before that, an AVX-512 host retries
+    with its AVX2 kernels.  ``plan.tier`` records the tier that passed.
     """
+    try:
+        best = ISA_LEVELS[host_isa()]
+    except KernelBackendError as exc:
+        raise PlanCompileError(str(exc)) from exc
     last: Optional[PlanVerificationError] = None
-    for options in (
-        {},
-        {"direct_conv": False},
-        {"c_mean": False},
-        {"direct_conv": False, "c_mean": False},
-    ):
+    for options in _TIERS:
+        if "isa" in options and ISA_LEVELS[options["isa"]] >= best:
+            continue  # tier 0 already ran the host's best kernels
+        plan = _PlanBuilder(parsed, capacity, flavor, **options).build()
         try:
-            builder = _PlanBuilder(parsed, capacity, flavor, **options)
-        except KernelBackendError as exc:
-            raise PlanCompileError(str(exc)) from exc
-        plan = builder.build()
-        try:
-            return _verify(plan, reference, _probe_batch(plan.input_shape, capacity))
+            _verify(plan, reference, _probe_batch(plan.input_shape, capacity))
         except PlanVerificationError as exc:
             last = exc
+            continue
+        plan.tier = dict(options)
+        return plan
     raise last  # type: ignore[misc]  # loop always ran
 
 

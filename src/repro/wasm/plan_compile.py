@@ -40,12 +40,14 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 __all__ = [
+    "ISA_LEVELS",
     "OPCODES",
     "RECORD_FIELDS",
     "KernelBackendError",
     "backend_available",
     "backend_error",
     "get_backend",
+    "host_isa",
     "kill_switch_engaged",
 ]
 
@@ -70,12 +72,45 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
-#if defined(__x86_64__) || defined(__i386__)
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
-#define HAVE_X86 1
+#define HAVE_SIMD 1
+/* AVX-512 kernels need the compiler's avx512f intrinsics (GCC >= 5,
+   clang >= 4); PLAN_NO_AVX512 compiles them out explicitly. */
+#if !defined(PLAN_NO_AVX512) && \
+    ((defined(__clang__) && __clang_major__ >= 4) || \
+     (!defined(__clang__) && __GNUC__ >= 5))
+#define HAVE_AVX512 1
+#endif
 #endif
 
 #define API __attribute__((visibility("default")))
+
+/* SIMD levels.  run_program serves every record at
+   min(requested cap, host_isa()); each kernel's *_pick function maps
+   its shape and that level to the variant that runs, and
+   record_variant() reports the same choice to Python. */
+enum { ISA_SCALAR = 0, ISA_AVX2 = 1, ISA_AVX512 = 2 };
+
+API long host_isa(void)
+{
+    /* Benign race: every thread computes the same value. */
+    static long cached = -1;
+    if (cached < 0) {
+        long level = ISA_SCALAR;
+#ifdef HAVE_SIMD
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+            level = ISA_AVX2;
+#ifdef HAVE_AVX512
+        if (level == ISA_AVX2 && __builtin_cpu_supports("avx512f"))
+            level = ISA_AVX512;
+#endif
+#endif
+        cached = level;
+    }
+    return cached;
+}
 
 /* Zero-padded copy: interior rows only — the destination borders were
    zero-initialised once at arena creation and are never written again. */
@@ -212,18 +247,21 @@ API void conv_post(const float *mm, const float *scale, const float *bias,
     }
 }
 
-/* Fused direct convolution for narrow output channels (oc <= 16):
-   gathers the window straight from the zero-padded image and
-   accumulates with sequential-K fmaf — the exact reduction OpenBLAS
-   sgemm performs for these skinny shapes, so the result is bit-identical
-   to the interpreter's im2col + np.matmul without materialising the cols
-   matrix or the (rows, oc) GEMM block at all.  Padded positions
-   contribute fmaf(+0, w, acc) just as the zero-filled cols entries do.
-   The scale/bias/relu epilogue and the NCHW transpose happen in
-   registers.  Weight layout: wt[kidx][lane] padded to 16 lanes.
-   Probe verification (plan.py) guards the sequential-K assumption; if
-   a BLAS swap ever changes the reduction order the plan compiler falls
-   back to the im2col + np.matmul path. */
+/* Fused direct convolution (oc <= 16): gathers each window straight
+   from the zero-padded image and accumulates with sequential-K fmaf —
+   the exact reduction OpenBLAS sgemm performs for these skinny shapes,
+   so the result is bit-identical to the interpreter's im2col +
+   np.matmul without materialising the cols matrix or the (rows, oc)
+   GEMM block.  Padded positions contribute fmaf(+0, w, acc) just as the
+   zero-filled cols entries do.  The scale/bias/relu epilogue and the
+   NCHW transpose happen in registers.  Weight layout: wt[kidx][lane]
+   padded to 16 lanes.  Probe verification (plan.py) guards the
+   sequential-K assumption; if a BLAS swap ever changes the reduction
+   order the plan compiler falls back to the im2col + np.matmul path.
+
+   Every variant below keeps one independent fmaf chain per output in
+   (ci, ki, kj) order, so they all agree bit for bit; they differ only
+   in what the vector lanes hold (see conv_direct_pick). */
 static void conv_direct_scalar(const float *xp, const float *wt,
                                const float *scale, const float *bias,
                                float *out,
@@ -261,108 +299,52 @@ static void conv_direct_scalar(const float *xp, const float *wt,
     }
 }
 
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-__attribute__((target("avx2,fma"))) static inline
-void conv_direct_fma_impl(const float *xp, const float *wt,
-                          const float *scale, const float *bias, float *out,
-                          long n, long c, long hp, long wp,
-                          long k, long stride,
-                          long oh, long ow, long oc, int relu_mode)
+enum {
+    CONV_SCALAR, CONV_POS_AVX2, CONV_CHAN_AVX2,
+    CONV_POS_AVX512, CONV_CHAN_AVX512,
+};
+
+/* Lane-filling rule.  "Positions in lanes" puts consecutive output
+   columns of one row in a vector (stride 1 only: the loads must be
+   contiguous) and keeps one accumulator per live channel; "channels in
+   lanes" puts one position's channels in a vector and blocks several
+   positions per weight load (any stride).  Positions win when a row
+   fills the lanes at least as well as the channels would:
+   ow / ceil(ow / lanes) >= oc. */
+static int conv_direct_pick(long oc, long ow, long stride, long isa)
+{
+    if (isa < ISA_AVX2) return CONV_SCALAR;
+    long lanes = isa >= ISA_AVX512 ? 16 : 8;
+    int pos = stride == 1 && oc <= 8 &&
+              ow >= oc * ((ow + lanes - 1) / lanes);
+    if (isa >= ISA_AVX512) return pos ? CONV_POS_AVX512 : CONV_CHAN_AVX512;
+    return pos ? CONV_POS_AVX2 : CONV_CHAN_AVX2;
+}
+
+/* Positions q .. q+np-1 of the flattened (n, oh, ow) output: each
+   window's origin in the padded input and its channel-0 slot in the
+   NCHW output. */
+static inline void conv_positions(long q, int np, const float *xp,
+                                  float *out, long c, long hp, long wp,
+                                  long stride, long oh, long ow, long oc,
+                                  const float **src, float **dst)
 {
     long rows = oh * ow;
-    int two = oc > 8;
-    __m256 zero = _mm256_setzero_ps();
-    __m256 one = _mm256_set1_ps(1.0f);
-    __m256 sc0 = scale ? _mm256_loadu_ps(scale) : one;
-    __m256 sc1 = scale && two ? _mm256_loadu_ps(scale + 8) : one;
-    __m256 bi0 = bias ? _mm256_loadu_ps(bias) : zero;
-    __m256 bi1 = bias && two ? _mm256_loadu_ps(bias + 8) : zero;
-    float tmp[16];
-    for (long i = 0; i < n; i++) {
-        const float *base = xp + i * c * hp * wp;
-        float *oi = out + i * oc * rows;
-        for (long oy = 0; oy < oh; oy++) {
-            for (long ox = 0; ox < ow; ox++) {
-                long r = oy * ow + ox;
-                __m256 a0 = zero, a1 = zero;
-                const float *wk = wt;
-                for (long ci = 0; ci < c; ci++) {
-                    const float *xc = base + ci * hp * wp;
-                    for (long ki = 0; ki < k; ki++) {
-                        const float *src =
-                            xc + (oy * stride + ki) * wp + ox * stride;
-                        for (long kj = 0; kj < k; kj++, wk += 16) {
-                            __m256 a = _mm256_set1_ps(src[kj]);
-                            a0 = _mm256_fmadd_ps(a, _mm256_loadu_ps(wk), a0);
-                            if (two)
-                                a1 = _mm256_fmadd_ps(
-                                    a, _mm256_loadu_ps(wk + 8), a1);
-                        }
-                    }
-                }
-                if (scale) {
-                    a0 = _mm256_mul_ps(a0, sc0);
-                    if (two) a1 = _mm256_mul_ps(a1, sc1);
-                }
-                if (bias) {
-                    a0 = _mm256_add_ps(a0, bi0);
-                    if (two) a1 = _mm256_add_ps(a1, bi1);
-                }
-                if (relu_mode == 1) {
-                    /* np.maximum(x, 0): NaN propagates, -0 -> +0 */
-                    __m256 gt = _mm256_cmp_ps(a0, zero, _CMP_GT_OQ);
-                    __m256 nn = _mm256_cmp_ps(a0, a0, _CMP_UNORD_Q);
-                    a0 = _mm256_blendv_ps(_mm256_blendv_ps(zero, a0, gt),
-                                          a0, nn);
-                    if (two) {
-                        gt = _mm256_cmp_ps(a1, zero, _CMP_GT_OQ);
-                        nn = _mm256_cmp_ps(a1, a1, _CMP_UNORD_Q);
-                        a1 = _mm256_blendv_ps(_mm256_blendv_ps(zero, a1, gt),
-                                              a1, nn);
-                    }
-                } else if (relu_mode == 2) {
-                    /* x * (x > 0) */
-                    __m256 m0 = _mm256_blendv_ps(
-                        zero, one, _mm256_cmp_ps(a0, zero, _CMP_GT_OQ));
-                    a0 = _mm256_mul_ps(a0, m0);
-                    if (two) {
-                        __m256 m1 = _mm256_blendv_ps(
-                            zero, one, _mm256_cmp_ps(a1, zero, _CMP_GT_OQ));
-                        a1 = _mm256_mul_ps(a1, m1);
-                    }
-                }
-                _mm256_storeu_ps(tmp, a0);
-                if (two) _mm256_storeu_ps(tmp + 8, a1);
-                for (long j = 0; j < oc; j++) oi[j * rows + r] = tmp[j];
-            }
+    long i = q / rows, r = q - i * rows;
+    long oy = r / ow, ox = r - oy * ow;
+    for (int p = 0; p < np; p++) {
+        src[p] = xp + i * c * hp * wp + oy * stride * wp + ox * stride;
+        dst[p] = out + i * oc * rows + oy * ow + ox;
+        if (++ox == ow) {
+            ox = 0;
+            if (++oy == oh) { oy = 0; i++; }
         }
     }
 }
 
-/* Constant-k clones fully unroll the kj window walk (k is a loop bound,
-   not a compile-time constant, in the generic body). */
-__attribute__((target("avx2,fma"))) static
-void conv_direct_fma(const float *xp, const float *wt,
-                     const float *scale, const float *bias, float *out,
-                     long n, long c, long hp, long wp,
-                     long k, long stride,
-                     long oh, long ow, long oc, int relu_mode)
-{
-    switch (k) {
-    case 3:
-        conv_direct_fma_impl(xp, wt, scale, bias, out, n, c, hp, wp,
-                             3, stride, oh, ow, oc, relu_mode);
-        break;
-    case 5:
-        conv_direct_fma_impl(xp, wt, scale, bias, out, n, c, hp, wp,
-                             5, stride, oh, ow, oc, relu_mode);
-        break;
-    default:
-        conv_direct_fma_impl(xp, wt, scale, bias, out, n, c, hp, wp,
-                             k, stride, oh, ow, oc, relu_mode);
-        break;
-    }
-}
+#ifdef HAVE_SIMD
+#define AVX2_FN __attribute__((target("avx2,fma"), always_inline)) static inline
+#define AVX2_KERNEL __attribute__((target("avx2,fma"))) static
 
 static const int32_t lanemask8[9][8] = {
     {0, 0, 0, 0, 0, 0, 0, 0},
@@ -376,148 +358,386 @@ static const int32_t lanemask8[9][8] = {
     {-1, -1, -1, -1, -1, -1, -1, -1},
 };
 
-__attribute__((target("avx2"))) static inline
-__m256 relu_vec(__m256 a, int relu_mode, __m256 zero, __m256 one)
+/* The scalar epilogue, lanewise: a*scale, +bias, then relu mode 1
+   (np.maximum(x, 0): NaN propagates, -0 -> +0) or 2 (x * (x > 0)). */
+AVX2_FN __m256 epilogue256(__m256 a, const float *scale, __m256 sc,
+                           const float *bias, __m256 bi, int relu_mode)
 {
+    __m256 zero = _mm256_setzero_ps();
+    if (scale) a = _mm256_mul_ps(a, sc);
+    if (bias) a = _mm256_add_ps(a, bi);
     if (relu_mode == 1) {
-        /* np.maximum(x, 0): NaN propagates, -0 -> +0 */
         __m256 gt = _mm256_cmp_ps(a, zero, _CMP_GT_OQ);
         __m256 nn = _mm256_cmp_ps(a, a, _CMP_UNORD_Q);
         return _mm256_blendv_ps(_mm256_blendv_ps(zero, a, gt), a, nn);
     }
     if (relu_mode == 2) {
-        /* x * (x > 0) */
-        __m256 m = _mm256_blendv_ps(
-            zero, one, _mm256_cmp_ps(a, zero, _CMP_GT_OQ));
+        __m256 m = _mm256_blendv_ps(zero, _mm256_set1_ps(1.0f),
+                                    _mm256_cmp_ps(a, zero, _CMP_GT_OQ));
         return _mm256_mul_ps(a, m);
     }
     return a;
 }
 
-/* Stride-1 variant: eight output *positions* per vector, one FMA chain
-   per output channel.  The per-output accumulation order over the
-   window (ci, ki, kj) is unchanged — each lane is an independent
-   sequential-fmaf chain, so results stay bit-identical to the
-   per-output kernel above — but eight chains run concurrently instead
-   of one, hiding the FMA latency that bounds the broadcast-weight
-   kernel.  Channels run in blocks of 8 register accumulators (weights
-   are zero-padded to 16 lanes, so out-of-range channels compute
-   harmlessly into dead registers). */
-__attribute__((target("avx2,fma"))) static inline
-void conv_direct_lanes_impl(const float *xp, const float *wt,
-                            const float *scale, const float *bias,
-                            float *out,
-                            long n, long c, long hp, long wp,
-                            long k, long oh, long ow, long oc,
-                            int relu_mode)
+/* EACH8(X) expands X(0) .. X(7).  The SIMD conv kernels name their
+   accumulators (an indexed array of vectors is spilled to the stack
+   inside the window loop); guards on the clone constants (NP, NV, OC)
+   fold the unused ones away. */
+#define EACH8(X) X(0) X(1) X(2) X(3) X(4) X(5) X(6) X(7)
+
+/* Channels in lanes, AVX2: NV ymm hold one position's channels (NV = 2
+   when oc > 8) and NP = 8 / NV positions share each weight load, so
+   the 8 accumulators are all live: position p owns lo##p (channels
+   0-7) and hi##p (channels 8-15). */
+AVX2_FN void chan256_block(const float *const *src, float *const *dst,
+                           int NP, int NV, const float *wt,
+                           long c, long plane, long wp, long k,
+                           long rows, long oc, const float *scale,
+                           const float *bias, int relu_mode)
 {
-    long rows = oh * ow;
     __m256 zero = _mm256_setzero_ps();
-    __m256 one = _mm256_set1_ps(1.0f);
+#define ACC(p) __m256 lo##p = zero, hi##p = zero;
+    EACH8(ACC)
+#undef ACC
+    const float *wk = wt;
+    for (long ci = 0; ci < c; ci++) {
+        for (long ki = 0; ki < k; ki++) {
+            long off = ci * plane + ki * wp;
+            for (long kj = 0; kj < k; kj++, wk += 16) {
+                __m256 w0 = _mm256_loadu_ps(wk);
+                __m256 w1 = NV == 2 ? _mm256_loadu_ps(wk + 8) : w0;
+#define FMA(p) if (p < NP) { \
+    __m256 b = _mm256_set1_ps(src[p][off + kj]); \
+    lo##p = _mm256_fmadd_ps(b, w0, lo##p); \
+    if (NV == 2) hi##p = _mm256_fmadd_ps(b, w1, hi##p); }
+                EACH8(FMA)
+#undef FMA
+            }
+        }
+    }
+    __m256 sc0 = scale ? _mm256_loadu_ps(scale) : zero;
+    __m256 sc1 = scale && NV == 2 ? _mm256_loadu_ps(scale + 8) : zero;
+    __m256 bi0 = bias ? _mm256_loadu_ps(bias) : zero;
+    __m256 bi1 = bias && NV == 2 ? _mm256_loadu_ps(bias + 8) : zero;
+    float tmp[8][16];
+#define EPI(p) if (p < NP) { \
+    _mm256_storeu_ps(tmp[p], \
+                     epilogue256(lo##p, scale, sc0, bias, bi0, relu_mode)); \
+    if (NV == 2) \
+        _mm256_storeu_ps(tmp[p] + 8, \
+                         epilogue256(hi##p, scale, sc1, bias, bi1, relu_mode)); }
+    EACH8(EPI)
+#undef EPI
+    for (long j = 0; j < oc; j++)
+        for (int p = 0; p < NP; p++) dst[p][j * rows] = tmp[p][j];
+}
+
+AVX2_FN void conv_chan_avx2_impl(const float *xp, const float *wt,
+                                 const float *scale, const float *bias,
+                                 float *out, long n, long c, long hp, long wp,
+                                 long stride, long oh, long ow, long oc,
+                                 int relu_mode, int NV, long k)
+{
+    const int NP = 8 / NV;
+    long rows = oh * ow, total = n * rows;
+    const float *src[8];
+    float *dst[8];
+    if (total < NP) {
+        /* narrow block: fewer positions than one block */
+        for (long q = 0; q < total; q++) {
+            conv_positions(q, 1, xp, out, c, hp, wp, stride, oh, ow, oc,
+                           src, dst);
+            chan256_block(src, dst, 1, NV, wt, c, hp * wp, wp, k,
+                          rows, oc, scale, bias, relu_mode);
+        }
+        return;
+    }
+    for (long q = 0; q < total; q += NP) {
+        /* the last block overlaps the previous one */
+        long qb = q + NP <= total ? q : total - NP;
+        conv_positions(qb, NP, xp, out, c, hp, wp, stride, oh, ow, oc,
+                       src, dst);
+        chan256_block(src, dst, NP, NV, wt, c, hp * wp, wp, k,
+                      rows, oc, scale, bias, relu_mode);
+    }
+}
+
+/* Constant-k clones unroll the channels-in-lanes kernels' kj window
+   walk (k is the last argument of IMPL; 3 and 5 cover the model zoo).
+   The positions-in-lanes kernels gain nothing from it. */
+#define K_CLONES(IMPL, ...) do { switch (k) { \
+    case 3: IMPL(__VA_ARGS__, 3); break; \
+    case 5: IMPL(__VA_ARGS__, 5); break; \
+    default: IMPL(__VA_ARGS__, k); break; \
+    } } while (0)
+
+AVX2_KERNEL void conv_chan_avx2(const float *xp, const float *wt,
+                                const float *scale, const float *bias,
+                                float *out, long n, long c, long hp, long wp,
+                                long k, long stride, long oh, long ow,
+                                long oc, int relu_mode)
+{
+    if (oc > 8)
+        K_CLONES(conv_chan_avx2_impl, xp, wt, scale, bias, out, n, c, hp, wp,
+                 stride, oh, ow, oc, relu_mode, 2);
+    else
+        K_CLONES(conv_chan_avx2_impl, xp, wt, scale, bias, out, n, c, hp, wp,
+                 stride, oh, ow, oc, relu_mode, 1);
+}
+
+/* Positions in lanes, AVX2 (stride 1): eight output columns of one row
+   per vector and one accumulator per live channel (OC is a literal in
+   each clone).  Rows of at least 8 columns run full blocks, the last
+   one overlapping its neighbour; narrower rows use a masked block. */
+AVX2_FN void conv_pos_avx2_impl(const float *xp, const float *wt,
+                                const float *scale, const float *bias,
+                                float *out, long n, long c, long hp, long wp,
+                                long k, long oh, long ow, int relu_mode,
+                                int OC)
+{
+    long rows = oh * ow, plane = hp * wp;
+    __m256i m = _mm256_loadu_si256(
+        (const __m256i *)lanemask8[ow < 8 ? ow : 8]);
+    __m256 one = _mm256_set1_ps(1.0f), zero = _mm256_setzero_ps();
     for (long i = 0; i < n; i++) {
-        const float *xi = xp + i * c * hp * wp;
-        float *oi = out + i * oc * rows;
         for (long oy = 0; oy < oh; oy++) {
+            const float *srow = xp + i * c * plane + oy * wp;
+            float *orow = out + i * OC * rows + oy * ow;
             for (long ox = 0; ox < ow; ox += 8) {
-                long nl = ow - ox < 8 ? ow - ox : 8;
-                long r = oy * ow + ox;
-                for (long cb = 0; cb < oc; cb += 8) {
-                    __m256 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
-                    __m256 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
-                    const float *wk = wt + cb;
-                    for (long ci = 0; ci < c; ci++) {
-                        const float *xc = xi + ci * hp * wp;
-                        for (long ki = 0; ki < k; ki++) {
-                            const float *src = xc + (oy + ki) * wp + ox;
-                            for (long kj = 0; kj < k; kj++, wk += 16) {
-                                __m256 v;
-                                if (nl == 8 || wp - ox - kj >= 8) {
-                                    v = _mm256_loadu_ps(src + kj);
-                                } else {
-                                    v = _mm256_maskload_ps(
-                                        src + kj,
-                                        _mm256_loadu_si256(
-                                            (const __m256i *)
-                                            lanemask8[wp - ox - kj]));
-                                }
-                                a0 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[0]), a0);
-                                a1 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[1]), a1);
-                                a2 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[2]), a2);
-                                a3 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[3]), a3);
-                                a4 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[4]), a4);
-                                a5 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[5]), a5);
-                                a6 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[6]), a6);
-                                a7 = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[7]), a7);
-                            }
+                long ob = ow < 8 ? 0 : (ox + 8 <= ow ? ox : ow - 8);
+                __m256 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+                __m256 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
+                const float *wk = wt;
+                for (long ci = 0; ci < c; ci++) {
+                    for (long ki = 0; ki < k; ki++) {
+                        const float *s = srow + ci * plane + ki * wp + ob;
+                        for (long kj = 0; kj < k; kj++, wk += 16) {
+                            __m256 v = ow < 8 ? _mm256_maskload_ps(s + kj, m)
+                                              : _mm256_loadu_ps(s + kj);
+#define FMA(j) if (OC > j) \
+    a##j = _mm256_fmadd_ps(v, _mm256_set1_ps(wk[j]), a##j);
+                            EACH8(FMA)
+#undef FMA
                         }
                     }
-                    __m256 accs[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
-                    long jmax = oc - cb < 8 ? oc - cb : 8;
-                    for (long j = 0; j < jmax; j++) {
-                        __m256 a = accs[j];
-                        if (scale)
-                            a = _mm256_mul_ps(a, _mm256_set1_ps(scale[cb + j]));
-                        if (bias)
-                            a = _mm256_add_ps(a, _mm256_set1_ps(bias[cb + j]));
-                        a = relu_vec(a, relu_mode, zero, one);
-                        float *op = oi + (cb + j) * rows + r;
-                        if (nl == 8)
-                            _mm256_storeu_ps(op, a);
-                        else
-                            _mm256_maskstore_ps(
-                                op,
-                                _mm256_loadu_si256(
-                                    (const __m256i *)lanemask8[nl]), a);
-                    }
                 }
+#define STORE(j) if (OC > j) { \
+    __m256 r = epilogue256(a##j, scale, scale ? _mm256_set1_ps(scale[j]) : one, \
+                           bias, bias ? _mm256_set1_ps(bias[j]) : zero, \
+                           relu_mode); \
+    if (ow < 8) _mm256_maskstore_ps(orow + j * rows + ob, m, r); \
+    else _mm256_storeu_ps(orow + j * rows + ob, r); }
+                EACH8(STORE)
+#undef STORE
             }
         }
     }
 }
 
-__attribute__((target("avx2,fma"))) static
-void conv_direct_lanes(const float *xp, const float *wt,
-                       const float *scale, const float *bias, float *out,
-                       long n, long c, long hp, long wp,
-                       long k, long oh, long ow, long oc, int relu_mode)
+#define POS_CLONES(IMPL, ...) do { switch (oc) { \
+    case 1: IMPL(__VA_ARGS__, 1); break; case 2: IMPL(__VA_ARGS__, 2); break; \
+    case 3: IMPL(__VA_ARGS__, 3); break; case 4: IMPL(__VA_ARGS__, 4); break; \
+    case 5: IMPL(__VA_ARGS__, 5); break; case 6: IMPL(__VA_ARGS__, 6); break; \
+    case 7: IMPL(__VA_ARGS__, 7); break; default: IMPL(__VA_ARGS__, 8); break; \
+    } } while (0)
+
+AVX2_KERNEL void conv_pos_avx2(const float *xp, const float *wt,
+                               const float *scale, const float *bias,
+                               float *out, long n, long c, long hp, long wp,
+                               long k, long oh, long ow, long oc,
+                               int relu_mode)
 {
-    switch (k) {
-    case 3:
-        conv_direct_lanes_impl(xp, wt, scale, bias, out, n, c, hp, wp,
-                               3, oh, ow, oc, relu_mode);
-        break;
-    case 5:
-        conv_direct_lanes_impl(xp, wt, scale, bias, out, n, c, hp, wp,
-                               5, oh, ow, oc, relu_mode);
-        break;
-    default:
-        conv_direct_lanes_impl(xp, wt, scale, bias, out, n, c, hp, wp,
-                               k, oh, ow, oc, relu_mode);
-        break;
+    POS_CLONES(conv_pos_avx2_impl, xp, wt, scale, bias, out, n, c, hp, wp,
+               k, oh, ow, relu_mode);
+}
+
+#ifdef HAVE_AVX512
+#define AVX512_FN __attribute__((target("avx512f"), always_inline)) static inline
+#define AVX512_KERNEL __attribute__((target("avx512f"))) static
+
+/* epilogue256 on 16 lanes, with mask registers for the relu selects. */
+AVX512_FN __m512 epilogue512(__m512 a, const float *scale, __m512 sc,
+                             const float *bias, __m512 bi, int relu_mode)
+{
+    __m512 zero = _mm512_setzero_ps();
+    if (scale) a = _mm512_mul_ps(a, sc);
+    if (bias) a = _mm512_add_ps(a, bi);
+    if (relu_mode == 1) {
+        __mmask16 keep = _mm512_cmp_ps_mask(a, zero, _CMP_GT_OQ) |
+                         _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q);
+        return _mm512_mask_mov_ps(zero, keep, a);
+    }
+    if (relu_mode == 2) {
+        __mmask16 gt = _mm512_cmp_ps_mask(a, zero, _CMP_GT_OQ);
+        return _mm512_mul_ps(a, _mm512_mask_mov_ps(zero, gt, _mm512_set1_ps(1.0f)));
+    }
+    return a;
+}
+
+/* Channels in lanes, AVX-512: one zmm holds all of a position's (<= 16)
+   channels and NP = 8 positions share each weight load. */
+AVX512_FN void chan512_block(const float *const *src, float *const *dst,
+                             int NP, const float *wt,
+                             long c, long plane, long wp, long k,
+                             long rows, long oc, const float *scale,
+                             __m512 sc, const float *bias, __m512 bi,
+                             int relu_mode)
+{
+    __m512 zero = _mm512_setzero_ps();
+    __m512 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+    __m512 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
+    const float *wk = wt;
+    for (long ci = 0; ci < c; ci++) {
+        for (long ki = 0; ki < k; ki++) {
+            long off = ci * plane + ki * wp;
+            for (long kj = 0; kj < k; kj++, wk += 16) {
+                __m512 w = _mm512_loadu_ps(wk);
+#define FMA(p) if (p < NP) \
+    a##p = _mm512_fmadd_ps(_mm512_set1_ps(src[p][off + kj]), w, a##p);
+                EACH8(FMA)
+#undef FMA
+            }
+        }
+    }
+    float tmp[8][16];
+#define EPI(p) if (p < NP) \
+    _mm512_storeu_ps(tmp[p], epilogue512(a##p, scale, sc, bias, bi, relu_mode));
+    EACH8(EPI)
+#undef EPI
+    for (long j = 0; j < oc; j++)
+        for (int p = 0; p < NP; p++) dst[p][j * rows] = tmp[p][j];
+}
+
+AVX512_FN void conv_chan_avx512_impl(const float *xp, const float *wt,
+                                     const float *scale, const float *bias,
+                                     float *out, long n, long c, long hp,
+                                     long wp, long stride, long oh, long ow,
+                                     long oc, int relu_mode, long k)
+{
+    long rows = oh * ow, total = n * rows;
+    __m512 sc = scale ? _mm512_loadu_ps(scale) : _mm512_set1_ps(1.0f);
+    __m512 bi = bias ? _mm512_loadu_ps(bias) : _mm512_setzero_ps();
+    const float *src[8];
+    float *dst[8];
+    if (total < 8) {
+        /* narrow block: fewer positions than one block */
+        for (long q = 0; q < total; q++) {
+            conv_positions(q, 1, xp, out, c, hp, wp, stride, oh, ow, oc,
+                           src, dst);
+            chan512_block(src, dst, 1, wt, c, hp * wp, wp, k, rows, oc,
+                          scale, sc, bias, bi, relu_mode);
+        }
+        return;
+    }
+    for (long q = 0; q < total; q += 8) {
+        /* the last block overlaps the previous one */
+        long qb = q + 8 <= total ? q : total - 8;
+        conv_positions(qb, 8, xp, out, c, hp, wp, stride, oh, ow, oc,
+                       src, dst);
+        chan512_block(src, dst, 8, wt, c, hp * wp, wp, k, rows, oc,
+                      scale, sc, bias, bi, relu_mode);
     }
 }
-#endif /* HAVE_X86 */
+
+AVX512_KERNEL void conv_chan_avx512(const float *xp, const float *wt,
+                                    const float *scale, const float *bias,
+                                    float *out, long n, long c, long hp,
+                                    long wp, long k, long stride, long oh,
+                                    long ow, long oc, int relu_mode)
+{
+    K_CLONES(conv_chan_avx512_impl, xp, wt, scale, bias, out, n, c, hp, wp,
+             stride, oh, ow, oc, relu_mode);
+}
+
+/* Positions in lanes, AVX-512 (stride 1): sixteen output columns per
+   vector, one accumulator per live channel.  Masked loads and stores
+   cover rows narrower than 16 columns; wider rows run full blocks with
+   the last one overlapping its neighbour. */
+AVX512_FN void conv_pos_avx512_impl(const float *xp, const float *wt,
+                                    const float *scale, const float *bias,
+                                    float *out, long n, long c, long hp,
+                                    long wp, long k, long oh, long ow,
+                                    int relu_mode, int OC)
+{
+    long rows = oh * ow, plane = hp * wp;
+    __mmask16 m = ow < 16 ? (__mmask16)((1u << ow) - 1) : (__mmask16)0xFFFF;
+    __m512 one = _mm512_set1_ps(1.0f), zero = _mm512_setzero_ps();
+    for (long i = 0; i < n; i++) {
+        for (long oy = 0; oy < oh; oy++) {
+            const float *srow = xp + i * c * plane + oy * wp;
+            float *orow = out + i * OC * rows + oy * ow;
+            for (long ox = 0; ox < ow; ox += 16) {
+                long ob = ow < 16 ? 0 : (ox + 16 <= ow ? ox : ow - 16);
+                __m512 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+                __m512 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
+                const float *wk = wt;
+                for (long ci = 0; ci < c; ci++) {
+                    for (long ki = 0; ki < k; ki++) {
+                        const float *s = srow + ci * plane + ki * wp + ob;
+                        for (long kj = 0; kj < k; kj++, wk += 16) {
+                            __m512 v = _mm512_maskz_loadu_ps(m, s + kj);
+#define FMA(j) if (OC > j) \
+    a##j = _mm512_fmadd_ps(v, _mm512_set1_ps(wk[j]), a##j);
+                            EACH8(FMA)
+#undef FMA
+                        }
+                    }
+                }
+#define STORE(j) if (OC > j) \
+    _mm512_mask_storeu_ps( \
+        orow + j * rows + ob, m, \
+        epilogue512(a##j, scale, scale ? _mm512_set1_ps(scale[j]) : one, \
+                    bias, bias ? _mm512_set1_ps(bias[j]) : zero, relu_mode));
+                EACH8(STORE)
+#undef STORE
+            }
+        }
+    }
+}
+
+AVX512_KERNEL void conv_pos_avx512(const float *xp, const float *wt,
+                                   const float *scale, const float *bias,
+                                   float *out, long n, long c, long hp,
+                                   long wp, long k, long oh, long ow,
+                                   long oc, int relu_mode)
+{
+    POS_CLONES(conv_pos_avx512_impl, xp, wt, scale, bias, out, n, c, hp, wp,
+               k, oh, ow, relu_mode);
+}
+#endif /* HAVE_AVX512 */
+#endif /* HAVE_SIMD */
 
 API void conv_direct(const float *xp, const float *wt,
                      const float *scale, const float *bias, float *out,
                      long n, long c, long hp, long wp,
                      long k, long stride,
-                     long oh, long ow, long oc, int relu_mode)
+                     long oh, long ow, long oc, int relu_mode, long isa)
 {
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-        if (stride == 1) {
-            conv_direct_lanes(xp, wt, scale, bias, out, n, c, hp, wp,
-                              k, oh, ow, oc, relu_mode);
-            return;
-        }
-        conv_direct_fma(xp, wt, scale, bias, out, n, c, hp, wp,
-                        k, stride, oh, ow, oc, relu_mode);
+    switch (conv_direct_pick(oc, ow, stride, isa)) {
+#ifdef HAVE_SIMD
+    case CONV_POS_AVX2:
+        conv_pos_avx2(xp, wt, scale, bias, out, n, c, hp, wp, k, oh, ow,
+                      oc, relu_mode);
         return;
-    }
+    case CONV_CHAN_AVX2:
+        conv_chan_avx2(xp, wt, scale, bias, out, n, c, hp, wp, k, stride,
+                       oh, ow, oc, relu_mode);
+        return;
+#ifdef HAVE_AVX512
+    case CONV_POS_AVX512:
+        conv_pos_avx512(xp, wt, scale, bias, out, n, c, hp, wp, k, oh, ow,
+                        oc, relu_mode);
+        return;
+    case CONV_CHAN_AVX512:
+        conv_chan_avx512(xp, wt, scale, bias, out, n, c, hp, wp, k, stride,
+                         oh, ow, oc, relu_mode);
+        return;
 #endif
-    conv_direct_scalar(xp, wt, scale, bias, out, n, c, hp, wp,
-                       k, stride, oh, ow, oc, relu_mode);
+#endif
+    default:
+        conv_direct_scalar(xp, wt, scale, bias, out, n, c, hp, wp,
+                           k, stride, oh, ow, oc, relu_mode);
+    }
 }
 
 /* Max pooling over non-overlapping-or-strided windows, valid region
@@ -563,30 +783,19 @@ static inline void maxpool_impl(const float *x, float *out,
     }
 }
 
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
+#ifdef HAVE_SIMD
 /* 2x2/stride-2 pool, eight output columns per iteration.  The window
    chain runs lanewise with the exact scalar tie/NaN semantics: each
    step is the branchless cmp+blendv transliteration of the tie_first
    expressions in maxpool_impl, so results match bit-for-bit. */
-__attribute__((target("avx2"))) static
+AVX2_KERNEL
 void maxpool_k2s2_avx2(const float *x, float *out,
                        long n, long c, long h, long w,
                        long oh, long ow, int tie_first)
 {
-    /* mtab[cnt] selects the first cnt lanes for maskload/maskstore;
-       masked-off lanes never fault, so partial groups at the row end
-       stay in bounds without a scalar tail. */
-    static const int32_t mtab[9][8] = {
-        {0, 0, 0, 0, 0, 0, 0, 0},
-        {-1, 0, 0, 0, 0, 0, 0, 0},
-        {-1, -1, 0, 0, 0, 0, 0, 0},
-        {-1, -1, -1, 0, 0, 0, 0, 0},
-        {-1, -1, -1, -1, 0, 0, 0, 0},
-        {-1, -1, -1, -1, -1, 0, 0, 0},
-        {-1, -1, -1, -1, -1, -1, 0, 0},
-        {-1, -1, -1, -1, -1, -1, -1, 0},
-        {-1, -1, -1, -1, -1, -1, -1, -1},
-    };
+    /* lanemask8[cnt] selects the first cnt lanes for maskload and
+       maskstore; masked-off lanes never fault, so partial groups at the
+       row end stay in bounds without a scalar tail. */
     __m256i idx_ev = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
     for (long i = 0; i < n * c; i++) {
         const float *xc = x + i * h * w;
@@ -605,8 +814,8 @@ void maxpool_k2s2_avx2(const float *x, float *out,
                 } else {
                     long len = 2 * nl;
                     long c0 = len < 8 ? len : 8;
-                    __m256i m0 = _mm256_loadu_si256((const __m256i *)mtab[c0]);
-                    __m256i m1 = _mm256_loadu_si256((const __m256i *)mtab[len - c0]);
+                    __m256i m0 = _mm256_loadu_si256((const __m256i *)lanemask8[c0]);
+                    __m256i m1 = _mm256_loadu_si256((const __m256i *)lanemask8[len - c0]);
                     u0 = _mm256_maskload_ps(r0 + 2 * ox, m0);
                     u1 = _mm256_maskload_ps(r0 + 2 * ox + 8, m1);
                     v0 = _mm256_maskload_ps(r1 + 2 * ox, m0);
@@ -645,19 +854,25 @@ void maxpool_k2s2_avx2(const float *x, float *out,
                 else
                     _mm256_maskstore_ps(
                         op + oy * ow + ox,
-                        _mm256_loadu_si256((const __m256i *)mtab[nl]), m);
+                        _mm256_loadu_si256((const __m256i *)lanemask8[nl]), m);
             }
         }
     }
 }
-#endif /* HAVE_X86 */
+#endif /* HAVE_SIMD */
+
+static int maxpool_pick(long k, long stride, long isa)
+{
+    return k == 2 && stride == 2 && isa >= ISA_AVX2;
+}
 
 API void maxpool_nchw(const float *x, float *out,
                       long n, long c, long h, long w,
-                      long k, long stride, long oh, long ow, int tie_first)
+                      long k, long stride, long oh, long ow, int tie_first,
+                      long isa)
 {
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-    if (k == 2 && stride == 2 && __builtin_cpu_supports("avx2")) {
+#ifdef HAVE_SIMD
+    if (maxpool_pick(k, stride, isa)) {
         maxpool_k2s2_avx2(x, out, n, c, h, w, oh, ow, tie_first);
         return;
     }
@@ -721,33 +936,50 @@ API void relu_inplace(float *x, long size, int mode)
     }
 }
 
-/* NumPy's pairwise float32 sum for a contiguous axis of length <= 128:
-   eight independent scalar accumulators seeded from the first block,
-   combined as ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)), sequential tail.
-   Used to fold the kfac |window| mean into the gather below; every plan
-   is probe-verified against the interpreter, so if a NumPy upgrade ever
-   changes this reduction the plan compiler falls back to streaming the
-   |value| rows through np.mean instead (see plan.py). */
-static inline float pairwise_mean_small(const float *a, long n)
+/* NumPy's pairwise float32 sum over |a[0..n)|: below 8 elements a
+   sequential sum; up to 128, eight independent accumulators seeded from
+   the first block, combined as ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)),
+   then a sequential tail; above 128, split at half the length rounded
+   down to a multiple of 8 and recurse.  fabsf is applied on every load
+   (idempotent on rows that already hold |v|).  This folds the binary
+   layers' |x| means into C; every plan is probe-verified against the
+   interpreter, so if a NumPy upgrade ever changes the reduction the
+   plan compiler steps down to np.mean instead (the c_mean tier in
+   plan.py). */
+static float pairwise_abs_sum(const float *a, long n)
 {
-    float res;
     if (n < 8) {
-        res = 0.0f;
-        for (long i = 0; i < n; i++) res += a[i];
-    } else {
-        float r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
-        float r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        float res = 0.0f;
+        for (long i = 0; i < n; i++) res += fabsf(a[i]);
+        return res;
+    }
+    if (n <= 128) {
+        float r0 = fabsf(a[0]), r1 = fabsf(a[1]);
+        float r2 = fabsf(a[2]), r3 = fabsf(a[3]);
+        float r4 = fabsf(a[4]), r5 = fabsf(a[5]);
+        float r6 = fabsf(a[6]), r7 = fabsf(a[7]);
         long i = 8;
         for (; i + 8 <= n; i += 8) {
-            r0 += a[i];     r1 += a[i + 1];
-            r2 += a[i + 2]; r3 += a[i + 3];
-            r4 += a[i + 4]; r5 += a[i + 5];
-            r6 += a[i + 6]; r7 += a[i + 7];
+            r0 += fabsf(a[i]);     r1 += fabsf(a[i + 1]);
+            r2 += fabsf(a[i + 2]); r3 += fabsf(a[i + 3]);
+            r4 += fabsf(a[i + 4]); r5 += fabsf(a[i + 5]);
+            r6 += fabsf(a[i + 6]); r7 += fabsf(a[i + 7]);
         }
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
-        for (; i < n; i++) res += a[i];
+        float res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) res += fabsf(a[i]);
+        return res;
     }
-    return res / (float)n;
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_abs_sum(a, n2) + pairwise_abs_sum(a + n2, n - n2);
+}
+
+/* Binary-linear input scale: out[i] = np.abs(x[i]).mean() for each of
+   the m rows of f features (pairwise sum, then one division). */
+API void absmean_rows(const float *x, float *out, long m, long f)
+{
+    for (long i = 0; i < m; i++)
+        out[i] = pairwise_abs_sum(x + i * f, f) / (float)f;
 }
 
 /* Fused window gather for binary convs: writes |value| rows (for the
@@ -757,9 +989,10 @@ static inline float pairwise_mean_small(const float *a, long n)
    per-row validity mask is pre-applied to the activation words, so the
    popcount loop can use premasked weights: (a&m)^(b&m) == (a^b)&m.
 
-   abscols may be NULL when kfac is given and row_len <= 128: the |v|
-   row then lives in a stack buffer and the per-row mean is computed
-   in-place, eliminating the abscols memory traffic entirely. */
+   Without kfac, abscols receives every |v| row for the NumPy mean.
+   With kfac, the mean is computed here, row by row, and abscols is one
+   row_len scratch row — or NULL when row_len <= 128 and the row fits a
+   stack buffer. */
 static inline void binconv_prepare_impl(const float *x, float *abscols,
                                         float *kfac,
                                         uint64_t *words, const uint64_t *maskw,
@@ -775,7 +1008,8 @@ static inline void binconv_prepare_impl(const float *x, float *abscols,
         for (long oy = 0; oy < oh; oy++) {
             for (long ox = 0; ox < ow; ox++) {
                 long r = i * rows + oy * ow + ox;
-                float *arow = abscols ? abscols + r * row_len : stackrow;
+                float *arow = !kfac ? abscols + r * row_len
+                                    : abscols ? abscols : stackrow;
                 uint64_t *wrow = words + r * W;
                 long ix0 = ox * stride - pad;
                 long kj_lo = ix0 < 0 ? -ix0 : 0;
@@ -834,22 +1068,25 @@ static inline void binconv_prepare_impl(const float *x, float *abscols,
                     const uint64_t *mk = maskw + (oy * ow + ox) * W;
                     for (long wi = 0; wi < W; wi++) wrow[wi] &= mk[wi];
                 }
-                if (kfac) kfac[r] = pairwise_mean_small(arow, row_len);
+                if (kfac)
+                    kfac[r] = pairwise_abs_sum(arow, row_len) / (float)row_len;
             }
         }
     }
 }
 
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-/* ox-vectorized prepare for the pre-padded stride-1 fused-mean case:
-   eight output windows per iteration.  Window values are staged into a
-   [row_len][8] buffer; movemask of the lanewise v >= 0 compare yields
-   one sign bit per *row*, and an 8x8 bit-matrix transpose (with bytes
-   assembled MSB-first) emits each row's packed byte directly in
-   np.packbits order.  The kfac mean replays pairwise_mean_small's
-   8-accumulator scheme lanewise — IEEE lanewise add/div make every
-   lane bit-identical to the scalar reduction. */
-__attribute__((target("avx2"))) static
+#ifdef HAVE_SIMD
+/* ox-vectorized prepare for the pre-padded stride-1 fused-mean case
+   (ow >= 8): eight output windows per iteration, every block full
+   width — the last block of a row overlaps its neighbour and rewrites
+   the shared windows with identical values.  Window values are staged
+   into a [row_len][8] buffer; movemask of the lanewise v >= 0 compare
+   yields one sign bit per *row*, and an 8x8 bit-matrix transpose (with
+   bytes assembled MSB-first) emits each row's packed byte directly in
+   np.packbits order.  The kfac mean replays pairwise_abs_sum's
+   8-accumulator scheme (row_len <= 128) lanewise — IEEE lanewise
+   add/div make every lane bit-identical to the scalar reduction. */
+AVX2_KERNEL
 void binconv_prepare_avx2(const float *x, float *kfac,
                           uint64_t *words, const uint64_t *maskw,
                           long n, long c, long h, long w,
@@ -862,27 +1099,19 @@ void binconv_prepare_avx2(const float *x, float *kfac,
     __m256 absm = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
     __m256 divn = _mm256_set1_ps((float)row_len);
     float vbuf[128 * 8];
-    float tmp8[8];
     for (long i = 0; i < n; i++) {
         const float *base = x + i * c * h * w;
         for (long oy = 0; oy < oh; oy++) {
-            for (long ox = 0; ox < ow; ox += 8) {
-                long nl = ow - ox < 8 ? ow - ox : 8;
+            for (long ox0 = 0; ox0 < ow; ox0 += 8) {
+                long ox = ox0 + 8 <= ow ? ox0 : ow - 8;
                 long j = 0;
                 for (long ci = 0; ci < c; ci++) {
                     const float *xc = base + ci * h * w;
                     for (long ki = 0; ki < k; ki++) {
                         const float *src = xc + (oy + ki) * w + ox;
-                        if (nl == 8) {
-                            for (long kj = 0; kj < k; kj++, j++)
-                                _mm256_storeu_ps(vbuf + j * 8,
-                                                 _mm256_loadu_ps(src + kj));
-                        } else {
-                            for (long kj = 0; kj < k; kj++, j++)
-                                for (long l = 0; l < 8; l++)
-                                    vbuf[j * 8 + l] =
-                                        l < nl ? src[kj + l] : 0.0f;
-                        }
+                        for (long kj = 0; kj < k; kj++, j++)
+                            _mm256_storeu_ps(vbuf + j * 8,
+                                             _mm256_loadu_ps(src + kj));
                     }
                 }
                 /* packed sign bits, eight rows per transpose */
@@ -924,13 +1153,8 @@ void binconv_prepare_avx2(const float *x, float *kfac,
                         absm, _mm256_loadu_ps(vbuf + jt * 8)));
                 res = _mm256_div_ps(res, divn);
                 long rbase = i * rows + oy * ow + ox;
-                if (nl == 8) {
-                    _mm256_storeu_ps(kfac + rbase, res);
-                } else {
-                    _mm256_storeu_ps(tmp8, res);
-                    for (long l = 0; l < nl; l++) kfac[rbase + l] = tmp8[l];
-                }
-                for (long l = 0; l < nl; l++) {
+                _mm256_storeu_ps(kfac + rbase, res);
+                for (long l = 0; l < 8; l++) {
                     uint64_t *wr = words + (rbase + l) * W;
                     if (maskw) {
                         const uint64_t *mk = maskw + (oy * ow + ox + l) * W;
@@ -944,17 +1168,24 @@ void binconv_prepare_avx2(const float *x, float *kfac,
         }
     }
 }
-#endif /* HAVE_X86 */
+#endif /* HAVE_SIMD */
+
+static int binconv_prepare_pick(long c, long k, long stride, long pad,
+                                long ow, const float *abscols,
+                                const float *kfac, long isa)
+{
+    return stride == 1 && pad == 0 && kfac && !abscols &&
+           c * k * k <= 128 && ow >= 8 && isa >= ISA_AVX2;
+}
 
 API void binconv_prepare(const float *x, float *abscols, float *kfac,
                          uint64_t *words, const uint64_t *maskw,
                          long n, long c, long h, long w,
                          long k, long stride, long pad,
-                         long oh, long ow, long W)
+                         long oh, long ow, long W, long isa)
 {
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-    if (stride == 1 && pad == 0 && kfac && !abscols &&
-        c * k * k <= 128 && ow >= 8 && __builtin_cpu_supports("avx2")) {
+#ifdef HAVE_SIMD
+    if (binconv_prepare_pick(c, k, stride, pad, ow, abscols, kfac, isa)) {
         binconv_prepare_avx2(x, kfac, words, maskw, n, c, h, w, k, oh, ow, W);
         return;
     }
@@ -994,7 +1225,7 @@ static void pack_rows_scalar(const float *x, uint64_t *words,
     }
 }
 
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
+#ifdef HAVE_SIMD
 /* Bit-reversal table: movemask emits lane 0 in bit 0, packbits wants
    element 0 in bit 7 of its byte. */
 #define RV2(n) n, (n) + 2 * 64, (n) + 1 * 64, (n) + 3 * 64
@@ -1008,7 +1239,7 @@ static const uint8_t bitrev8[256] = { RV6(0), RV6(2), RV6(1), RV6(3) };
 /* Eight signs per compare: movemask the lanewise x >= 0, bit-reverse
    the byte into packbits order, accumulate eight bytes per u64 store.
    Trailing bits past f stay zero, as in the scalar register path. */
-__attribute__((target("avx2"))) static
+AVX2_KERNEL
 void pack_rows_avx2(const float *x, uint64_t *words, long m, long f, long W)
 {
     __m256 zero = _mm256_setzero_ps();
@@ -1029,12 +1260,18 @@ void pack_rows_avx2(const float *x, uint64_t *words, long m, long f, long W)
         if (f & 63 || f == 0) wrow[f >> 6] = acc;
     }
 }
-#endif /* HAVE_X86 */
+#endif /* HAVE_SIMD */
 
-API void pack_rows(const float *x, uint64_t *words, long m, long f, long W)
+static int pack_rows_pick(long f, long isa)
 {
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-    if (f >= 8 && __builtin_cpu_supports("avx2")) {
+    return f >= 8 && isa >= ISA_AVX2;
+}
+
+API void pack_rows(const float *x, uint64_t *words, long m, long f, long W,
+                   long isa)
+{
+#ifdef HAVE_SIMD
+    if (pack_rows_pick(f, isa)) {
         pack_rows_avx2(x, words, m, f, W);
         return;
     }
@@ -1088,9 +1325,7 @@ static void popdot_impl(const uint64_t *va, const uint64_t *vw,
     }
 }
 
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-#define AVX2_FN __attribute__((target("avx2"), always_inline)) static inline
-#define AVX2_KERNEL __attribute__((target("avx2"))) static
+#ifdef HAVE_SIMD
 
 /* Byte-wise nibble-LUT popcount; _mm256_sad_epu8 then sums the 8 bytes
    of each 64-bit lane, so each u64 lane of the result holds the exact
@@ -1305,17 +1540,17 @@ AVX2_KERNEL void popdot_genw_avx2(const uint64_t *va, const uint64_t *vw,
         }
     }
 }
-#endif /* HAVE_X86 */
+#endif /* HAVE_SIMD */
 
 API void popdot_scale(const uint64_t *va, const uint64_t *vw,
                       const uint64_t *vwm, const int32_t *valid,
                       const float *alpha, const float *kfac,
                       const float *bias, float *out,
                       long n, long rows, long oc, long W,
-                      long fallback_valid)
+                      long fallback_valid, long isa)
 {
-#if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-    if (__builtin_cpu_supports("avx2")) {
+#ifdef HAVE_SIMD
+    if (isa >= ISA_AVX2) {
         if (W == 2) {
             popdot_w2_avx2(va, vw, vwm, valid, alpha, kfac, bias, out,
                            n, rows, oc, fallback_valid);
@@ -1347,12 +1582,14 @@ API void popdot_scale(const uint64_t *va, const uint64_t *vw,
    arrive as a table of int64 records [opcode, fields...] (pointers as
    addresses, 0 for NULL; layouts in RECORD_FIELDS on the Python side,
    which also generates the OP_ and LEN_ constants).  n, the live batch,
-   is the only per-call argument.  Returns 0, or 1 + the index of the
-   first record with an unknown opcode — nothing from it on runs. */
+   is the only per-call argument; isa caps the SIMD level (a plan-build
+   constant, see host_isa).  Returns 0, or 1 + the index of the first
+   record with an unknown opcode — nothing from it on runs. */
 #define P(T, i) ((T *)(intptr_t)rec[i])
 #define L(i) ((long)rec[i])
-API long run_program(const int64_t *rec, long count, long n)
+API long run_program(const int64_t *rec, long count, long n, long isa)
 {
+    if (isa > host_isa()) isa = host_isa();
     for (long i = 0; i < count; i++) {
         switch (rec[0]) {
         case OP_pad_nchw:
@@ -1368,7 +1605,7 @@ API long run_program(const int64_t *rec, long count, long n)
             conv_direct(P(const float, 1), P(const float, 2),
                         P(const float, 3), P(const float, 4), P(float, 5),
                         n, L(6), L(7), L(8), L(9), L(10), L(11), L(12),
-                        L(13), (int)L(14));
+                        L(13), (int)L(14), isa);
             rec += LEN_conv_direct;
             break;
         case OP_conv_post:
@@ -1378,7 +1615,7 @@ API long run_program(const int64_t *rec, long count, long n)
             break;
         case OP_maxpool_nchw:
             maxpool_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5),
-                         L(6), L(7), L(8), L(9), (int)L(10));
+                         L(6), L(7), L(8), L(9), (int)L(10), isa);
             rec += LEN_maxpool_nchw;
             break;
         case OP_affine_ch:
@@ -1400,11 +1637,15 @@ API long run_program(const int64_t *rec, long count, long n)
             binconv_prepare(P(const float, 1), P(float, 2), P(float, 3),
                             P(uint64_t, 4), P(const uint64_t, 5), n, L(6),
                             L(7), L(8), L(9), L(10), L(11), L(12), L(13),
-                            L(14));
+                            L(14), isa);
             rec += LEN_binconv_prepare;
             break;
+        case OP_absmean_rows:
+            absmean_rows(P(const float, 1), P(float, 2), n, L(3));
+            rec += LEN_absmean_rows;
+            break;
         case OP_pack_rows:
-            pack_rows(P(const float, 1), P(uint64_t, 2), n, L(3), L(4));
+            pack_rows(P(const float, 1), P(uint64_t, 2), n, L(3), L(4), isa);
             rec += LEN_pack_rows;
             break;
         case OP_popdot_scale:
@@ -1412,7 +1653,7 @@ API long run_program(const int64_t *rec, long count, long n)
                          P(const uint64_t, 3), P(const int32_t, 4),
                          P(const float, 5), P(const float, 6),
                          P(const float, 7), P(float, 8), n, L(9), L(10),
-                         L(11), L(12));
+                         L(11), L(12), isa);
             rec += LEN_popdot_scale;
             break;
         default:
@@ -1420,6 +1661,33 @@ API long run_program(const int64_t *rec, long count, long n)
         }
     }
     return 0;
+}
+
+/* Names the variant run_program(rec, 1, n, isa) runs for the record rec
+   (the same *_pick rules), for CompiledPlan.describe. */
+API const char *record_variant(const int64_t *rec, long isa)
+{
+    static const char *const conv_names[] = {
+        "scalar", "pos_avx2", "chan_avx2", "pos_avx512", "chan_avx512",
+    };
+    if (isa > host_isa()) isa = host_isa();
+    switch (rec[0]) {
+    case OP_conv_direct:
+        return conv_names[conv_direct_pick(L(13), L(12), L(10), isa)];
+    case OP_maxpool_nchw:
+        return maxpool_pick(L(6), L(7), isa) ? "k2s2_avx2" : "scalar";
+    case OP_binconv_prepare:
+        return binconv_prepare_pick(L(6), L(9), L(10), L(11), L(13),
+                                    P(const float, 2), P(const float, 3), isa)
+            ? "avx2" : "scalar";
+    case OP_pack_rows:
+        return pack_rows_pick(L(3), isa) ? "avx2" : "scalar";
+    case OP_popdot_scale:
+        if (isa < ISA_AVX2) return "scalar";
+        return L(11) == 1 ? "w1_avx2" : L(11) == 2 ? "w2_avx2" : "avx2";
+    default:
+        return "scalar";
+    }
 }
 #undef P
 #undef L
@@ -1449,6 +1717,7 @@ RECORD_FIELDS: Mapping[str, tuple] = MappingProxyType(
             "x", "abscols", "kfac", "words", "maskw",
             "c", "h", "w", "k", "stride", "pad", "oh", "ow", "W",
         ),
+        "absmean_rows": ("x", "out", "f"),
         "pack_rows": ("x", "words", "f", "W"),
         "popdot_scale": (
             "va", "vw", "vwm", "valid", "alpha", "kfac", "bias", "out",
@@ -1459,6 +1728,12 @@ RECORD_FIELDS: Mapping[str, tuple] = MappingProxyType(
 OPCODES: Mapping[str, int] = MappingProxyType(
     {name: code for code, name in enumerate(RECORD_FIELDS, start=1)}
 )
+
+
+#: SIMD levels, lowest first (the C ``ISA_*`` enum).  ``run_program``
+#: serves a table at the lower of its ``isa`` argument and
+#: :func:`host_isa`.
+ISA_LEVELS: Mapping[str, int] = MappingProxyType({"scalar": 0, "avx2": 1, "avx512": 2})
 
 
 def _abi_header() -> str:
@@ -1493,8 +1768,12 @@ def _find_compiler() -> Optional[str]:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.run_program.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long]
+    lib.run_program.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long]
     lib.run_program.restype = ctypes.c_long
+    lib.record_variant.argtypes = [ctypes.c_void_p, ctypes.c_long]
+    lib.record_variant.restype = ctypes.c_char_p
+    lib.host_isa.argtypes = []
+    lib.host_isa.restype = ctypes.c_long
     return lib
 
 
@@ -1573,6 +1852,12 @@ def backend_available() -> bool:
     except KernelBackendError:
         return False
     return True
+
+
+def host_isa() -> str:
+    """The highest SIMD level this CPU (and the built kernels) support."""
+    level = get_backend().host_isa()
+    return next(name for name, value in ISA_LEVELS.items() if value == level)
 
 
 def backend_error() -> Optional[str]:

@@ -11,11 +11,19 @@ counters, span, fallback, and error behaviour the runtime relies on.
 Every plan compiled here records the C kernels its record tables
 dispatch to; the last test checks that together they cover the whole
 opcode table, so no kernel ships without a bit-identity property.
+
+The probe steps a plan down a tier when a fast kernel disagrees with
+the interpreter, which would hide a wrong kernel from the equality
+tests.  So the conv sweeps also assert that the plan kept its first
+tier, and they run every SIMD level the host supports (``isa``).
 """
+
+import ctypes
+import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import nn, wasm
 from repro.models import lenet
@@ -29,8 +37,18 @@ from repro.wasm import (
     backend_available,
     serialize_browser_bundle,
 )
-from repro.wasm.plan import NativeSegment
-from repro.wasm.plan_compile import OPCODES
+from repro.core.composite import build_binary_branch
+from repro.wasm import plan as plan_module
+from repro.wasm.plan import NativeSegment, PlanVerificationError, _PlanBuilder
+from repro.wasm.plan_compile import (
+    _CFLAGS,
+    _SOURCE,
+    ISA_LEVELS,
+    OPCODES,
+    _find_compiler,
+    get_backend,
+    host_isa,
+)
 
 pytestmark = [
     pytest.mark.plan,
@@ -66,6 +84,23 @@ def engine_for(bundle: nn.Sequential, input_shape) -> WasmModel:
     return WasmModel.load(serialize_browser_bundle(bundle, input_shape))
 
 
+def host_levels() -> list:
+    """Every SIMD level the host runs, lowest first."""
+    best = ISA_LEVELS[host_isa()]
+    return [name for name, level in ISA_LEVELS.items() if level <= best]
+
+
+def native_kernels(plan) -> list:
+    """The kernel variants of every native segment, in plan order."""
+    return [
+        variant
+        for step in plan.steps
+        for runner in step.runners
+        if isinstance(runner, NativeSegment)
+        for variant in runner.variants
+    ]
+
+
 def assert_plan_bit_identical(bundle, input_shape, capacity=8, batches=(1, 3, 8)):
     """Compile a plan and demand exact equality with the interpreter."""
     engine = engine_for(bundle, input_shape)
@@ -76,6 +111,32 @@ def assert_plan_bit_identical(bundle, input_shape, capacity=8, batches=(1, 3, 8)
         # Exercise the exact-zero paths the padded-source kernels rely on.
         x[x < -2.0] = 0.0
         np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
+
+
+def every_isa_agrees(engine, input_shape, capacity) -> bool:
+    """Build the plan at every host SIMD level, without the probe's
+    step-down, and run each on the probe batch at sizes 1 and capacity:
+    every level must return exactly what the scalar kernels return.
+
+    Returns whether that also equals the interpreter, which is the
+    probe's verdict on the first tier.  It is False only where the
+    host's BLAS does not reduce the reference's dot products in the
+    sequential order the direct conv replicates.
+    """
+    plans = {
+        isa: _PlanBuilder(engine.parsed, capacity, "wasm", isa=isa).build()
+        for isa in host_levels()
+    }
+    probe = plan_module._probe_batch(tuple(input_shape), capacity)
+    matches = True
+    for n in sorted({1, capacity}):
+        want = plans["scalar"].execute(probe[:n])
+        for isa, plan in plans.items():
+            np.testing.assert_array_equal(
+                plan.execute(probe[:n]), want, err_msg=f"isa={isa} n={n}"
+            )
+        matches = matches and np.array_equal(want, engine.forward(probe[:n]))
+    return matches
 
 
 class TestFloatStackProperties:
@@ -115,6 +176,81 @@ class TestFloatStackProperties:
         assert_plan_bit_identical(
             nn.Sequential(*layers), (in_channels, size, size)
         )
+
+    @fewer_examples
+    @given(
+        in_channels=st.integers(1, 3),
+        out_channels=st.sampled_from([1, 6, 8, 9, 12, 16]),
+        out_width=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 28]),
+        out_height=st.integers(1, 3),
+        kernel=st.sampled_from([3, 5]),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 2),
+        relu=st.sampled_from([False, True]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # One output channel, and one output position: matrix-vector
+    # references that the direct conv cannot match.
+    @example(
+        in_channels=1, out_channels=1, out_width=1, out_height=2, kernel=3,
+        stride=1, padding=0, relu=False, seed=0,
+    )
+    @example(
+        in_channels=2, out_channels=6, out_width=1, out_height=1, kernel=5,
+        stride=1, padding=0, relu=False, seed=0,
+    )
+    # A 50-tap window at 6 channels: x86-64 OpenBLAS 0.3.31 reduces it
+    # in another order, so the direct conv must step down, and only it.
+    @example(
+        in_channels=2, out_channels=6, out_width=1, out_height=2, kernel=5,
+        stride=1, padding=0, relu=False, seed=0,
+    )
+    def test_direct_conv_block_edges_every_isa(
+        self, in_channels, out_channels, out_width, out_height, kernel,
+        stride, padding, relu, seed,
+    ):
+        """The direct conv's SIMD blocks at every edge, at every level.
+
+        ``out_width`` crosses the 8- and 16-lane block edges (the last
+        block overlaps its neighbour, a row narrower than one block runs
+        masked), ``out_channels`` the live-channel and channels-in-lanes
+        widths, and batch 1 with ``out_height=1`` leaves fewer output
+        positions than one channels-in-lanes block.  Every SIMD level
+        must agree with the scalar kernel, and the verified plan must
+        keep its first tier and the direct kernel, unless the host's
+        BLAS reduces the reference in another order (then only the
+        direct conv steps down).  One output channel, or one output
+        position, makes the reference a matrix-vector product: that conv
+        keeps the matmul path.
+        """
+        padding = min(padding, kernel - 1)
+        width = (out_width - 1) * stride + kernel - 2 * padding
+        height = (out_height - 1) * stride + kernel - 2 * padding
+        if width < 1 or height < 1:
+            padding = 0
+            width = (out_width - 1) * stride + kernel
+            height = (out_height - 1) * stride + kernel
+        rng = np.random.default_rng(seed)
+        layers = [
+            nn.Conv2d(
+                in_channels, out_channels, kernel,
+                stride=stride, padding=padding, rng=rng,
+            )
+        ]
+        if relu:
+            layers.append(nn.ReLU())
+        input_shape = (in_channels, height, width)
+        engine = engine_for(nn.Sequential(*layers), input_shape)
+        if out_channels == 1 or out_width * out_height == 1:
+            plan = _PlanBuilder(engine.parsed, 3, "wasm").build()
+            assert not any(v.startswith("conv_direct") for v in native_kernels(plan))
+            return
+        plan = compile_wasm_plan(engine, 3)
+        if every_isa_agrees(engine, input_shape, 3):
+            assert plan.tier == {}
+            assert any(v.startswith("conv_direct") for v in native_kernels(plan))
+        else:
+            assert plan.tier == {"direct_conv": False}
 
     @fewer_examples
     @given(
@@ -175,6 +311,34 @@ class TestBinaryStackProperties:
             )
         )
         assert_plan_bit_identical(bundle, (in_channels, size, size))
+
+    @fewer_examples
+    @given(
+        in_channels=st.sampled_from([1, 6, 16]),
+        out_width=st.sampled_from([1, 7, 8, 9, 14, 15, 16, 17]),
+        padding=st.integers(0, 1),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_binary_conv_gather_edges_every_isa(
+        self, in_channels, out_width, padding, seed
+    ):
+        """The binary-conv gather at every block edge and window length.
+
+        ``out_width`` crosses the 8-window gather's overlapped last
+        block; 16 input channels make a 144-value window, whose |x| mean
+        takes NumPy's recursive pairwise split in a scratch row.  The
+        fused C mean must survive the probe (first tier).
+        """
+        rng = np.random.default_rng(seed)
+        width = out_width + 2 - 2 * padding
+        bundle = nn.Sequential(
+            BinaryConv2d(in_channels, 4, 3, padding=padding, rng=rng)
+        )
+        input_shape = (in_channels, 3, width)
+        engine = engine_for(bundle, input_shape)
+        plan = compile_wasm_plan(engine, 3)
+        assert plan.tier == {}
+        assert every_isa_agrees(engine, input_shape, 3)
 
     @fewer_examples
     @given(
@@ -273,6 +437,33 @@ class TestBinaryStackProperties:
             nn.Linear(8, 4, rng=rng),
         )
         assert_plan_bit_identical(bundle, (2, 10, 10))
+
+
+class TestAbsMeanKernel:
+    @given(
+        rows=st.integers(1, 4),
+        features=st.one_of(st.integers(1, 300), st.sampled_from([1568, 4608])),
+        spread=st.integers(0, 30),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_absmean_rows_matches_numpy_mean(self, rows, features, spread, seed):
+        """The C |x| row mean is np.abs(x).mean(axis=1) bit for bit at
+        any length: sequential below 8, eight lanes up to 128, and the
+        recursive split above (wide exponent spread, so any other
+        summation order would round differently)."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, features)) * np.exp2(
+            rng.integers(-spread, spread + 1, size=(rows, features))
+        )
+        x = x.astype(np.float32)
+        x.reshape(-1)[::7] = 0.0
+        out = np.zeros(rows, dtype=np.float32)
+        table = np.array(
+            [OPCODES["absmean_rows"], x.ctypes.data, out.ctypes.data, features],
+            dtype=np.int64,
+        )
+        assert get_backend().run_program(table.ctypes.data, 1, rows, 0) == 0
+        np.testing.assert_array_equal(out, np.abs(x).mean(axis=1))
 
 
 class TestBatchShapeProperties:
@@ -465,6 +656,78 @@ class TestRecordTable:
         x = np.random.default_rng(1).standard_normal((5, 1, 28, 28)).astype(np.float32)
         np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("capacity", [1, 8, 16])
+    def test_lenet_plans_keep_their_first_tier(self, capacity):
+        """Stem, branch and trunk keep the direct conv and the fused C
+        means at every serving capacity: a fast kernel that failed the
+        probe would step the plan down a tier and fail here, instead of
+        hiding behind the equality tests."""
+        network = lenet(rng=np.random.default_rng(0))
+        stem = compile_wasm_plan(engine_for(network.stem, (1, 28, 28)), capacity)
+        branch = compile_wasm_plan(
+            engine_for(
+                build_binary_branch((6, 14, 14), 10, rng=np.random.default_rng(1)),
+                (6, 14, 14),
+            ),
+            capacity,
+        )
+        trunk = compile_trunk_plan(network.trunk, (6, 14, 14), capacity)
+        for plan in (stem, branch, trunk):
+            assert plan.tier == {}
+            # every conv and binary step replays in one native call
+            for step in plan.steps:
+                if {"conv2d", "binary_conv2d", "binary_linear"} & set(step.kinds):
+                    (segment,) = step.runners
+                    assert isinstance(segment, NativeSegment)
+        best = host_isa()
+        conv = {"avx512": ("pos_avx512", "chan_avx512"),
+                "avx2": ("pos_avx2", "chan_avx2")}.get(best, ("scalar", "scalar"))
+        assert f"conv_direct:{conv[0]}" in native_kernels(stem)
+        assert f"conv_direct:{conv[1]}" in native_kernels(trunk)
+        branch_kernels = {v.split(":")[0] for v in native_kernels(branch)}
+        assert {"binconv_prepare", "absmean_rows"} <= branch_kernels
+        described = [k for s in branch.describe()["steps"] for k in s["kernels"]]
+        assert described == native_kernels(branch)
+
+    def test_avx512_probe_failure_steps_down_to_avx2(self, monkeypatch):
+        """A failing AVX-512 kernel costs the plan its AVX-512 tier only:
+        the AVX2 kernels (direct conv included) take over."""
+        if host_isa() != "avx512":
+            pytest.skip("host has no AVX-512")
+        verify = plan_module._verify
+
+        def reject_avx512(plan, reference, x):
+            for step in plan.steps:
+                for runner in step.runners:
+                    if isinstance(runner, NativeSegment) and (
+                        runner._isa > ISA_LEVELS["avx2"]
+                    ):
+                        raise PlanVerificationError("simulated AVX-512 mismatch")
+            return verify(plan, reference, x)
+
+        monkeypatch.setattr(plan_module, "_verify", reject_avx512)
+        network = lenet(rng=np.random.default_rng(0))
+        plan = compile_wasm_plan(engine_for(network.stem, (1, 28, 28)), 8)
+        assert plan.tier == {"isa": "avx2"}
+        assert "conv_direct:pos_avx2" in native_kernels(plan)
+
+    def test_source_compiles_without_avx512_intrinsics(self, tmp_path):
+        """PLAN_NO_AVX512 (what a compiler without AVX-512 intrinsics
+        gets) still builds every kernel, capped at AVX2."""
+        cc = _find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler")
+        src = tmp_path / "kernels.c"
+        src.write_text(_SOURCE)
+        lib_path = tmp_path / "kernels.so"
+        flags = [f for f in _CFLAGS if f != "-O3"]  # compiles, not speed
+        subprocess.run(
+            [cc, *flags, "-DPLAN_NO_AVX512", str(src), "-lm", "-o", str(lib_path)],
+            check=True, capture_output=True,
+        )
+        lib = ctypes.CDLL(str(lib_path))
+        assert lib.host_isa() <= ISA_LEVELS["avx2"]
 
     def test_unknown_opcode_raises_instead_of_skipping(self):
         rng = np.random.default_rng(4)
