@@ -6,13 +6,17 @@
 # benchmark (`make bench-e2e` is the full one).  `make fuzz` reruns the
 # property suites under the randomized Hypothesis profile.
 # REPRO_FAULT_PROFILE selects the profile consumed by tests/test_faults.py
-# (none | smoke | harsh | partition); REPRO_REGEN_GOLDEN=1 rewrites the
-# golden-trace fixture after an intentional behaviour change.
+# (none | smoke | harsh | partition); REPRO_REGEN_GOLDEN=1 retrains the
+# golden checkpoint at one OpenBLAS thread and rewrites the golden
+# fixtures after an intentional behaviour change.
+# `make golden-threads` runs both golden suites at one and at two
+# OpenBLAS threads: they load a committed checkpoint, so the thread
+# count must not move them.
 
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
 
-.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
+.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-threads stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
 
 test:
 	$(PYTEST)
@@ -38,6 +42,10 @@ tau-smoke:
 golden:
 	$(PYTEST) tests/test_protocol_fuzz.py tests/test_codec_properties.py tests/test_golden_trace.py tests/test_parallel.py
 
+golden-threads:
+	OPENBLAS_NUM_THREADS=1 $(PYTEST) tests/test_golden_tau.py tests/test_golden_trace.py
+	OPENBLAS_NUM_THREADS=2 $(PYTEST) tests/test_golden_tau.py tests/test_golden_trace.py
+
 stress:
 	$(PYTEST) -m par tests/test_thread_safety.py
 
@@ -46,7 +54,7 @@ stress:
 fuzz:
 	$(PYTEST) --hypothesis-profile=fuzz tests/test_codec_properties.py tests/test_properties.py tests/test_properties_extensions.py tests/test_plan_properties.py tests/test_tau_control.py tests/test_observability.py
 
-verify: test fault-smoke golden stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke bench-check-dry bench-e2e-smoke
+verify: test fault-smoke golden golden-threads stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke bench-check-dry bench-e2e-smoke
 
 bench:
 	PYTHONPATH=src $(PY) benchmarks/bench_kernels.py

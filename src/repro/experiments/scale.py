@@ -15,9 +15,8 @@ multi-session counterpart of the §I edge-cost argument, written to
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -73,41 +72,6 @@ SCALES = {scale.name: scale for scale in (QUICK, STANDARD, FULL)}
 # ----------------------------------------------------------------------
 # Concurrency sweep: users × batching window through the shared edge
 # ----------------------------------------------------------------------
-def _resolve_sweep_config(config, legacy: dict, config_cls, fn_name: str):
-    """Shared shim: fold legacy sweep kwargs into a frozen config.
-
-    Mirrors the PR 3 ``SessionConfig`` migration exactly — the legacy
-    kwargs still work for one release but warn, ``config=`` plus legacy
-    kwargs is a ``TypeError``, and unknown kwargs fail like any normal
-    signature mismatch.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    unknown = set(supplied) - set(config_cls.__dataclass_fields__)
-    if unknown:
-        raise TypeError(
-            f"{fn_name}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if config is not None:
-        if supplied:
-            raise TypeError(
-                f"pass either config= or the legacy "
-                f"{'/'.join(sorted(supplied))} kwargs, not both"
-            )
-        if not isinstance(config, config_cls):
-            raise TypeError(f"config must be a {config_cls.__name__}")
-        return config
-    if not supplied:
-        return config_cls()
-    warnings.warn(
-        f"{fn_name}({', '.join(sorted(supplied))}=...) is deprecated; "
-        f"pass {fn_name}(system, images, config={config_cls.__name__}(...)) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return config_cls(**supplied)
-
-
 @dataclass(frozen=True)
 class ConcurrencySweepConfig:
     """Everything one :func:`run_concurrency` sweep can vary.
@@ -332,20 +296,11 @@ def run_concurrency(
     images: np.ndarray,
     config: Optional[ConcurrencySweepConfig] = None,
     service_model: Optional[ServiceTimeModel] = None,
-    *,
-    users: Optional[Sequence[int]] = None,
-    windows_ms: Optional[Sequence[float]] = None,
-    max_batch_size: Optional[int] = None,
-    queue_capacity: Optional[int] = None,
-    session_config: Optional[SessionConfig] = None,
-    seed: Optional[int] = None,
-    num_workers: Optional[int] = None,
 ) -> ConcurrencyResult:
     """Sweep concurrent users × batching windows through a shared edge.
 
-    ``config`` (a :class:`ConcurrencySweepConfig`) is the canonical way
-    to shape the sweep; the bare kwargs are deprecated shims kept for
-    one release.  Every cell replays the same image stream through ``n``
+    ``config`` (a :class:`ConcurrencySweepConfig`) shapes the sweep.
+    Every cell replays the same image stream through ``n``
     fresh deployments against one :class:`EdgeScheduler`; per user count
     a per-request comparator cell (``window 0, max batch 1`` — the
     pre-scheduler serving discipline) is run first, so each batched
@@ -354,20 +309,7 @@ def run_concurrency(
     ``config.seed``: link jitter seeds derive from it and scheduler time
     is simulated.
     """
-    cfg = _resolve_sweep_config(
-        config,
-        {
-            "users": users,
-            "windows_ms": windows_ms,
-            "max_batch_size": max_batch_size,
-            "queue_capacity": queue_capacity,
-            "session_config": session_config,
-            "seed": seed,
-            "num_workers": num_workers,
-        },
-        ConcurrencySweepConfig,
-        "run_concurrency",
-    )
+    cfg = config if config is not None else ConcurrencySweepConfig()
     images = np.asarray(images)
     result = ConcurrencyResult(
         network=system.model.base_name,
@@ -524,19 +466,11 @@ def run_worker_scaling(
     images: np.ndarray,
     config: Optional[WorkerScalingConfig] = None,
     service_model: Optional[ServiceTimeModel] = None,
-    *,
-    workers: Optional[Sequence[int]] = None,
-    requests: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    measure: Optional[str] = None,
-    mode: Optional[str] = None,
-    wall_repeats: Optional[int] = None,
 ) -> WorkerScalingResult:
     """Sweep trunk worker-pool sizes under a saturating miss burst.
 
-    ``config`` (a :class:`WorkerScalingConfig`) is the canonical way to
-    shape the sweep; the bare kwargs are deprecated shims kept for one
-    release.  ``requests`` batch frames of exactly ``batch_size`` stem-feature
+    ``config`` (a :class:`WorkerScalingConfig`) shapes the sweep.
+    ``requests`` batch frames of exactly ``batch_size`` stem-feature
     samples each (distinct tenants) all arrive at simulated t=0 with a
     zero batching window, so every request forms its own full batch and
     the pool is saturated from the first flush.  Makespan is then
@@ -568,19 +502,7 @@ def run_worker_scaling(
     from ..nn.autograd import Tensor, no_grad
     from ..observability.clock import now_ms
 
-    cfg = _resolve_sweep_config(
-        config,
-        {
-            "workers": workers,
-            "requests": requests,
-            "batch_size": batch_size,
-            "measure": measure,
-            "mode": mode,
-            "wall_repeats": wall_repeats,
-        },
-        WorkerScalingConfig,
-        "run_worker_scaling",
-    )
+    cfg = config if config is not None else WorkerScalingConfig()
     workers_sweep = cfg.workers
     requests = cfg.requests
     batch_size = cfg.batch_size

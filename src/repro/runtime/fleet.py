@@ -10,7 +10,7 @@ story: N scheduler shards, each with its own
 
 The router speaks the scheduler's exact wire surface — ``submit`` /
 ``flush`` / ``collect`` / ``register`` — so every existing client path
-(:meth:`~repro.runtime.session.LCRSDeployment._submit_with_retry`,
+(:meth:`~repro.runtime.session.LCRSDeployment._exchange`,
 :func:`~repro.runtime.scheduler.run_concurrent_sessions`) runs against a
 fleet unchanged.  Three concerns live here:
 

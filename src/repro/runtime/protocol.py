@@ -15,14 +15,14 @@ Frame layout (little endian)::
 
 Messages:
 
-* ``InferenceRequest``  — browser → edge: conv1 features (through a
-  :mod:`feature codec <repro.runtime.feature_codec>`), session/sequence
-  ids for correlation.
-* ``InferenceResponse`` — edge → browser: class id + confidence.
-* ``BatchInferenceRequest`` / ``BatchInferenceResponse`` — the batched
-  miss path: all uncertain samples of a processing batch travel in one
-  frame (one header, one payload, one round trip) and come back as one
-  vector of answers, keyed by per-sample sequence ids.
+* ``BatchInferenceRequest`` — browser → edge: the conv1 features of a
+  processing batch's uncertain samples (through a
+  :mod:`feature codec <repro.runtime.feature_codec>`), all in one frame
+  (one header, one payload, one round trip), with the session id and
+  per-sample sequence ids for correlation.  A single miss is a batch of
+  one.
+* ``BatchInferenceResponse`` — edge → browser: one class id and
+  confidence per sample, keyed by sequence id.
 * ``ModelRequest`` / ``ModelResponse`` — bundle fetch at page load.
 * ``ErrorResponse``     — structured failure (unknown codec, bad shape);
   the shared edge scheduler also uses it for overload shedding (503).
@@ -53,104 +53,14 @@ class ProtocolError(ValueError):
 
 
 class MessageType(enum.IntEnum):
-    INFERENCE_REQUEST = 1
-    INFERENCE_RESPONSE = 2
+    # 1 and 2 are reserved: they were the retired single-sample
+    # inference request/response, and decode as unknown types.
     MODEL_REQUEST = 3
     MODEL_RESPONSE = 4
     ERROR = 5
     BATCH_INFERENCE_REQUEST = 6
     BATCH_INFERENCE_RESPONSE = 7
     SCHEDULER_ACK = 8
-
-
-@dataclass(frozen=True)
-class InferenceRequest:
-    """Browser → edge: classify these conv1 features."""
-
-    session_id: int
-    sequence: int
-    codec: str
-    feature_shape: tuple[int, ...]
-    payload: bytes
-
-    type = MessageType.INFERENCE_REQUEST
-
-    def pack(self) -> bytes:
-        header = json.dumps(
-            {
-                "session_id": self.session_id,
-                "sequence": self.sequence,
-                "codec": self.codec,
-                "shape": list(self.feature_shape),
-            }
-        ).encode("utf-8")
-        return struct.pack("<I", len(header)) + header + self.payload
-
-    @classmethod
-    def unpack(cls, body: bytes) -> "InferenceRequest":
-        if len(body) < 4:
-            raise ProtocolError("truncated inference request")
-        (hlen,) = struct.unpack("<I", body[:4])
-        if len(body) < 4 + hlen:
-            raise ProtocolError("truncated inference request header")
-        try:
-            meta = json.loads(body[4 : 4 + hlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"bad request header: {exc}") from exc
-        try:
-            return cls(
-                session_id=int(meta["session_id"]),
-                sequence=int(meta["sequence"]),
-                codec=str(meta["codec"]),
-                feature_shape=tuple(int(d) for d in meta["shape"]),
-                payload=body[4 + hlen :],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            # Valid JSON, wrong schema (missing/mistyped fields): still a
-            # malformed frame, not a server crash.
-            raise ProtocolError(f"bad request header fields: {exc!r}") from exc
-
-    def features(self) -> np.ndarray:
-        """Decode the carried tensor through the named codec."""
-        return get_codec(self.codec).decode(self.payload, self.feature_shape)
-
-    @classmethod
-    def from_features(
-        cls, session_id: int, sequence: int, codec_name: str, features: np.ndarray
-    ) -> "InferenceRequest":
-        codec = get_codec(codec_name)
-        return cls(
-            session_id=session_id,
-            sequence=sequence,
-            codec=codec_name,
-            feature_shape=tuple(features.shape),
-            payload=codec.encode(features),
-        )
-
-
-@dataclass(frozen=True)
-class InferenceResponse:
-    """Edge → browser: the main branch's answer."""
-
-    session_id: int
-    sequence: int
-    class_id: int
-    confidence: float
-
-    type = MessageType.INFERENCE_RESPONSE
-    _BODY = struct.Struct("<QQif")
-
-    def pack(self) -> bytes:
-        return self._BODY.pack(
-            self.session_id, self.sequence, self.class_id, self.confidence
-        )
-
-    @classmethod
-    def unpack(cls, body: bytes) -> "InferenceResponse":
-        if len(body) != cls._BODY.size:
-            raise ProtocolError("bad inference response size")
-        session_id, sequence, class_id, confidence = cls._BODY.unpack(body)
-        return cls(session_id, sequence, class_id, confidence)
 
 
 @dataclass(frozen=True)
@@ -396,8 +306,6 @@ class ErrorResponse:
 
 
 Message = Union[
-    InferenceRequest,
-    InferenceResponse,
     BatchInferenceRequest,
     BatchInferenceResponse,
     ModelRequest,
@@ -407,8 +315,6 @@ Message = Union[
 ]
 
 _DECODERS = {
-    MessageType.INFERENCE_REQUEST: InferenceRequest.unpack,
-    MessageType.INFERENCE_RESPONSE: InferenceResponse.unpack,
     MessageType.BATCH_INFERENCE_REQUEST: BatchInferenceRequest.unpack,
     MessageType.BATCH_INFERENCE_RESPONSE: BatchInferenceResponse.unpack,
     MessageType.MODEL_REQUEST: ModelRequest.unpack,
@@ -461,27 +367,6 @@ class EdgeProtocolServer:
         except ProtocolError as exc:
             return encode_frame(ErrorResponse(code=400, message=str(exc)))
 
-        if isinstance(message, InferenceRequest):
-            try:
-                features = message.features()
-            except Exception as exc:  # codec/shape errors become 422s
-                return encode_frame(ErrorResponse(code=422, message=str(exc)))
-            try:
-                logits = self.endpoint.infer(features)
-                probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-                probs /= probs.sum(axis=1, keepdims=True)
-                class_id = int(logits.argmax(axis=1)[0])
-                response = InferenceResponse(
-                    session_id=message.session_id,
-                    sequence=message.sequence,
-                    class_id=class_id,
-                    confidence=float(probs[0, class_id]),
-                )
-            except Exception as exc:  # endpoint failures stay on the wire
-                return encode_frame(
-                    ErrorResponse(code=500, message=f"inference failed: {exc}")
-                )
-            return encode_frame(response)
         if isinstance(message, BatchInferenceRequest):
             try:
                 features = message.features()

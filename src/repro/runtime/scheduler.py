@@ -689,62 +689,45 @@ def run_concurrent_sessions(
                     )
             pending = deployment._begin_chunk(s.images, s.cursor, s.ctx)
             ticket = None
-            if pending.request is not None:
+            request = pending.request
+            if request is not None:
                 arrival = s.clock_ms + _browser_chunk_ms(s.ctx, pending.count)
-                ticket, attempts, retry_ms = deployment._submit_with_retry(
-                    scheduler,
-                    pending.request,
-                    arrival,
-                    link=s.ctx.link,
-                    policy=s.ctx.policy,
-                    recorder=rec,
-                    trace_id=pending.trace_id,
-                    track=s.ctx.track,
-                    span_sink=pending.spans,
+                # Success is an ack: the class ids arrive after the
+                # flush.  A shed request retries like any failed attempt,
+                # and duplicate deliveries get the same ticket back.
+                ticket = deployment._exchange(
+                    s.ctx,
+                    pending,
+                    "scheduler",
+                    send=lambda frame, wasted_ms, arrival=arrival: scheduler.submit(
+                        frame, arrival + wasted_ms
+                    ),
+                    accept=lambda reply, session=request.session_id: (
+                        reply.ticket
+                        if isinstance(reply, SchedulerAck)
+                        and reply.session_id == session
+                        else None
+                    ),
                 )
-                pending.attempts = attempts
-                pending.retry_ms = retry_ms
-                if ticket is None:
-                    # Admission refused to exhaustion (or the link ate
-                    # every attempt): the chunk degrades to the branch.
-                    deployment._apply_reply(pending, None, attempts, retry_ms)
             in_flight.append((s, pending, ticket))
 
         scheduler.flush()
 
         for s, pending, ticket in in_flight:
             deployment = s.deployment
-            if ticket is not None:
-                raw, wait_ms = scheduler.collect(ticket)
-                if rec.enabled:
-                    with rec.span(
-                        "codec.decode", track=s.ctx.track, trace_id=pending.trace_id
-                    ):
-                        try:
-                            reply = decode_frame(raw)
-                        except ProtocolError:
-                            reply = None
-                else:
-                    try:
-                        reply = decode_frame(raw)
-                    except ProtocolError:
+            if pending.request is not None:
+                # No ticket: admission refused to exhaustion (or the link
+                # ate every attempt), and the chunk degrades to the branch.
+                reply = None
+                if ticket is not None:
+                    raw, wait_ms = scheduler.collect(ticket)
+                    reply = deployment._decode_reply(raw, s.ctx, pending)
+                    if deployment._reply_valid(reply, pending.request):
+                        pending.queue_ms = wait_ms
+                    else:
+                        deployment.fault_counters.replies_rejected += 1
                         reply = None
-                if reply is not None and deployment._reply_valid(
-                    reply, pending.request, BatchInferenceResponse
-                ):
-                    pending.queue_ms = wait_ms
-                    deployment._apply_reply(
-                        reply=reply,
-                        pending=pending,
-                        attempts=pending.attempts,
-                        retry_ms=pending.retry_ms,
-                    )
-                else:
-                    deployment.fault_counters.replies_rejected += 1
-                    deployment._apply_reply(
-                        pending, None, pending.attempts, pending.retry_ms
-                    )
-                    deployment.fault_counters.fallbacks += 1
+                deployment._apply_reply(pending, reply)
             deployment._finish_chunk(
                 pending, s.ctx, s.outcomes, s.costs, sim_now=s.clock_ms
             )

@@ -29,7 +29,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -69,8 +69,6 @@ from .protocol import (
     BatchInferenceResponse,
     EdgeProtocolServer,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     ProtocolError,
     SchedulerAck,
     decode_frame,
@@ -95,9 +93,13 @@ SERVED_BY_FALLBACK = "binary-fallback"
 #: may set.
 _FAULT_KNOBS = ("corrupt_prob", "drop_prob", "duplicate_prob", "timeout_prob")
 
-#: Sentinel marking the removed pre-``SessionConfig`` ``run_session``
-#: kwargs: any explicit value (even ``None``) now raises ``TypeError``.
-_REMOVED = object()
+
+def _decode_or_none(raw: bytes):
+    """The decoded message, or ``None`` for a frame that does not parse."""
+    try:
+        return decode_frame(raw)
+    except ProtocolError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -819,96 +821,98 @@ class LCRSDeployment:
     # ------------------------------------------------------------------
     # Fault-tolerant miss-path transport
     # ------------------------------------------------------------------
-    def _reply_valid(
-        self,
-        reply,
-        request: Union[InferenceRequest, BatchInferenceRequest],
-        expected_type: type,
-    ) -> bool:
-        """Reject replies that do not answer *this* request.
+    def _reply_valid(self, reply, request: BatchInferenceRequest) -> bool:
+        """True when ``reply`` is the edge's answer to *this* request.
 
         The server is not trusted to preserve order or even echo the
-        right correlation ids — a reply must carry the request's session
-        id and exactly its sequence (set), else it is treated as a
-        failed attempt.
+        right correlation ids — a reply must be a
+        :class:`BatchInferenceResponse` carrying the request's session id
+        and exactly its sequence set, else it is treated as a failed
+        attempt.
         """
-        if not isinstance(reply, expected_type):
-            return False
-        if reply.session_id != request.session_id:
-            return False
-        if isinstance(request, InferenceRequest):
-            return reply.sequence == request.sequence
         return (
-            len(reply.sequences) == len(request.sequences)
+            isinstance(reply, BatchInferenceResponse)
+            and reply.session_id == request.session_id
+            and len(reply.sequences) == len(request.sequences)
             and set(reply.sequences) == set(request.sequences)
             and len(reply.class_ids) == len(reply.sequences)
         )
 
-    def _exchange_with_retry(
-        self,
-        request: Union[InferenceRequest, BatchInferenceRequest],
-        expected_type: type,
-        link: Optional[NetworkLink] = None,
-        policy: Optional[RetryPolicy] = None,
-        handler=None,
-        recorder=None,
-        trace_id: str = "",
-        track: str = "main",
-        span_sink: Optional[dict] = None,
-    ):
-        """Send one miss-path request through the retry policy.
+    def _decode_reply(self, raw: bytes, ctx: _SessionContext, pending: _PendingChunk):
+        """Decode one reply frame, or ``None`` when it does not parse.
 
-        Returns ``(reply, attempts, retry_ms)``.  ``reply is None`` means
-        the policy was exhausted and the caller must fall back to the
-        binary branch.  ``retry_ms`` prices the failed attempts for the
-        latency model: drops and timeouts cost a full per-attempt
-        timeout window, rejected/corrupted exchanges cost the wasted
-        round trip, and every retry adds its backoff sleep.
-
-        ``link``/``policy``/``handler`` default to the deployment's own;
-        sessions with per-session fault injection or retry overrides pass
-        theirs.  The handler is resolved at call time so tests (and
-        alternative servers) can swap ``self._edge_server.handle``.
-
-        With an enabled recorder, the whole exchange records as one
-        ``link.exchange`` span with a ``link.attempt`` child per
-        transport attempt (outcome, injected faults, and priced failure
-        cost attached), so retries are individually visible in the
-        timeline.  ``span_sink`` receives the exchange span for post-hoc
-        simulated-clock pricing.
+        Traced, the decode records as a ``codec.decode`` span.
         """
-        link = link if link is not None else self.link
-        policy = policy if policy is not None else self.retry_policy
-        handler = handler if handler is not None else self._edge_server.handle
-        rec = recorder if recorder is not None else self.recorder
+        rec = ctx.recorder
+        if not rec.enabled:
+            return _decode_or_none(raw)
+        with rec.span("codec.decode", track=ctx.track, trace_id=pending.trace_id):
+            return _decode_or_none(raw)
+
+    def _exchange(
+        self,
+        ctx: _SessionContext,
+        pending: _PendingChunk,
+        transport: str,
+        send: Callable[[bytes, float], bytes],
+        accept: Callable[[object], object],
+    ):
+        """Send a chunk's miss frame through the session's retry policy.
+
+        The one miss-path transport loop, for direct serving and for the
+        shared scheduler alike.  ``send(frame, wasted_ms)`` delivers one
+        attempt and returns the reply frame; ``wasted_ms`` is the time
+        already burned failing, which shifts a scheduled attempt's
+        arrival.  ``accept(reply)`` maps a decoded reply to the result —
+        the :class:`BatchInferenceResponse` of direct serving, the ticket
+        of a :class:`SchedulerAck` — or to ``None`` when the reply does
+        not answer this request.
+
+        Returns the result, or ``None`` when the policy ran out and the
+        chunk must fall back to the binary branch; the attempt count and
+        ``retry_ms`` land on ``pending``.  ``retry_ms`` prices the failed
+        attempts for the latency model: drops and timeouts cost a full
+        per-attempt timeout window, refused replies cost the wasted round
+        trip, and every retry adds its backoff sleep.  A 503 (queue full,
+        tenant over fair share) counts as both an ``edge_error`` and an
+        ``overload``.
+
+        Traced, the exchange records as one ``link.exchange`` span
+        (``transport`` attached, kept in ``pending.spans`` for
+        simulated-clock pricing) with a ``link.attempt`` child per
+        attempt carrying its outcome, injected faults and priced failure
+        cost.
+        """
+        link, policy, rec = ctx.link, ctx.policy, ctx.recorder
         counters = self.fault_counters
-        frame = encode_frame(request)
-        ex_span = None
+        frame = encode_frame(pending.request)
+        ex_span = att_span = None
         if rec.enabled:
             ex_span = rec.start_span(
                 "link.exchange",
-                track=track,
-                trace_id=trace_id,
-                transport="direct",
+                track=ctx.track,
+                trace_id=pending.trace_id,
+                transport=transport,
                 frame_bytes=len(frame),
             )
-            if span_sink is not None:
-                span_sink["link.exchange"] = ex_span
+            pending.spans["link.exchange"] = ex_span
         retry_ms = 0.0
         attempts = 0
+        result = None
         while attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
             attempts += 1
             counters.frames_sent += 1
-            att_span = (
-                rec.start_span(
-                    "link.attempt", track=track, trace_id=trace_id, attempt=attempts
+            if rec.enabled:
+                att_span = rec.start_span(
+                    "link.attempt",
+                    track=ctx.track,
+                    trace_id=pending.trace_id,
+                    attempt=attempts,
                 )
-                if rec.enabled
-                else None
-            )
-            failure_ms: float
             try:
-                raw = link.exchange(frame, handler)
+                raw = link.exchange(
+                    frame, lambda f, wasted_ms=retry_ms: send(f, wasted_ms)
+                )
             except FrameDropped:
                 counters.frames_dropped += 1
                 failure_ms = policy.per_attempt_timeout_ms
@@ -925,34 +929,21 @@ class LCRSDeployment:
                     counters.frames_duplicated += 1
                 if att_span is not None and faults:
                     att_span.set(faults=list(faults))
-                if rec.enabled:
-                    with rec.span("codec.decode", track=track, trace_id=trace_id):
-                        try:
-                            reply = decode_frame(raw)
-                        except ProtocolError:
-                            reply = None
-                else:
-                    try:
-                        reply = decode_frame(raw)
-                    except ProtocolError:
-                        reply = None
-                if reply is not None and self._reply_valid(
-                    reply, request, expected_type
-                ):
-                    if att_span is not None:
-                        att_span.set(outcome="ok")
-                        rec.end_span(att_span)
-                    if ex_span is not None:
-                        ex_span.set(outcome="ok", attempts=attempts, retry_ms=retry_ms)
-                        rec.end_span(ex_span)
-                    return reply, attempts, retry_ms
+                reply = self._decode_reply(raw, ctx, pending)
+                result = accept(reply)
+                if result is not None:
+                    break
                 if isinstance(reply, ErrorResponse):
                     counters.edge_errors += 1
-                    outcome = "edge-error"
+                    if reply.code == 503:
+                        counters.overloads += 1
+                        outcome = "shed"
+                    else:
+                        outcome = "edge-error"
                 else:
                     counters.replies_rejected += 1
                     outcome = "rejected"
-                # A rejection came back quickly: price the wasted round
+                # A refusal came back quickly: price the wasted round
                 # trip, not a full timeout window.
                 failure_ms = link.upload_ms(len(frame)) + link.download_ms(
                     RESULT_BYTES
@@ -964,136 +955,21 @@ class LCRSDeployment:
             if attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
                 counters.retries += 1
                 retry_ms += policy.backoff_ms(attempts, self._retry_rng)
-        counters.fallbacks += 1
+        pending.attempts = attempts
+        pending.retry_ms = retry_ms
         if ex_span is not None:
-            ex_span.set(outcome="fallback", attempts=attempts, retry_ms=retry_ms)
-            rec.end_span(ex_span)
-        return None, attempts, retry_ms
-
-    def _submit_with_retry(
-        self,
-        scheduler,
-        request: BatchInferenceRequest,
-        arrival_ms: float,
-        link: Optional[NetworkLink] = None,
-        policy: Optional[RetryPolicy] = None,
-        recorder=None,
-        trace_id: str = "",
-        track: str = "main",
-        span_sink: Optional[dict] = None,
-    ):
-        """Submit one miss-path request to a shared edge scheduler.
-
-        The deferred-answer twin of :meth:`_exchange_with_retry`: success
-        is a :class:`SchedulerAck` (the class ids arrive later, after the
-        batching window closes), so the return value is ``(ticket,
-        attempts, retry_ms)`` with ``ticket is None`` meaning admission
-        was refused until the retry policy ran out and the chunk must
-        fall back to the binary branch.  A 503 (queue full / tenant over
-        fair share) counts as both an ``edge_error`` and an ``overload``;
-        retrying a shed request is exactly the client behaviour the
-        scheduler's admission control is designed against, and duplicate
-        deliveries are absorbed by the scheduler's idempotent ticketing.
-        """
-        link = link if link is not None else self.link
-        policy = policy if policy is not None else self.retry_policy
-        rec = recorder if recorder is not None else self.recorder
-        counters = self.fault_counters
-        frame = encode_frame(request)
-        ex_span = None
-        if rec.enabled:
-            ex_span = rec.start_span(
-                "link.exchange",
-                track=track,
-                trace_id=trace_id,
-                transport="scheduler",
-                frame_bytes=len(frame),
-            )
-            if span_sink is not None:
-                span_sink["link.exchange"] = ex_span
-        retry_ms = 0.0
-        attempts = 0
-        while attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
-            attempts += 1
-            counters.frames_sent += 1
-            att_span = (
-                rec.start_span(
-                    "link.attempt", track=track, trace_id=trace_id, attempt=attempts
-                )
-                if rec.enabled
-                else None
-            )
-            failure_ms: float
-            try:
-                # Retries arrive later on the simulated clock: the time
-                # already burned failing shifts this attempt's arrival.
-                raw = link.exchange(
-                    frame,
-                    lambda f, _wasted=retry_ms: scheduler.submit(
-                        f, arrival_ms + _wasted
-                    ),
-                )
-            except FrameDropped:
-                counters.frames_dropped += 1
-                failure_ms = policy.per_attempt_timeout_ms
-                outcome = "dropped"
-            except FrameTimeout:
-                counters.frames_timed_out += 1
-                failure_ms = policy.per_attempt_timeout_ms
-                outcome = "timed-out"
+            ok = {}
+            if result is None:
+                outcome = "fallback"
             else:
-                faults = getattr(link, "last_faults", ())
-                if "corrupt" in faults:
-                    counters.frames_corrupted += 1
-                if "duplicate" in faults:
-                    counters.frames_duplicated += 1
-                if att_span is not None and faults:
-                    att_span.set(faults=list(faults))
-                try:
-                    reply = decode_frame(raw)
-                except ProtocolError:
-                    reply = None
-                if (
-                    isinstance(reply, SchedulerAck)
-                    and reply.session_id == request.session_id
-                ):
-                    if att_span is not None:
-                        att_span.set(outcome="ok", ticket=reply.ticket)
-                        rec.end_span(att_span)
-                    if ex_span is not None:
-                        ex_span.set(
-                            outcome="ok",
-                            attempts=attempts,
-                            retry_ms=retry_ms,
-                            ticket=reply.ticket,
-                        )
-                        rec.end_span(ex_span)
-                    return reply.ticket, attempts, retry_ms
-                if isinstance(reply, ErrorResponse):
-                    counters.edge_errors += 1
-                    if reply.code == 503:
-                        counters.overloads += 1
-                        outcome = "shed"
-                    else:
-                        outcome = "edge-error"
-                else:
-                    counters.replies_rejected += 1
-                    outcome = "rejected"
-                failure_ms = link.upload_ms(len(frame)) + link.download_ms(
-                    RESULT_BYTES
-                )
-            retry_ms += failure_ms
-            if att_span is not None:
-                att_span.set(outcome=outcome, failure_ms=failure_ms)
+                outcome = "ok"
+                if isinstance(reply, SchedulerAck):
+                    ok["ticket"] = reply.ticket
+                att_span.set(outcome=outcome, **ok)
                 rec.end_span(att_span)
-            if attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
-                counters.retries += 1
-                retry_ms += policy.backoff_ms(attempts, self._retry_rng)
-        counters.fallbacks += 1
-        if ex_span is not None:
-            ex_span.set(outcome="fallback", attempts=attempts, retry_ms=retry_ms)
+            ex_span.set(outcome=outcome, attempts=attempts, retry_ms=retry_ms, **ok)
             rec.end_span(ex_span)
-        return None, attempts, retry_ms
+        return result
 
     # ------------------------------------------------------------------
     # Real execution with priced timing
@@ -1234,22 +1110,15 @@ class LCRSDeployment:
         )
 
     def _apply_reply(
-        self,
-        pending: _PendingChunk,
-        reply: Optional[BatchInferenceResponse],
-        attempts: int,
-        retry_ms: float,
+        self, pending: _PendingChunk, reply: Optional[BatchInferenceResponse]
     ) -> None:
         """Land the edge's answer (or the lack of one) on a chunk."""
-        pending.attempts = attempts
-        pending.retry_ms = retry_ms
         if reply is None:
             # The whole chunk degrades together: every miss keeps its
             # binary-branch argmax, already in `predictions`.  The
-            # transport helper counted one fallback for the chunk; the
             # counter tracks samples.
             pending.served_by = SERVED_BY_FALLBACK
-            self.fault_counters.fallbacks += int(pending.miss_idx.size) - 1
+            self.fault_counters.fallbacks += int(pending.miss_idx.size)
         else:
             by_sequence = {
                 int(s): int(c) for s, c in zip(reply.sequences, reply.class_ids)
@@ -1373,8 +1242,6 @@ class LCRSDeployment:
     def run_session(
         self,
         images: np.ndarray,
-        cold_start: object = _REMOVED,
-        batch_size: object = _REMOVED,
         *,
         config: Optional[SessionConfig] = None,
         recorder=None,
@@ -1386,10 +1253,7 @@ class LCRSDeployment:
         model with the link's jitter applied per transfer.
 
         ``config`` is the only way to shape a session (see
-        :class:`SessionConfig`); the pre-``SessionConfig``
-        ``cold_start``/``batch_size`` kwargs completed their deprecation
-        cycle and now raise.  There is a
-        single serving code path: frames are pushed through the
+        :class:`SessionConfig`).  There is a single serving code path: frames are pushed through the
         stem/branch engines ``config.batch_size`` at a time, the entropy
         gate is vectorized, and each chunk's misses travel to the edge
         in a single :class:`BatchInferenceRequest` frame —
@@ -1405,12 +1269,6 @@ class LCRSDeployment:
         recorder is the default.  Tracing never changes predictions,
         entropies, or exit decisions — only records them.
         """
-        if cold_start is not _REMOVED or batch_size is not _REMOVED:
-            raise TypeError(
-                "run_session(cold_start=..., batch_size=...) was removed; "
-                "pass run_session(images, config=SessionConfig("
-                "cold_start=..., batch_size=...)) instead"
-            )
         if config is None:
             config = SessionConfig()
         ctx = self._session_context(config, recorder=recorder)
@@ -1420,18 +1278,19 @@ class LCRSDeployment:
 
         for start in range(0, len(images), config.batch_size):
             pending = self._begin_chunk(images, start, ctx)
-            if pending.request is not None:
-                reply, attempts, retry_ms = self._exchange_with_retry(
-                    pending.request,
-                    BatchInferenceResponse,
-                    link=ctx.link,
-                    policy=ctx.policy,
-                    recorder=ctx.recorder,
-                    trace_id=pending.trace_id,
-                    track=ctx.track,
-                    span_sink=pending.spans,
+            request = pending.request
+            if request is not None:
+                reply = self._exchange(
+                    ctx,
+                    pending,
+                    "direct",
+                    # Resolved per attempt: tests swap the server's handler.
+                    send=lambda frame, wasted_ms: self._edge_server.handle(frame),
+                    accept=lambda reply: (
+                        reply if self._reply_valid(reply, request) else None
+                    ),
                 )
-                self._apply_reply(pending, reply, attempts, retry_ms)
+                self._apply_reply(pending, reply)
             self._finish_chunk(pending, ctx, outcomes, costs, sim_now=sim_clock)
             sim_clock += sum(c.total_ms for c in costs[len(costs) - pending.count :])
 

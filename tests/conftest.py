@@ -14,13 +14,20 @@ that needs a different example count sets it per test with
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.core import LCRS, JointTrainingConfig
+from repro.core import LCRS, load_system
 from repro.data import ArrayDataset, make_dataset
 from repro.profiling import counters_scope
+
+from .golden_system import GOLDEN_SYSTEM, tiny_mnist_split, train_system
 
 settings.register_profile(
     "tier1", max_examples=25, deadline=None, derandomize=True, database=None
@@ -49,7 +56,7 @@ def rng() -> np.random.Generator:
 @pytest.fixture(scope="session")
 def tiny_mnist() -> tuple[ArrayDataset, ArrayDataset]:
     """Small synthetic MNIST-like split shared across tests."""
-    return make_dataset("mnist", 300, 120, seed=7)
+    return tiny_mnist_split()
 
 
 @pytest.fixture(scope="session")
@@ -60,16 +67,29 @@ def tiny_cifar() -> tuple[ArrayDataset, ArrayDataset]:
 @pytest.fixture(scope="session")
 def trained_system(tiny_mnist) -> LCRS:
     """A LeNet LCRS joint-trained on the tiny MNIST split and calibrated."""
-    train, test = tiny_mnist
-    system = LCRS.build(
-        "lenet",
-        train,
-        training_config=JointTrainingConfig(
-            epochs=5, batch_size=64, lr_main=2e-3, seed=0
-        ),
-        dataset_name="mnist",
-        seed=0,
-    )
-    system.fit(train)
-    system.calibrate(test)
-    return system
+    return train_system(*tiny_mnist)
+
+
+@pytest.fixture(scope="session")
+def golden_system() -> LCRS:
+    """The same recipe, loaded from the committed one-thread checkpoint.
+
+    Only the golden suites use it: their fixtures pin decisions that the
+    host BLAS would otherwise move through training (see
+    ``golden_system.py``).  With ``REPRO_REGEN_GOLDEN`` set, the checkpoint
+    is first retrained in a subprocess with ``OPENBLAS_NUM_THREADS=1``.
+    """
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        root = Path(__file__).resolve().parent.parent
+        pythonpath = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        subprocess.run(
+            [sys.executable, "-m", "tests.golden_system", str(GOLDEN_SYSTEM)],
+            cwd=root,
+            env={
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p),
+            },
+            check=True,
+        )
+    return load_system(GOLDEN_SYSTEM)

@@ -648,45 +648,6 @@ class TestSweepConfigShims:
         wcfg = WorkerScalingConfig(workers=[1, 2])
         assert wcfg.workers == (1, 2)
 
-    def test_config_plus_legacy_kwargs_rejected(self, trained_system, tiny_mnist):
-        from repro.experiments import (
-            ConcurrencySweepConfig,
-            WorkerScalingConfig,
-            run_concurrency,
-            run_worker_scaling,
-        )
-
-        _, test = tiny_mnist
-        with pytest.raises(TypeError, match="not both"):
-            run_concurrency(
-                trained_system,
-                test.images[:4],
-                config=ConcurrencySweepConfig(),
-                users=(1,),
-            )
-        with pytest.raises(TypeError, match="not both"):
-            run_worker_scaling(
-                trained_system,
-                test.images[:4],
-                config=WorkerScalingConfig(),
-                workers=(1,),
-            )
-
-    @pytest.mark.sched
-    def test_legacy_kwargs_warn_and_still_work(self, trained_system, tiny_mnist):
-        from repro.experiments import run_worker_scaling
-
-        _, test = tiny_mnist
-        with pytest.warns(DeprecationWarning, match="WorkerScalingConfig"):
-            result = run_worker_scaling(
-                trained_system,
-                test.images,
-                workers=(1,),
-                requests=2,
-                batch_size=2,
-            )
-        assert [p.workers for p in result.points] == [1]
-
 
 class TestBurnRateAutoscaler:
     CFG = AutoscalerConfig(

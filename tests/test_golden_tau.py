@@ -6,12 +6,16 @@ tiny LeNet fleet did on the seeded overload drill — the per-round
 who served each sample, and a digest of all session predictions — once
 with the controller off (the static-τ baseline every PR inherits) and
 once with an aggressive closed-loop policy whose low ``tau_max`` pins τ
-immediately so the tier-down/tier-up path is exercised too.
+immediately so the tier-down/tier-up path is exercised too.  The drill
+runs on ``golden_system``, the committed one-thread checkpoint of the
+suite's recipe: with weights trained on the host's BLAS, the closed loop
+takes different actions from host to host.
 
 Any drift — a controller-policy change, a scheduler reorder, a tier
 pricing change, a kernel tweak in the tiered branch — fails here with a
 field-level diff.  To regenerate after an intentional behaviour
-change::
+change (this retrains the checkpoint at ``OPENBLAS_NUM_THREADS=1``
+first)::
 
     REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_golden_tau.py
 """
@@ -82,10 +86,10 @@ def _drill_record(result) -> dict:
 
 
 @pytest.fixture(scope="module")
-def drill_records(trained_system, tiny_mnist) -> dict:
+def drill_records(golden_system, tiny_mnist) -> dict:
     _, test = tiny_mnist
     stream = build_overload_stream(
-        trained_system,
+        golden_system,
         test.images,
         test.labels,
         batch_size=BATCH_SIZE,
@@ -94,7 +98,7 @@ def drill_records(trained_system, tiny_mnist) -> dict:
     )
     runs = {
         mode: run_tau_drill(
-            trained_system,
+            golden_system,
             stream,
             controller=on,
             sessions=SESSIONS,
@@ -105,7 +109,7 @@ def drill_records(trained_system, tiny_mnist) -> dict:
         for mode, on in (("static", False), ("closed", True))
     }
     return {
-        "network": trained_system.model.base_name,
+        "network": golden_system.model.base_name,
         "static_tau": round(stream.static_tau, 6),
         "miss_plan": list(stream.miss_plan),
         "static": _drill_record(runs["static"]),

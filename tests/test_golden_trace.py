@@ -13,11 +13,14 @@ against it:
 Any drift — a kernel change, a scheduler reorder, a codec tweak, a
 pricing change — fails here with a field-level diff instead of silently
 shifting downstream numbers.  Every field is compared exactly except
-the entropies, which are compared at ``ENTROPY_ATOL``: training and
-the float convs and linears run on the host's BLAS, whose CPU-specific
-kernels and thread count move the low bits from one host to another.  The fixture records the
+the entropies, which are compared at ``ENTROPY_ATOL``: the float convs
+and linears run on the host's BLAS, whose CPU-specific kernels and
+thread count move the low bits from one host to another.  The system
+is ``golden_system``, loaded from a committed checkpoint trained at one
+BLAS thread, so training adds no drift.  The fixture records the
 host it was generated on (``host``, informational only).  To regenerate
-after an intentional behaviour change::
+after an intentional behaviour change (this retrains the checkpoint at
+``OPENBLAS_NUM_THREADS=1`` first)::
 
     REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_golden_trace.py -m slow
 """
@@ -46,10 +49,9 @@ LINK_SEED = 11
 #: A tight threshold forces misses so the trace covers the edge path.
 SESSION = dict(batch_size=4, threshold=0.05)
 #: Absolute tolerance (nats) on each per-sample entropy across hosts.
-#: The system is trained in the test session, and the BLAS build, its
-#: CPU kernels and its thread count change the trained weights' low
-#: bits: 1 against 2 OpenBLAS threads on a 2-vCPU x86-64 VM moved the
-#: entropies by up to 0.017.  A wrong kernel that moves a decision still
+#: The committed entropies were recorded from weights trained at two
+#: OpenBLAS threads; the one-thread checkpoint moves them by up to 0.017
+#: on a 2-vCPU x86-64 VM.  A wrong kernel that moves a decision still
 #: fails the exact fields.
 ENTROPY_ATOL = 0.05
 
@@ -111,12 +113,12 @@ def golden_images(tiny_mnist):
 
 
 @pytest.fixture(scope="session")
-def solo_record(trained_system, golden_images) -> dict:
-    deployment = LCRSDeployment(trained_system, four_g(seed=LINK_SEED))
+def solo_record(golden_system, golden_images) -> dict:
+    deployment = LCRSDeployment(golden_system, four_g(seed=LINK_SEED))
     session = deployment.run_session(
         golden_images, config=SessionConfig(**SESSION)
     )
-    return _trace_record(trained_system, session)
+    return _trace_record(golden_system, session)
 
 
 @pytest.fixture(autouse=True)
@@ -148,7 +150,7 @@ class TestGoldenTrace:
 
     @pytest.mark.plan
     def test_compiled_plans_match_golden(
-        self, trained_system, golden_images, solo_record
+        self, golden_system, golden_images, solo_record
     ):
         """The trace-compiled fused plans replay the frozen trace exactly.
 
@@ -161,26 +163,26 @@ class TestGoldenTrace:
         """
         golden = json.loads(GOLDEN.read_text())
         for compile_plan in (False, True):
-            deployment = LCRSDeployment(trained_system, four_g(seed=LINK_SEED))
+            deployment = LCRSDeployment(golden_system, four_g(seed=LINK_SEED))
             session = deployment.run_session(
                 golden_images,
                 config=SessionConfig(compile_plan=compile_plan, **SESSION),
             )
-            record = _trace_record(trained_system, session)
+            record = _trace_record(golden_system, session)
             assert_matches_golden(record, golden, f"compile_plan={compile_plan}")
             assert record == solo_record
 
     def test_four_worker_scheduled_run_matches_golden(
-        self, trained_system, golden_images, solo_record
+        self, golden_system, golden_images, solo_record
     ):
         """Two sessions on a 4-worker edge answer exactly like solo runs:
         predictions, exit decisions, and serving source all pinned."""
         deployments = [
-            LCRSDeployment(trained_system, four_g(seed=LINK_SEED + i))
+            LCRSDeployment(golden_system, four_g(seed=LINK_SEED + i))
             for i in range(2)
         ]
         scheduler = EdgeScheduler.for_system(
-            trained_system,
+            golden_system,
             config=SchedulerConfig(window_ms=0.0, num_workers=4),
         )
         results = run_concurrent_sessions(

@@ -195,50 +195,93 @@ class TestTracerNesting:
         assert b >= a
 
 
-def _run_faulty_traced(system, images):
-    """One traced session over a deterministic, lossy link."""
-    link = faulty(four_g(seed=5), "none", seed=9, drop_prob=0.4)
-    deployment = LCRSDeployment(
-        system,
-        link,
-        retry_policy=RetryPolicy(max_attempts=3, per_attempt_timeout_ms=200.0),
+def _run_faulty_traced(system, images, transport="direct"):
+    """One traced run over deterministic, lossy links.
+
+    ``"direct"`` is one session against its private edge; ``"scheduled"``
+    is two sessions through ``run_concurrent_sessions`` and a bare
+    :class:`EdgeScheduler`.  Returns ``(tracer, results, deployments)``.
+    The scheduled run turns backoff jitter off: the jitter stream is
+    seeded by the process-global session id, and a retry's wasted time
+    shifts its scheduler arrival, so jitter would move batch membership
+    between two otherwise identical fresh runs.
+    """
+    scheduled = transport == "scheduled"
+    policy = RetryPolicy(
+        max_attempts=3, per_attempt_timeout_ms=200.0, jitter=0.0 if scheduled else 0.1
     )
+    deployments = [
+        LCRSDeployment(
+            system,
+            faulty(four_g(seed=5 + i), "none", seed=9 + i, drop_prob=0.4),
+            retry_policy=policy,
+        )
+        for i in range(2 if scheduled else 1)
+    ]
     tracer = Tracer()
-    result = deployment.run_session(
-        images, config=SessionConfig(batch_size=4, threshold=0.05), recorder=tracer
-    )
-    return tracer, result
+    config = SessionConfig(batch_size=4, threshold=0.05)
+    if scheduled:
+        results = run_concurrent_sessions(
+            deployments,
+            [images] * len(deployments),
+            EdgeScheduler.for_system(system),
+            config=config,
+            recorder=tracer,
+        )
+    else:
+        results = [deployments[0].run_session(images, config=config, recorder=tracer)]
+    return tracer, results, deployments
 
 
 def _signature(span):
     """The structural part of a span: nesting, ordering, and discrete
     attrs.  Wall time is excluded (host-dependent), as are priced ms
-    values and the session id: backoff jitter is seeded per session and
-    the session counter is process-global, so a *fresh* deployment is
-    only structurally — not numerically — identical."""
+    values and the session ids (``session``, ``tenant``, ``tenants``):
+    backoff jitter is seeded per session and the session counter is
+    process-global, so a *fresh* deployment is only structurally — not
+    numerically — identical."""
     attrs = {
         k: v for k, v in span.attrs.items()
-        if not (k.endswith("_bytes") or k.endswith("_ms") or k == "session")
+        if not (
+            k.endswith("_bytes")
+            or k.endswith("_ms")
+            or k in ("session", "tenant", "tenants")
+        )
     }
     return (span.name, span.trace_id, span.parent_id, tuple(sorted(attrs.items())))
 
 
+@pytest.mark.parametrize("transport", ["direct", "scheduled"])
 class TestFaultySessionSpans:
-    def test_span_sequence_deterministic_under_seeded_faults(self, trained_system, tiny_mnist):
+    def test_span_sequence_deterministic_under_seeded_faults(
+        self, trained_system, tiny_mnist, transport
+    ):
         _, test = tiny_mnist
-        tracer_a, result_a = _run_faulty_traced(trained_system, test.images[:16])
-        tracer_b, result_b = _run_faulty_traced(trained_system, test.images[:16])
-        assert (result_a.predictions == result_b.predictions).all()
+        tracer_a, results_a, _ = _run_faulty_traced(
+            trained_system, test.images[:16], transport
+        )
+        tracer_b, results_b, _ = _run_faulty_traced(
+            trained_system, test.images[:16], transport
+        )
+        for result_a, result_b in zip(results_a, results_b):
+            assert (result_a.predictions == result_b.predictions).all()
         sig_a = [_signature(s) for s in tracer_a.spans()]
         sig_b = [_signature(s) for s in tracer_b.spans()]
         assert sig_a == sig_b
 
-    def test_one_attempt_span_per_transport_attempt(self, trained_system, tiny_mnist):
+    def test_one_attempt_span_per_transport_attempt(
+        self, trained_system, tiny_mnist, transport
+    ):
         _, test = tiny_mnist
-        tracer, result = _run_faulty_traced(trained_system, test.images[:16])
+        tracer, _, deployments = _run_faulty_traced(
+            trained_system, test.images[:16], transport
+        )
         spans = tracer.spans()
         exchanges = [s for s in spans if s.name == "link.exchange"]
         assert exchanges, "lossy miss path produced no exchange spans"
+        assert {e.attrs["transport"] for e in exchanges} == {
+            "scheduler" if transport == "scheduled" else "direct"
+        }
         for exchange in exchanges:
             attempts = [
                 s for s in spans
@@ -258,12 +301,21 @@ class TestFaultySessionSpans:
         assert any(e.attrs["attempts"] > 1 for e in exchanges)
         retried = [e for e in exchanges if e.attrs["attempts"] > 1]
         assert all(e.attrs["retry_ms"] > 0 for e in retried)
+        # Every transport attempt put one frame on the wire.
+        assert sum(d.fault_counters.frames_sent for d in deployments) == sum(
+            e.attrs["attempts"] for e in exchanges
+        )
 
-    def test_chunk_roots_cover_children_on_sim_timeline(self, trained_system, tiny_mnist):
+    def test_chunk_roots_cover_children_on_sim_timeline(
+        self, trained_system, tiny_mnist, transport
+    ):
         _, test = tiny_mnist
-        tracer, _ = _run_faulty_traced(trained_system, test.images[:16])
+        tracer, _, deployments = _run_faulty_traced(
+            trained_system, test.images[:16], transport
+        )
         roots = [s for s in tracer.spans() if s.name == "chunk"]
-        assert len(roots) == 4  # 16 samples / batch 4
+        # 16 samples / batch 4, per session.
+        assert len(roots) == 4 * len(deployments)
         by_id = {s.span_id: s for s in tracer.spans()}
         for root in roots:
             assert root.sim_start_ms is not None and root.sim_ms is not None
@@ -278,9 +330,10 @@ class TestFaultySessionSpans:
                 assert child.sim_start_ms >= root.sim_start_ms - 1e-9
                 assert child.sim_start_ms + (child.sim_ms or 0.0) <= end + 1e-9
                 assert by_id[child.span_id].trace_id == root.trace_id
-        # Chunks are priced back-to-back on the session's simulated clock.
-        starts = [r.sim_start_ms for r in roots]
-        assert starts == sorted(starts)
+        # Chunks are priced back-to-back on each session's simulated clock.
+        for track in {r.track for r in roots}:
+            starts = [r.sim_start_ms for r in roots if r.track == track]
+            assert starts == sorted(starts)
 
 
 # ----------------------------------------------------------------------

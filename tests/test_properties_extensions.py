@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 from repro.nn.quantized import dequantize, quantize_weights
 from repro.runtime import FEATURE_CODECS, QueueModel
 from repro.runtime.protocol import (
+    BatchInferenceRequest,
+    BatchInferenceResponse,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     ModelRequest,
     ModelResponse,
     decode_frame,
@@ -78,18 +78,18 @@ class TestProtocolProperties:
     def test_inference_request_roundtrip(self, session, sequence, codec, seed):
         rng = np.random.default_rng(seed)
         features = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        message = InferenceRequest.from_features(session, sequence, codec, features)
+        message = BatchInferenceRequest.from_features(session, [sequence], codec, features)
         decoded = decode_frame(encode_frame(message))
         assert decoded.session_id == session
-        assert decoded.sequence == sequence
+        assert decoded.sequences == (sequence,)
         assert decoded.feature_shape == (1, 2, 3, 3)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 1000), st.floats(0, 1))
     def test_inference_response_roundtrip(self, session, class_id, confidence):
-        message = InferenceResponse(session, 0, class_id, confidence)
+        message = BatchInferenceResponse(session, (0,), (class_id,), (confidence,))
         decoded = decode_frame(encode_frame(message))
-        assert decoded.class_id == class_id
-        assert decoded.confidence == pytest.approx(confidence, abs=1e-6)
+        assert decoded.class_ids == (class_id,)
+        assert decoded.confidences[0] == pytest.approx(confidence, abs=1e-6)
 
     @given(st.text(min_size=0, max_size=64))
     def test_model_messages_roundtrip_any_name(self, name):

@@ -8,8 +8,6 @@ from repro.runtime.protocol import (
     BatchInferenceResponse,
     EdgeProtocolServer,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     MessageType,
     ModelRequest,
     ModelResponse,
@@ -26,8 +24,8 @@ class TestFraming:
         features = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         batch = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
         messages = [
-            InferenceRequest.from_features(7, 3, "fp32", features),
-            InferenceResponse(7, 3, class_id=2, confidence=0.93),
+            BatchInferenceRequest.from_features(7, [3], "fp32", features),
+            BatchInferenceResponse(7, (3,), (2,), (0.93,)),
             BatchInferenceRequest.from_features(7, [0, 2, 5], "fp32", batch),
             BatchInferenceResponse(7, (0, 2, 5), (1, 4, 1), (0.9, 0.8, 0.7)),
             ModelRequest("lenet"),
@@ -42,7 +40,7 @@ class TestFraming:
     def test_inference_request_carries_features(self):
         rng = np.random.default_rng(1)
         features = rng.standard_normal((1, 3, 5, 5)).astype(np.float32)
-        request = InferenceRequest.from_features(1, 0, "fp16", features)
+        request = BatchInferenceRequest.from_features(1, [0], "fp16", features)
         decoded = decode_frame(encode_frame(request))
         np.testing.assert_allclose(decoded.features(), features, atol=5e-3)
 
@@ -73,11 +71,34 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_frame(bytes(frame))
 
-    def test_inference_response_exact_size(self):
-        response = InferenceResponse(1, 2, 3, 0.5)
-        body = response.pack()
-        with pytest.raises(ProtocolError):
-            InferenceResponse.unpack(body + b"\x00")
+
+class TestRetiredMessageTypes:
+    """Types 1 and 2 were the single-sample request/response; a miss of
+    one sample is now a batch of one.  Their numbers stay reserved and
+    decode as unknown types."""
+
+    @staticmethod
+    def _retired_frame(mtype: int) -> bytes:
+        frame = bytearray(encode_frame(ModelRequest("x")))
+        frame[5] = mtype
+        return bytes(frame)
+
+    @pytest.mark.parametrize("mtype", [1, 2])
+    def test_numbers_stay_reserved(self, mtype):
+        assert mtype not in {int(t) for t in MessageType}
+
+    @pytest.mark.parametrize("mtype", [1, 2])
+    def test_decode_raises_unknown_type(self, mtype):
+        with pytest.raises(ProtocolError, match=f"unknown message type {mtype}"):
+            decode_frame(self._retired_frame(mtype))
+
+    @pytest.mark.parametrize("mtype", [1, 2])
+    def test_server_answers_400(self, mtype):
+        server = EdgeProtocolServer(endpoint=None)
+        response = decode_frame(server.handle(self._retired_frame(mtype)))
+        assert isinstance(response, ErrorResponse)
+        assert response.code == 400
+        assert f"unknown message type {mtype}" in response.message
 
 
 class TestBatchMessages:
@@ -141,15 +162,16 @@ class TestEdgeProtocolServer:
         with no_grad():
             features = model.forward_features(Tensor(test.images[:1])).data
 
-        request = InferenceRequest.from_features(11, 0, "fp32", features)
+        request = BatchInferenceRequest.from_features(11, [0], "fp32", features)
         response = decode_frame(server.handle(encode_frame(request)))
-        assert isinstance(response, InferenceResponse)
+        assert isinstance(response, BatchInferenceResponse)
         assert response.session_id == 11
+        assert response.sequences == (0,)
 
         with no_grad():
             expected = model.main_trunk(Tensor(features)).data.argmax(axis=1)[0]
-        assert response.class_id == int(expected)
-        assert 0.0 <= response.confidence <= 1.0
+        assert response.class_ids == (int(expected),)
+        assert 0.0 <= response.confidences[0] <= 1.0
 
     def test_quantized_request_agrees(self, server, trained_system, tiny_mnist):
         from repro.nn.autograd import Tensor, no_grad
@@ -160,12 +182,16 @@ class TestEdgeProtocolServer:
         with no_grad():
             features = model.forward_features(Tensor(test.images[:1])).data
         fp32 = decode_frame(
-            server.handle(encode_frame(InferenceRequest.from_features(1, 0, "fp32", features)))
+            server.handle(
+                encode_frame(BatchInferenceRequest.from_features(1, [0], "fp32", features))
+            )
         )
         int8 = decode_frame(
-            server.handle(encode_frame(InferenceRequest.from_features(1, 1, "int8", features)))
+            server.handle(
+                encode_frame(BatchInferenceRequest.from_features(1, [1], "int8", features))
+            )
         )
-        assert fp32.class_id == int8.class_id
+        assert fp32.class_ids == int8.class_ids
 
     def test_model_fetch(self, server):
         response = decode_frame(server.handle(encode_frame(ModelRequest("lenet"))))
@@ -182,18 +208,9 @@ class TestEdgeProtocolServer:
         assert isinstance(response, ErrorResponse)
         assert response.code == 400
 
-    def test_unknown_codec_422(self, server):
-        request = InferenceRequest(
-            session_id=1, sequence=0, codec="jpeg",
-            feature_shape=(1, 6, 14, 14), payload=b"\x00" * 10,
-        )
-        response = decode_frame(server.handle(encode_frame(request)))
-        assert isinstance(response, ErrorResponse)
-        assert response.code == 422
-
     def test_unservable_message_405(self, server):
         response = decode_frame(
-            server.handle(encode_frame(InferenceResponse(1, 2, 3, 0.4)))
+            server.handle(encode_frame(BatchInferenceResponse(1, (2,), (3,), (0.4,))))
         )
         assert isinstance(response, ErrorResponse)
         assert response.code == 405
@@ -242,22 +259,9 @@ class TestEdgeProtocolServer:
         assert isinstance(response, ErrorResponse)
         assert response.code == 422
 
-    def test_endpoint_failure_500(self, server):
-        """A decodable frame whose features blow up inside the endpoint
-        must come back as a structured 500, not an unhandled exception
-        (the old server let ``endpoint.infer`` errors propagate and tear
-        down the exchange)."""
-        wrong_shape = np.zeros((1, 3, 5, 5), dtype=np.float32)
-        response = decode_frame(
-            server.handle(
-                encode_frame(InferenceRequest.from_features(1, 0, "fp32", wrong_shape))
-            )
-        )
-        assert isinstance(response, ErrorResponse)
-        assert response.code == 500
-        assert "inference failed" in response.message
-
     def test_batch_endpoint_failure_500(self, server):
+        """A decodable frame whose features blow up inside the endpoint
+        must come back as a structured 500, not an unhandled exception."""
         wrong_shape = np.zeros((2, 3, 5, 5), dtype=np.float32)
         response = decode_frame(
             server.handle(

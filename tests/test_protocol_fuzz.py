@@ -24,8 +24,6 @@ from repro.runtime.protocol import (
     BatchInferenceResponse,
     EdgeProtocolServer,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     MessageType,
     ModelRequest,
     ModelResponse,
@@ -51,13 +49,15 @@ def exemplar_frames() -> dict[str, bytes]:
     feats = _features(2)
     return {
         "inference_request_fp32": encode_frame(
-            InferenceRequest.from_features(1, 7, "fp32", feats[:1])
+            BatchInferenceRequest.from_features(1, (7,), "fp32", feats[:1])
         ),
         "inference_request_int8": encode_frame(
-            InferenceRequest.from_features(1, 8, "int8", feats[:1])
+            BatchInferenceRequest.from_features(1, (8,), "int8", feats[:1])
         ),
         "inference_response": encode_frame(
-            InferenceResponse(session_id=1, sequence=7, class_id=3, confidence=0.9)
+            BatchInferenceResponse(
+                session_id=1, sequences=(7,), class_ids=(3,), confidences=(0.9,)
+            )
         ),
         "batch_request_fp16": encode_frame(
             BatchInferenceRequest.from_features(2, (0, 1), "fp16", feats)
@@ -94,7 +94,7 @@ def _decode_or_protocol_error(frame: bytes):
         raise AssertionError(
             f"decode_frame leaked {type(exc).__name__}: {exc!r}"
         ) from exc
-    if isinstance(message, (InferenceRequest, BatchInferenceRequest)):
+    if isinstance(message, BatchInferenceRequest):
         try:
             features = message.features()
         except (ProtocolError, CodecError):

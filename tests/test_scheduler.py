@@ -26,7 +26,7 @@ from repro.runtime.protocol import (
     BatchInferenceRequest,
     BatchInferenceResponse,
     ErrorResponse,
-    InferenceRequest,
+    ModelRequest,
     SchedulerAck,
     decode_frame,
     encode_frame,
@@ -128,13 +128,10 @@ class TestAdmission:
 
     def test_non_batch_message_is_405(self):
         scheduler = make_scheduler()
-        scalar = InferenceRequest.from_features(
-            1, 0, "fp32", np.zeros((2, 2), dtype=np.float32)
-        )
-        reply = decode_frame(scheduler.submit(encode_frame(scalar), 0.0))
+        reply = decode_frame(scheduler.submit(encode_frame(ModelRequest("lenet")), 0.0))
         assert isinstance(reply, ErrorResponse)
         assert reply.code == 405
-        assert "InferenceRequest" in reply.message
+        assert "ModelRequest" in reply.message
         assert scheduler.counters.malformed_requests == 1
 
     def test_queue_capacity_sheds_503(self):

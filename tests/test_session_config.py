@@ -75,35 +75,6 @@ class TestValidation:
 
 
 class TestRemovedLegacyKwargs:
-    @pytest.mark.parametrize(
-        "legacy_kwargs",
-        [
-            {"batch_size": 4},
-            {"cold_start": True},
-            {"cold_start": False},
-            {"cold_start": True, "batch_size": 5},
-            # Even an explicit None is an attempt to use the old kwargs.
-            {"batch_size": None},
-        ],
-    )
-    def test_legacy_kwargs_raise_with_migration_hint(
-        self, trained_system, tiny_mnist, legacy_kwargs
-    ):
-        _, test = tiny_mnist
-        deployment = fresh_deployment(trained_system)
-        with pytest.raises(TypeError, match="SessionConfig"):
-            deployment.run_session(test.images[:4], **legacy_kwargs)
-
-    def test_legacy_positional_args_raise(self, trained_system, tiny_mnist):
-        """The old positional forms ``run_session(images, cold_start)``
-        and ``run_session(images, cold_start, batch_size)`` fail too."""
-        _, test = tiny_mnist
-        deployment = fresh_deployment(trained_system)
-        with pytest.raises(TypeError, match="SessionConfig"):
-            deployment.run_session(test.images[:4], True)
-        with pytest.raises(TypeError, match="SessionConfig"):
-            deployment.run_session(test.images[:4], False, 8)
-
     def test_config_path_does_not_warn(self, trained_system, tiny_mnist):
         _, test = tiny_mnist
         deployment = fresh_deployment(trained_system)

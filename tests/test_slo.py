@@ -20,6 +20,9 @@ Two tiers:
 
 from __future__ import annotations
 
+import itertools
+from unittest import mock
+
 import pytest
 
 from repro.observability import (
@@ -241,22 +244,36 @@ class TestAlertLifecycle:
 # ----------------------------------------------------------------------
 # Integration tier: the monitored partition drill
 # ----------------------------------------------------------------------
+def run_drill(system, images, **kwargs):
+    """The partition drill with its session ids pinned.
+
+    Each deployment seeds its backoff jitter with its session id, which
+    comes from a process-wide counter, so an unpinned drill depends on
+    how many deployments earlier tests built.  Pinned, every run of the
+    drill sees the same ids and the same jitter.
+    """
+    from repro.experiments import run_fleet_slo
+    from repro.runtime import session
+
+    with mock.patch.object(session, "_SESSION_IDS", itertools.count(1)):
+        return run_fleet_slo(
+            system,
+            images,
+            sessions=4,
+            num_shards=2,
+            partition_round=2,
+            heal_round=7,
+            **kwargs,
+        )
+
+
 @pytest.mark.fleet
 @pytest.mark.sched
 class TestPartitionDrill:
     @pytest.fixture(scope="class")
     def drill(self, trained_system, tiny_mnist):
-        from repro.experiments import run_fleet_slo
-
         _, test = tiny_mnist
-        return run_fleet_slo(
-            trained_system,
-            test.images[:40],
-            sessions=4,
-            num_shards=2,
-            partition_round=2,
-            heal_round=7,
-        )
+        return run_drill(trained_system, test.images[:40])
 
     def test_alert_fires_during_partition_and_clears_after_heal(self, drill):
         fired = drill.fired
@@ -320,17 +337,8 @@ class TestPartitionDrill:
     def test_deterministic_on_simulated_clock(
         self, drill, trained_system, tiny_mnist
     ):
-        from repro.experiments import run_fleet_slo
-
         _, test = tiny_mnist
-        again = run_fleet_slo(
-            trained_system,
-            test.images[:40],
-            sessions=4,
-            num_shards=2,
-            partition_round=2,
-            heal_round=7,
-        )
+        again = run_drill(trained_system, test.images[:40])
 
         def signature(result):
             return [
@@ -345,18 +353,8 @@ class TestPartitionDrill:
     def test_monitor_off_is_bit_identical_and_footprint_free(
         self, drill, trained_system, tiny_mnist
     ):
-        from repro.experiments import run_fleet_slo
-
         _, test = tiny_mnist
-        off = run_fleet_slo(
-            trained_system,
-            test.images[:40],
-            sessions=4,
-            num_shards=2,
-            partition_round=2,
-            heal_round=7,
-            monitor=False,
-        )
+        off = run_drill(trained_system, test.images[:40], monitor=False)
         assert off.predictions == drill.predictions
         assert off.served_by == drill.served_by
         assert off.alert_events == [] and off.history == []
