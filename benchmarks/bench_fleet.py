@@ -125,6 +125,7 @@ def bench_fleet() -> dict:
 def main() -> None:
     record = {
         "benchmark": "fleet",
+        "clock": "sim",
         "config": {
             "shard_counts": list(SHARD_COUNTS),
             "requests": REQUESTS,

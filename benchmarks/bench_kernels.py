@@ -184,6 +184,7 @@ def bench_session() -> dict:
 def main() -> dict:
     results = {
         "benchmark": "bench_kernels",
+        "clock": "wall",
         "platform": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -188,6 +188,7 @@ def main() -> None:
     wall = bench_worker_scaling_wall(system, test)
     record = {
         "benchmark": "parallel",
+        "clock": "sim",
         "config": {
             "workers": list(WORKERS),
             "requests": REQUESTS,

@@ -115,6 +115,7 @@ def bench_scheduler() -> dict:
 def main() -> None:
     record = {
         "benchmark": "scheduler",
+        "clock": "sim",
         "config": {
             "users": list(USERS),
             "windows_ms": list(WINDOWS_MS),

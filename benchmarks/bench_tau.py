@@ -102,6 +102,7 @@ def bench_tau() -> dict:
 def main() -> None:
     record = {
         "benchmark": "adaptive_tau",
+        "clock": "sim",
         "config": {
             "session_levels": list(SESSION_LEVELS),
             "rounds": ROUNDS,

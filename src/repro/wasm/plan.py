@@ -121,6 +121,7 @@ class Arena:
 class _Record(NamedTuple):
     """One C kernel call: its table words and the arrays they point to.
 
+    ``fields`` maps each record field to the value it was built from.
     ``popcount`` is ``(rows, oc, row_bytes)`` for a popdot record — the
     popcount traffic it issues per sample — and empty otherwise.
     """
@@ -128,6 +129,7 @@ class _Record(NamedTuple):
     kernel: str
     words: tuple
     arrays: tuple
+    fields: dict
     popcount: tuple = ()
 
 
@@ -424,7 +426,18 @@ class _PlanBuilder:
                 words.append(value.ctypes.data)
             else:
                 words.append(int(value))
-        ops.append(_Record(kernel, tuple(words), tuple(arrays), popcount))
+        ops.append(_Record(kernel, tuple(words), tuple(arrays), fields, popcount))
+
+    @staticmethod
+    def _last_record(ops: list, kernel: str, **fields) -> Optional[_Record]:
+        """The last op if it is a ``kernel`` record whose fields include
+        ``fields`` (compared by identity), else None."""
+        last = ops[-1] if ops else None
+        if not isinstance(last, _Record) or last.kernel != kernel:
+            return None
+        if any(last.fields[name] is not value for name, value in fields.items()):
+            return None
+        return last
 
     def _runners(self, ops: list) -> list:
         """Merge each run of consecutive kernel records into one call."""
@@ -510,10 +523,22 @@ class _PlanBuilder:
                 # float32 roundings per element.
                 scale = gamma / np.sqrt(var + eps)
                 shift = beta - mean * scale
-                self._kernel(
-                    ops, "affine_ch",
-                    x=self.buf, out=self.buf, scale=scale, shift=shift, c=c, hw=hw,
-                )
+                pool = self._last_record(ops, "maxpool_nchw", out=self.buf, scale=None)
+                if pool is not None and (c, hw) == (
+                    pool.fields["c"], pool.fields["oh"] * pool.fields["ow"]
+                ):
+                    # The pool's store applies the affine.
+                    ops.pop()
+                    self._kernel(
+                        ops, "maxpool_nchw",
+                        **{**pool.fields, "scale": scale, "shift": shift},
+                    )
+                else:
+                    self._kernel(
+                        ops, "affine_ch",
+                        x=self.buf, out=self.buf, scale=scale, shift=shift,
+                        c=c, hw=hw,
+                    )
             else:
                 # Framework eval BN: four roundings, inv_std precomputed.
                 inv_std = 1.0 / np.sqrt(var + eps)
@@ -533,6 +558,7 @@ class _PlanBuilder:
                 ops, "maxpool_nchw",
                 x=self.buf, out=dst, c=c, h=h, w=w, k=k, stride=stride,
                 oh=oh, ow=ow, tie_first=0 if self.flavor == "wasm" else 1,
+                scale=None, shift=None,
             )
             self.buf = dst
             self.shape = (c, oh, ow)
@@ -658,13 +684,21 @@ class _PlanBuilder:
         never written afterwards; the per-call kernel copies only interior
         rows.  Downstream kernels then gather with pad=0 and no fringe
         branches — padded entries contribute ``fmaf(+0, w, acc)``, exactly
-        what the zero-filled im2col columns fed to the GEMM.
+        what the zero-filled im2col columns fed to the GEMM.  An in-place
+        batch-norm affine right before folds into the copy.
         """
         if pad == 0:
             return self.buf, h, w
         hp, wp = h + 2 * pad, w + 2 * pad
         xpad = self.arena.new("xpad", (self.capacity, c, hp, wp))
-        self._kernel(ops, "pad_nchw", x=self.buf, xp=xpad, c=c, h=h, w=w, pad=pad)
+        affine = self._last_record(ops, "affine_ch", out=self.buf)
+        if affine is not None:
+            ops.pop()
+        self._kernel(
+            ops, "pad_nchw", x=self.buf, xp=xpad, c=c, h=h, w=w, pad=pad,
+            scale=affine.fields["scale"] if affine else None,
+            shift=affine.fields["shift"] if affine else None,
+        )
         return xpad, hp, wp
 
     def _emit_conv_direct(

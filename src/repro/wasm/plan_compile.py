@@ -70,6 +70,7 @@ _CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contra
 # layout just has to be *consistent* across the three planes.
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -82,6 +83,11 @@ _C_SOURCE = r"""
     ((defined(__clang__) && __clang_major__ >= 4) || \
      (!defined(__clang__) && __GNUC__ >= 5))
 #define HAVE_AVX512 1
+/* ... and the VPOPCNTDQ popcount, GCC >= 8, clang >= 6. */
+#if (defined(__clang__) && __clang_major__ >= 6) || \
+    (!defined(__clang__) && __GNUC__ >= 8)
+#define HAVE_VPOPCNTDQ 1
+#endif
 #endif
 #endif
 
@@ -112,17 +118,47 @@ API long host_isa(void)
     return cached;
 }
 
+/* Whether the AVX-512 popdot can use VPOPCNTDQ (an AVX-512 extension
+   that not every AVX-512 CPU has). */
+static int host_vpopcntdq(void)
+{
+#ifdef HAVE_VPOPCNTDQ
+    static int cached = -1;
+    if (cached < 0)
+        cached = host_isa() == ISA_AVX512 &&
+                 __builtin_cpu_supports("avx512vpopcntdq");
+    return cached;
+#else
+    return 0;
+#endif
+}
+
 /* Zero-padded copy: interior rows only — the destination borders were
-   zero-initialised once at arena creation and are never written again. */
+   zero-initialised once at arena creation and are never written again.
+   With scale, the interior receives the interpreter's batch-norm affine
+   x*scale[c] + shift[c] instead (affine_ch's two roundings), so a
+   batch norm right before a padded conv costs no pass of its own; the
+   borders stay 0, as padding after the affine leaves them. */
 API void pad_nchw(const float *x, float *xp,
-                  long n, long c, long h, long w, long pad)
+                  long n, long c, long h, long w, long pad,
+                  const float *scale, const float *shift)
 {
     long hp = h + 2 * pad, wp = w + 2 * pad;
     for (long i = 0; i < n * c; i++) {
         const float *src = x + i * h * w;
         float *dst = xp + i * hp * wp + pad * wp + pad;
-        for (long iy = 0; iy < h; iy++)
-            memcpy(dst + iy * wp, src + iy * w, (size_t)w * sizeof(float));
+        if (!scale) {
+            for (long iy = 0; iy < h; iy++)
+                memcpy(dst + iy * wp, src + iy * w, (size_t)w * sizeof(float));
+            continue;
+        }
+        float s = scale[i % c], sh = shift[i % c];
+        for (long iy = 0; iy < h; iy++) {
+            for (long ix = 0; ix < w; ix++) {
+                float t = src[iy * w + ix] * s;
+                dst[iy * wp + ix] = t + sh;
+            }
+        }
     }
 }
 
@@ -132,18 +168,6 @@ static inline uint64_t bitmask(long j)
 {
     long within = j & 63;
     return 1ULL << (((within >> 3) << 3) + (7 - (within & 7)));
-}
-
-/* 8x8 bit-matrix transpose (Hacker's Delight 7-3): bit (8p+q) of the
-   result is bit (8q+p) of the input.  Used to turn eight movemask bytes
-   (one bit per *row*) into eight per-row bytes in packbits order. */
-static inline uint64_t transpose8(uint64_t v)
-{
-    uint64_t t;
-    t = (v ^ (v >> 7)) & 0x00AA00AA00AA00AAULL; v ^= t ^ (t << 7);
-    t = (v ^ (v >> 14)) & 0x0000CCCC0000CCCCULL; v ^= t ^ (t << 14);
-    t = (v ^ (v >> 28)) & 0x00000000F0F0F0F0ULL; v ^= t ^ (t << 28);
-    return v;
 }
 
 /* Mirror of interpreter._im2col: zero-padded window gather into rows of
@@ -749,12 +773,14 @@ API void conv_direct(const float *xp, const float *wt,
 static inline void maxpool_impl(const float *x, float *out,
                                 long n, long c, long h, long w,
                                 long k, long stride, long oh, long ow,
-                                int tie_first)
+                                int tie_first, const float *scale,
+                                const float *shift)
 {
     for (long i = 0; i < n; i++) {
         for (long ci = 0; ci < c; ci++) {
             const float *xc = x + (i * c + ci) * h * w;
             float *op = out + (i * c + ci) * oh * ow;
+            float s = scale ? scale[ci] : 1.0f, sh = scale ? shift[ci] : 0.0f;
             for (long oy = 0; oy < oh; oy++) {
                 for (long ox = 0; ox < ow; ox++) {
                     long y0 = oy * stride, x0 = ox * stride;
@@ -776,6 +802,10 @@ static inline void maxpool_impl(const float *x, float *out,
                             }
                         }
                     }
+                    if (scale) {
+                        float t = m * s;
+                        m = t + sh;
+                    }
                     op[oy * ow + ox] = m;
                 }
             }
@@ -787,11 +817,13 @@ static inline void maxpool_impl(const float *x, float *out,
 /* 2x2/stride-2 pool, eight output columns per iteration.  The window
    chain runs lanewise with the exact scalar tie/NaN semantics: each
    step is the branchless cmp+blendv transliteration of the tie_first
-   expressions in maxpool_impl, so results match bit-for-bit. */
+   expressions in maxpool_impl, so results match bit-for-bit, and so is
+   the optional affine store (a mul, then an add). */
 AVX2_KERNEL
 void maxpool_k2s2_avx2(const float *x, float *out,
                        long n, long c, long h, long w,
-                       long oh, long ow, int tie_first)
+                       long oh, long ow, int tie_first,
+                       const float *scale, const float *shift)
 {
     /* lanemask8[cnt] selects the first cnt lanes for maskload and
        maskstore; masked-off lanes never fault, so partial groups at the
@@ -800,6 +832,8 @@ void maxpool_k2s2_avx2(const float *x, float *out,
     for (long i = 0; i < n * c; i++) {
         const float *xc = x + i * h * w;
         float *op = out + i * oh * ow;
+        __m256 s8 = _mm256_set1_ps(scale ? scale[i % c] : 1.0f);
+        __m256 sh8 = _mm256_set1_ps(scale ? shift[i % c] : 0.0f);
         for (long oy = 0; oy < oh; oy++) {
             const float *r0 = xc + (2 * oy) * w;
             const float *r1 = r0 + w;
@@ -849,6 +883,7 @@ void maxpool_k2s2_avx2(const float *x, float *out,
                         m = _mm256_blendv_ps(t, m, nn);
                     }
                 }
+                if (scale) m = _mm256_add_ps(_mm256_mul_ps(m, s8), sh8);
                 if (nl == 8)
                     _mm256_storeu_ps(op + oy * ow + ox, m);
                 else
@@ -866,23 +901,36 @@ static int maxpool_pick(long k, long stride, long isa)
     return k == 2 && stride == 2 && isa >= ISA_AVX2;
 }
 
+/* With scale, each pooled value is stored as m*scale[c] + shift[c]:
+   the interpreter's batch-norm affine right after the pool, with
+   affine_ch's two roundings, folded into the pool's store. */
 API void maxpool_nchw(const float *x, float *out,
                       long n, long c, long h, long w,
                       long k, long stride, long oh, long ow, int tie_first,
-                      long isa)
+                      const float *scale, const float *shift, long isa)
 {
 #ifdef HAVE_SIMD
     if (maxpool_pick(k, stride, isa)) {
-        maxpool_k2s2_avx2(x, out, n, c, h, w, oh, ow, tie_first);
+        maxpool_k2s2_avx2(x, out, n, c, h, w, oh, ow, tie_first,
+                          scale, shift);
         return;
     }
 #endif
     /* Constant-k clones unroll the window walk (and fold away the
        skip-first-element branch). */
     switch (k) {
-    case 2: maxpool_impl(x, out, n, c, h, w, 2, stride, oh, ow, tie_first); break;
-    case 3: maxpool_impl(x, out, n, c, h, w, 3, stride, oh, ow, tie_first); break;
-    default: maxpool_impl(x, out, n, c, h, w, k, stride, oh, ow, tie_first); break;
+    case 2:
+        maxpool_impl(x, out, n, c, h, w, 2, stride, oh, ow, tie_first,
+                     scale, shift);
+        break;
+    case 3:
+        maxpool_impl(x, out, n, c, h, w, 3, stride, oh, ow, tie_first,
+                     scale, shift);
+        break;
+    default:
+        maxpool_impl(x, out, n, c, h, w, k, stride, oh, ow, tie_first,
+                     scale, shift);
+        break;
     }
 }
 
@@ -1076,106 +1124,320 @@ static inline void binconv_prepare_impl(const float *x, float *abscols,
 }
 
 #ifdef HAVE_SIMD
-/* ox-vectorized prepare for the pre-padded stride-1 fused-mean case
-   (ow >= 8): eight output windows per iteration, every block full
-   width — the last block of a row overlaps its neighbour and rewrites
-   the shared windows with identical values.  Window values are staged
-   into a [row_len][8] buffer; movemask of the lanewise v >= 0 compare
-   yields one sign bit per *row*, and an 8x8 bit-matrix transpose (with
-   bytes assembled MSB-first) emits each row's packed byte directly in
-   np.packbits order.  The kfac mean replays pairwise_abs_sum's
-   8-accumulator scheme (row_len <= 128) lanewise — IEEE lanewise
-   add/div make every lane bit-identical to the scalar reduction. */
-AVX2_KERNEL
-void binconv_prepare_avx2(const float *x, float *kfac,
-                          uint64_t *words, const uint64_t *maskw,
-                          long n, long c, long h, long w,
-                          long k, long oh, long ow, long W)
+/* Row-sign gather: the SIMD prepare for the pre-padded stride-1
+   fused-mean case (row_len <= 128, ow >= 8), which signs every input
+   value once instead of once per window covering it.
+
+   Per sample, one compare + movemask per 8 (AVX2) or 16 (AVX-512)
+   floats turns each padded input row of each channel into a sign mask,
+   bit x = (v >= 0) in natural order (-0.0 and the zero borders give 1).
+   A window's logical bit j = (ci*k + ki)*k + kj is bit ox + kj of row
+   (ci, oy + ki), so each of its c*k row slices is the row mask shifted
+   right by ox, cut to k bits and shifted left to (ci*k + ki)*k.  The
+   u64 lanes hold eight consecutive windows; as in every 8-window
+   block, the last block of a row overlaps its neighbour and rewrites
+   the shared windows with identical values.  A bytewise bit reverse
+   turns natural order into the np.packbits order, so the words equal
+   binconv_prepare_impl's.  kfac replays pairwise_abs_sum's
+   8-accumulator scheme lanewise over the same eight windows, loading
+   each value straight from x: IEEE lanewise add/div make every lane
+   bit-identical to the scalar reduction. */
+
+/* Bytes per row-sign mask: the row's bits plus 8 bytes of slack, so an
+   unaligned 8-byte read at any window's byte stays inside the row. */
+static inline long sign_row_bytes(long w)
 {
-    long row_len = c * k * k;
-    long rows = oh * ow;
-    long nb = row_len >= 8 ? ((row_len - 8) >> 3) + 1 : 0;
+    return ((w + 7) >> 3) + 8;
+}
+
+/* Bits ox, ox+1, ... of a row-sign mask, from bit 0 up (at least 57 of
+   them; a block of eight k-wide windows needs 7 + k <= 18). */
+static inline uint64_t sign_bits_from(const uint8_t *row, long ox)
+{
+    uint64_t u;
+    memcpy(&u, row + (ox >> 3), 8);
+    return u >> (ox & 7);
+}
+
+/* The offsets, from a window's origin in x, of its row_len values in
+   (ci, ki, kj) order, and of its c*k row-sign masks from the sample's
+   first mask. */
+static inline void window_offsets(long *off, long *slice_off,
+                                  long c, long k, long h, long w, long rb)
+{
+    long j = 0;
+    for (long ci = 0; ci < c; ci++) {
+        for (long ki = 0; ki < k; ki++) {
+            slice_off[ci * k + ki] = (ci * h + ki) * rb;
+            for (long kj = 0; kj < k; kj++) off[j++] = (ci * h + ki) * w + kj;
+        }
+    }
+}
+
+#define AVX_FN __attribute__((target("avx2"), always_inline)) static inline
+
+/* kfac for the eight windows whose origins are base .. base+7. */
+AVX_FN __m256 absmean8(const float *base, const long *off, long row_len)
+{
     __m256 zero = _mm256_setzero_ps();
     __m256 absm = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-    __m256 divn = _mm256_set1_ps((float)row_len);
-    float vbuf[128 * 8];
+#define ABS8(j) _mm256_and_ps(absm, _mm256_loadu_ps(base + off[j]))
+    __m256 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
+    __m256 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
+    long j = 0;
+    for (; j + 8 <= row_len; j += 8) {
+        a0 = _mm256_add_ps(a0, ABS8(j));
+        a1 = _mm256_add_ps(a1, ABS8(j + 1));
+        a2 = _mm256_add_ps(a2, ABS8(j + 2));
+        a3 = _mm256_add_ps(a3, ABS8(j + 3));
+        a4 = _mm256_add_ps(a4, ABS8(j + 4));
+        a5 = _mm256_add_ps(a5, ABS8(j + 5));
+        a6 = _mm256_add_ps(a6, ABS8(j + 6));
+        a7 = _mm256_add_ps(a7, ABS8(j + 7));
+    }
+    __m256 res = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)),
+        _mm256_add_ps(_mm256_add_ps(a4, a5), _mm256_add_ps(a6, a7)));
+    for (; j < row_len; j++) res = _mm256_add_ps(res, ABS8(j));
+#undef ABS8
+    return _mm256_div_ps(res, _mm256_set1_ps((float)row_len));
+}
+
+/* Reverses the bits of every byte: natural order -> np.packbits order. */
+AVX2_FN __m256i bitrev_bytes256(__m256i v)
+{
+    const __m256i m1 = _mm256_set1_epi8(0x55), m2 = _mm256_set1_epi8(0x33);
+    const __m256i m4 = _mm256_set1_epi8(0x0F);
+    v = _mm256_or_si256(_mm256_and_si256(_mm256_srli_epi64(v, 1), m1),
+                        _mm256_slli_epi64(_mm256_and_si256(v, m1), 1));
+    v = _mm256_or_si256(_mm256_and_si256(_mm256_srli_epi64(v, 2), m2),
+                        _mm256_slli_epi64(_mm256_and_si256(v, m2), 2));
+    return _mm256_or_si256(_mm256_and_si256(_mm256_srli_epi64(v, 4), m4),
+                           _mm256_slli_epi64(_mm256_and_si256(v, m4), 4));
+}
+
+/* Sign masks of rows rows of w floats, one byte per 8 values. */
+AVX2_FN void sign_rows_avx2(const float *x, uint8_t *signs,
+                            long rows, long w, long rb)
+{
+    __m256 zero = _mm256_setzero_ps();
+    for (long r = 0; r < rows; r++) {
+        const float *xr = x + r * w;
+        for (long ix = 0; ix < w; ix += 8) {
+            __m256 v = ix + 8 <= w
+                ? _mm256_loadu_ps(xr + ix)
+                : _mm256_maskload_ps(xr + ix, _mm256_loadu_si256(
+                      (const __m256i *)lanemask8[w - ix]));
+            signs[r * rb + (ix >> 3)] = (uint8_t)_mm256_movemask_ps(
+                _mm256_cmp_ps(v, zero, _CMP_GE_OQ));
+        }
+    }
+}
+
+/* Words of the four windows ox .. ox+3 of output row oy: w0 holds
+   logical bits 0-63, w1 (W == 2) bits 64-127, in natural order. */
+AVX2_FN void window_words4(const uint8_t *srow, const long *slice_off,
+                           long slices, long k, long ox, int W,
+                           __m256i *w0, __m256i *w1)
+{
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256i kbits = _mm256_set1_epi64x((1LL << k) - 1);
+    __m256i a = _mm256_setzero_si256(), b = _mm256_setzero_si256();
+    for (long s = 0; s < slices; s++) {
+        __m256i v = _mm256_and_si256(
+            _mm256_srlv_epi64(_mm256_set1_epi64x((long long)sign_bits_from(
+                                  srow + slice_off[s], ox)),
+                              lane),
+            kbits);
+        long pos = s * k;
+        /* shift counts >= 64 give 0: bits past a word drop out */
+        a = _mm256_or_si256(a, _mm256_sll_epi64(v, _mm_cvtsi64_si128(pos)));
+        if (W == 2)
+            b = _mm256_or_si256(b, pos >= 64
+                ? _mm256_sll_epi64(v, _mm_cvtsi64_si128(pos - 64))
+                : _mm256_srl_epi64(v, _mm_cvtsi64_si128(64 - pos)));
+    }
+    *w0 = bitrev_bytes256(a);
+    *w1 = bitrev_bytes256(b);
+}
+
+/* Stores the words of windows r .. r+3 (mk: their masks, or NULL). */
+AVX2_FN void store_words4(uint64_t *words, const uint64_t *mk, int W,
+                          __m256i w0, __m256i w1)
+{
+    if (W == 2) {
+        /* rows interleave their two words */
+        __m256i lo = _mm256_unpacklo_epi64(w0, w1);
+        __m256i hi = _mm256_unpackhi_epi64(w0, w1);
+        w0 = _mm256_permute2x128_si256(lo, hi, 0x20);
+        w1 = _mm256_permute2x128_si256(lo, hi, 0x31);
+        if (mk) {
+            w1 = _mm256_and_si256(w1, _mm256_loadu_si256((const __m256i *)(mk + 4)));
+        }
+        _mm256_storeu_si256((__m256i *)(words + 4), w1);
+    }
+    if (mk) w0 = _mm256_and_si256(w0, _mm256_loadu_si256((const __m256i *)mk));
+    _mm256_storeu_si256((__m256i *)words, w0);
+}
+
+AVX2_FN void binconv_prepare_avx2_impl(const float *x, float *kfac,
+                                       uint64_t *words, const uint64_t *maskw,
+                                       uint8_t *signs, long n, long c,
+                                       long h, long w, long k, long oh,
+                                       long ow, int W)
+{
+    long row_len = c * k * k, rows = oh * ow, rb = sign_row_bytes(w);
+    long off[128], slice_off[128];
+    window_offsets(off, slice_off, c, k, h, w, rb);
     for (long i = 0; i < n; i++) {
-        const float *base = x + i * c * h * w;
+        const float *xi = x + i * c * h * w;
+        sign_rows_avx2(xi, signs, c * h, w, rb);
         for (long oy = 0; oy < oh; oy++) {
             for (long ox0 = 0; ox0 < ow; ox0 += 8) {
                 long ox = ox0 + 8 <= ow ? ox0 : ow - 8;
-                long j = 0;
-                for (long ci = 0; ci < c; ci++) {
-                    const float *xc = base + ci * h * w;
-                    for (long ki = 0; ki < k; ki++) {
-                        const float *src = xc + (oy + ki) * w + ox;
-                        for (long kj = 0; kj < k; kj++, j++)
-                            _mm256_storeu_ps(vbuf + j * 8,
-                                             _mm256_loadu_ps(src + kj));
-                    }
+                long r = oy * ow + ox;
+                for (long half = 0; half < 8; half += 4) {
+                    __m256i w0, w1;
+                    window_words4(signs + oy * rb, slice_off, c * k, k,
+                                  ox + half, W, &w0, &w1);
+                    store_words4(words + (i * rows + r + half) * W,
+                                 maskw ? maskw + (r + half) * W : 0, W, w0, w1);
                 }
-                /* packed sign bits, eight rows per transpose */
-                uint64_t wl[8][2] = {{0}};
-                for (long j0 = 0; j0 < row_len; j0 += 8) {
-                    long tmax = row_len - j0 < 8 ? row_len - j0 : 8;
-                    uint64_t B = 0;
-                    for (long t = 0; t < tmax; t++) {
-                        int msk = _mm256_movemask_ps(_mm256_cmp_ps(
-                            _mm256_loadu_ps(vbuf + (j0 + t) * 8),
-                            zero, _CMP_GE_OQ));
-                        B |= (uint64_t)(uint8_t)msk << (8 * (7 - t));
-                    }
-                    uint64_t T = transpose8(B);
-                    long wi = j0 >> 6;
-                    long sh = 8 * ((j0 >> 3) & 7);
-                    for (long l = 0; l < 8; l++)
-                        wl[l][wi] |= ((T >> (8 * l)) & 0xFF) << sh;
-                }
-                /* numpy pairwise |v| mean, lanewise */
-                __m256 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
-                __m256 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
-                for (long b = 0; b < nb; b++) {
-                    const float *vb = vbuf + b * 64;
-                    a0 = _mm256_add_ps(a0, _mm256_and_ps(absm, _mm256_loadu_ps(vb)));
-                    a1 = _mm256_add_ps(a1, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 8)));
-                    a2 = _mm256_add_ps(a2, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 16)));
-                    a3 = _mm256_add_ps(a3, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 24)));
-                    a4 = _mm256_add_ps(a4, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 32)));
-                    a5 = _mm256_add_ps(a5, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 40)));
-                    a6 = _mm256_add_ps(a6, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 48)));
-                    a7 = _mm256_add_ps(a7, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 56)));
-                }
-                __m256 res = _mm256_add_ps(
-                    _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)),
-                    _mm256_add_ps(_mm256_add_ps(a4, a5), _mm256_add_ps(a6, a7)));
-                for (long jt = nb * 8; jt < row_len; jt++)
-                    res = _mm256_add_ps(res, _mm256_and_ps(
-                        absm, _mm256_loadu_ps(vbuf + jt * 8)));
-                res = _mm256_div_ps(res, divn);
-                long rbase = i * rows + oy * ow + ox;
-                _mm256_storeu_ps(kfac + rbase, res);
-                for (long l = 0; l < 8; l++) {
-                    uint64_t *wr = words + (rbase + l) * W;
-                    if (maskw) {
-                        const uint64_t *mk = maskw + (oy * ow + ox + l) * W;
-                        for (long wi = 0; wi < W; wi++)
-                            wr[wi] = wl[l][wi] & mk[wi];
-                    } else {
-                        for (long wi = 0; wi < W; wi++) wr[wi] = wl[l][wi];
-                    }
-                }
+                _mm256_storeu_ps(kfac + i * rows + r,
+                                 absmean8(xi + oy * w + ox, off, row_len));
             }
         }
     }
 }
+
+AVX2_KERNEL void binconv_prepare_avx2(const float *x, float *kfac,
+                                      uint64_t *words, const uint64_t *maskw,
+                                      uint8_t *signs, long n, long c, long h,
+                                      long w, long k, long oh, long ow, long W)
+{
+    if (W == 1)
+        binconv_prepare_avx2_impl(x, kfac, words, maskw, signs, n, c, h, w,
+                                  k, oh, ow, 1);
+    else
+        binconv_prepare_avx2_impl(x, kfac, words, maskw, signs, n, c, h, w,
+                                  k, oh, ow, 2);
+}
+
+#ifdef HAVE_AVX512
+/* The row-sign gather on 8 u64 lanes and 16-float sign compares. */
+AVX512_FN __m512i bitrev_bytes512(__m512i v)
+{
+    const __m512i m1 = _mm512_set1_epi8(0x55), m2 = _mm512_set1_epi8(0x33);
+    const __m512i m4 = _mm512_set1_epi8(0x0F);
+    v = _mm512_or_si512(_mm512_and_si512(_mm512_srli_epi64(v, 1), m1),
+                        _mm512_slli_epi64(_mm512_and_si512(v, m1), 1));
+    v = _mm512_or_si512(_mm512_and_si512(_mm512_srli_epi64(v, 2), m2),
+                        _mm512_slli_epi64(_mm512_and_si512(v, m2), 2));
+    return _mm512_or_si512(_mm512_and_si512(_mm512_srli_epi64(v, 4), m4),
+                           _mm512_slli_epi64(_mm512_and_si512(v, m4), 4));
+}
+
+AVX512_FN void binconv_prepare_avx512_impl(const float *x, float *kfac,
+                                           uint64_t *words,
+                                           const uint64_t *maskw,
+                                           uint8_t *signs, long n, long c,
+                                           long h, long w, long k, long oh,
+                                           long ow, int W)
+{
+    long row_len = c * k * k, rows = oh * ow, rb = sign_row_bytes(w);
+    long slices = c * k;
+    long off[128], slice_off[128];
+    window_offsets(off, slice_off, c, k, h, w, rb);
+    const __m512 zero = _mm512_setzero_ps();
+    const __m512i lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m512i kbits = _mm512_set1_epi64((1LL << k) - 1);
+    /* rows interleave their two words: row l takes w0[l], w1[l] */
+    const __m512i il0 = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i il1 = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    for (long i = 0; i < n; i++) {
+        const float *xi = x + i * c * h * w;
+        for (long r = 0; r < c * h; r++) {
+            for (long ix = 0; ix < w; ix += 16) {
+                __mmask16 live = w - ix >= 16 ? (__mmask16)0xFFFF
+                                              : (__mmask16)((1u << (w - ix)) - 1);
+                __mmask16 sg = _mm512_cmp_ps_mask(
+                    _mm512_maskz_loadu_ps(live, xi + r * w + ix), zero,
+                    _CMP_GE_OQ);
+                memcpy(signs + r * rb + (ix >> 3), &sg, 2);
+            }
+        }
+        for (long oy = 0; oy < oh; oy++) {
+            const uint8_t *srow = signs + oy * rb;
+            for (long ox0 = 0; ox0 < ow; ox0 += 8) {
+                long ox = ox0 + 8 <= ow ? ox0 : ow - 8;
+                __m512i w0 = _mm512_setzero_si512(), w1 = w0;
+                for (long s = 0; s < slices; s++) {
+                    __m512i v = _mm512_and_si512(
+                        _mm512_srlv_epi64(
+                            _mm512_set1_epi64((long long)sign_bits_from(
+                                srow + slice_off[s], ox)),
+                            lane),
+                        kbits);
+                    long pos = s * k;
+                    w0 = _mm512_or_si512(
+                        w0, _mm512_sll_epi64(v, _mm_cvtsi64_si128(pos)));
+                    if (W == 2)
+                        w1 = _mm512_or_si512(w1, pos >= 64
+                            ? _mm512_sll_epi64(v, _mm_cvtsi64_si128(pos - 64))
+                            : _mm512_srl_epi64(v, _mm_cvtsi64_si128(64 - pos)));
+                }
+                w0 = bitrev_bytes512(w0);
+                long r = oy * ow + ox;
+                uint64_t *dst = words + (i * rows + r) * W;
+                const uint64_t *mk = maskw ? maskw + r * W : 0;
+                if (W == 2) {
+                    w1 = bitrev_bytes512(w1);
+                    __m512i lo = _mm512_permutex2var_epi64(w0, il0, w1);
+                    __m512i hi = _mm512_permutex2var_epi64(w0, il1, w1);
+                    if (mk) {
+                        lo = _mm512_and_si512(lo, _mm512_loadu_si512(mk));
+                        hi = _mm512_and_si512(hi, _mm512_loadu_si512(mk + 8));
+                    }
+                    _mm512_storeu_si512(dst, lo);
+                    _mm512_storeu_si512(dst + 8, hi);
+                } else {
+                    if (mk) w0 = _mm512_and_si512(w0, _mm512_loadu_si512(mk));
+                    _mm512_storeu_si512(dst, w0);
+                }
+                _mm256_storeu_ps(kfac + i * rows + r,
+                                 absmean8(xi + oy * w + ox, off, row_len));
+            }
+        }
+    }
+}
+
+AVX512_KERNEL void binconv_prepare_avx512(const float *x, float *kfac,
+                                          uint64_t *words,
+                                          const uint64_t *maskw,
+                                          uint8_t *signs, long n, long c,
+                                          long h, long w, long k, long oh,
+                                          long ow, long W)
+{
+    if (W == 1)
+        binconv_prepare_avx512_impl(x, kfac, words, maskw, signs, n, c, h, w,
+                                    k, oh, ow, 1);
+    else
+        binconv_prepare_avx512_impl(x, kfac, words, maskw, signs, n, c, h, w,
+                                    k, oh, ow, 2);
+}
+#endif /* HAVE_AVX512 */
 #endif /* HAVE_SIMD */
+
+enum { PREP_SCALAR, PREP_AVX2, PREP_AVX512 };
 
 static int binconv_prepare_pick(long c, long k, long stride, long pad,
                                 long ow, const float *abscols,
                                 const float *kfac, long isa)
 {
-    return stride == 1 && pad == 0 && kfac && !abscols &&
-           c * k * k <= 128 && ow >= 8 && isa >= ISA_AVX2;
+    if (!(stride == 1 && pad == 0 && kfac && !abscols &&
+          c * k * k <= 128 && ow >= 8) || isa < ISA_AVX2)
+        return PREP_SCALAR;
+    return isa >= ISA_AVX512 ? PREP_AVX512 : PREP_AVX2;
 }
 
 API void binconv_prepare(const float *x, float *abscols, float *kfac,
@@ -1185,9 +1447,27 @@ API void binconv_prepare(const float *x, float *abscols, float *kfac,
                          long oh, long ow, long W, long isa)
 {
 #ifdef HAVE_SIMD
-    if (binconv_prepare_pick(c, k, stride, pad, ow, abscols, kfac, isa)) {
-        binconv_prepare_avx2(x, kfac, words, maskw, n, c, h, w, k, oh, ow, W);
-        return;
+    int variant = binconv_prepare_pick(c, k, stride, pad, ow, abscols, kfac,
+                                       isa);
+    if (variant != PREP_SCALAR) {
+        /* one sample's row-sign masks, zeroed so that the slack bytes
+           a window read runs into (and masks off) are defined */
+        uint8_t stackbuf[8192];
+        size_t bytes = (size_t)(c * h * sign_row_bytes(w));
+        uint8_t *signs = bytes <= sizeof stackbuf ? stackbuf : malloc(bytes);
+        if (signs) {
+            memset(signs, 0, bytes);
+#ifdef HAVE_AVX512
+            if (variant == PREP_AVX512)
+                binconv_prepare_avx512(x, kfac, words, maskw, signs,
+                                       n, c, h, w, k, oh, ow, W);
+            else
+#endif
+                binconv_prepare_avx2(x, kfac, words, maskw, signs,
+                                     n, c, h, w, k, oh, ow, W);
+            if (signs != stackbuf) free(signs);
+            return;
+        }
     }
 #endif
     switch (k) {
@@ -1540,7 +1820,120 @@ AVX2_KERNEL void popdot_genw_avx2(const uint64_t *va, const uint64_t *vw,
         }
     }
 }
+
+#ifdef HAVE_VPOPCNTDQ
+/* VPOPCNTDQ counts the bits of eight u64 lanes in one instruction, in
+   place of popcnt256's nibble lookups.  The epilogue is popdot_store8's
+   (fma only makes it inlinable here; nothing is contracted). */
+#define VPOPCNT_KERNEL \
+    __attribute__((target("avx512f,avx512vpopcntdq,fma"))) static
+
+/* W == 1: 8 rows = 8 contiguous u64 words = one popcount. */
+VPOPCNT_KERNEL void popdot_w1_vpopcnt(const uint64_t *va, const uint64_t *vw,
+                                      const uint64_t *vwm,
+                                      const int32_t *valid,
+                                      const float *alpha, const float *kfac,
+                                      const float *bias, float *out,
+                                      long n, long rows, long oc,
+                                      long fallback_valid)
+{
+    __m256i vfb = _mm256_set1_epi32((int)fallback_valid);
+    int has_bias = bias != 0;
+    for (long o = 0; o < oc; o++) {
+        const uint64_t *b_plain = vw ? vw + o : 0;
+        const uint64_t *b_rows = vwm ? vwm + o * rows : 0;
+        __m512i bb = vwm ? _mm512_setzero_si512()
+                         : _mm512_set1_epi64((long long)b_plain[0]);
+        __m256 al8 = _mm256_set1_ps(alpha[o]);
+        __m256 bi8 = _mm256_set1_ps(has_bias ? bias[o] : 0.0f);
+        for (long i = 0; i < n; i++) {
+            const uint64_t *ai = va + i * rows;
+            const float *kfi = kfac + i * rows;
+            float *oo = out + (i * oc + o) * rows;
+            long r = 0;
+            for (; r + 8 <= rows; r += 8) {
+                __m512i b = vwm ? _mm512_loadu_si512(b_rows + r) : bb;
+                __m512i ct = _mm512_popcnt_epi64(
+                    _mm512_xor_si512(_mm512_loadu_si512(ai + r), b));
+                popdot_store8(_mm512_cvtepi64_epi32(ct), valid, r, vfb, al8,
+                              bi8, has_bias, kfi, oo);
+            }
+            for (; r < rows; r++) {
+                uint64_t b = vwm ? b_rows[r] : b_plain[0];
+                uint64_t mism = (uint64_t)__builtin_popcountll(ai[r] ^ b);
+                long vld = valid ? (long)valid[r] : fallback_valid;
+                float d = (float)(vld - 2 * (long long)mism);
+                float t = d * al8[0];
+                t = t * kfi[r];
+                if (has_bias) t = t + bi8[0];
+                oo[r] = t;
+            }
+        }
+    }
+}
+
+/* Any other W: one row at a time, 8 words per popcount; a masked load
+   covers the W % 8 remainder (masked lanes read as zero, 0^0 counts 0). */
+VPOPCNT_KERNEL void popdot_genw_vpopcnt(const uint64_t *va, const uint64_t *vw,
+                                        const uint64_t *vwm,
+                                        const int32_t *valid,
+                                        const float *alpha, const float *kfac,
+                                        const float *bias, float *out,
+                                        long n, long rows, long oc, long W,
+                                        long fallback_valid)
+{
+    long W8 = W & ~7L;
+    __mmask8 tail = (__mmask8)((1u << (W - W8)) - 1);
+    int has_bias = bias != 0;
+    for (long o = 0; o < oc; o++) {
+        const uint64_t *b_plain = vw ? vw + o * W : 0;
+        const uint64_t *b_rows = vwm ? vwm + o * rows * W : 0;
+        float al = alpha[o];
+        float bi = has_bias ? bias[o] : 0.0f;
+        for (long i = 0; i < n; i++) {
+            const uint64_t *ai = va + i * rows * W;
+            const float *kfi = kfac + i * rows;
+            float *oo = out + (i * oc + o) * rows;
+            for (long r = 0; r < rows; r++) {
+                const uint64_t *a = ai + r * W;
+                const uint64_t *b = vwm ? b_rows + r * W : b_plain;
+                __m512i acc = _mm512_setzero_si512();
+                for (long wi = 0; wi < W8; wi += 8)
+                    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(
+                        _mm512_xor_si512(_mm512_loadu_si512(a + wi),
+                                         _mm512_loadu_si512(b + wi))));
+                if (tail)
+                    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(
+                        _mm512_xor_si512(_mm512_maskz_loadu_epi64(tail, a + W8),
+                                         _mm512_maskz_loadu_epi64(tail, b + W8))));
+                uint64_t mism = (uint64_t)_mm512_reduce_add_epi64(acc);
+                long vld = valid ? (long)valid[r] : fallback_valid;
+                float d = (float)(vld - 2 * (long long)mism);
+                float t = d * al;
+                t = t * kfi[r];
+                if (has_bias) t = t + bi;
+                oo[r] = t;
+            }
+        }
+    }
+}
+#endif /* HAVE_VPOPCNTDQ */
 #endif /* HAVE_SIMD */
+
+enum {
+    POP_SCALAR, POP_W1_AVX2, POP_W2_AVX2, POP_GENW_AVX2,
+    POP_W1_VPOPCNT, POP_GENW_VPOPCNT,
+};
+
+/* VPOPCNTDQ serves every W on AVX-512 hosts that have it; the AVX2
+   lookup-table kernels serve the rest. */
+static int popdot_pick(long W, long isa)
+{
+    if (isa < ISA_AVX2) return POP_SCALAR;
+    if (isa >= ISA_AVX512 && host_vpopcntdq())
+        return W == 1 ? POP_W1_VPOPCNT : POP_GENW_VPOPCNT;
+    return W == 1 ? POP_W1_AVX2 : W == 2 ? POP_W2_AVX2 : POP_GENW_AVX2;
+}
 
 API void popdot_scale(const uint64_t *va, const uint64_t *vw,
                       const uint64_t *vwm, const int32_t *valid,
@@ -1549,23 +1942,34 @@ API void popdot_scale(const uint64_t *va, const uint64_t *vw,
                       long n, long rows, long oc, long W,
                       long fallback_valid, long isa)
 {
+    switch (popdot_pick(W, isa)) {
 #ifdef HAVE_SIMD
-    if (isa >= ISA_AVX2) {
-        if (W == 2) {
-            popdot_w2_avx2(va, vw, vwm, valid, alpha, kfac, bias, out,
-                           n, rows, oc, fallback_valid);
-            return;
-        }
-        if (W == 1) {
-            popdot_w1_avx2(va, vw, vwm, valid, alpha, kfac, bias, out,
-                           n, rows, oc, fallback_valid);
-            return;
-        }
+    case POP_W1_AVX2:
+        popdot_w1_avx2(va, vw, vwm, valid, alpha, kfac, bias, out,
+                       n, rows, oc, fallback_valid);
+        return;
+    case POP_W2_AVX2:
+        popdot_w2_avx2(va, vw, vwm, valid, alpha, kfac, bias, out,
+                       n, rows, oc, fallback_valid);
+        return;
+    case POP_GENW_AVX2:
         popdot_genw_avx2(va, vw, vwm, valid, alpha, kfac, bias, out,
                          n, rows, oc, W, fallback_valid);
         return;
-    }
+#ifdef HAVE_VPOPCNTDQ
+    case POP_W1_VPOPCNT:
+        popdot_w1_vpopcnt(va, vw, vwm, valid, alpha, kfac, bias, out,
+                          n, rows, oc, fallback_valid);
+        return;
+    case POP_GENW_VPOPCNT:
+        popdot_genw_vpopcnt(va, vw, vwm, valid, alpha, kfac, bias, out,
+                            n, rows, oc, W, fallback_valid);
+        return;
 #endif
+#endif
+    default:
+        break;
+    }
     /* Constant W lets -O3 fully unroll the popcount loop. */
     if (W == 1)
         popdot_impl(va, vw, vwm, valid, alpha, kfac, bias, out,
@@ -1593,7 +1997,8 @@ API long run_program(const int64_t *rec, long count, long n, long isa)
     for (long i = 0; i < count; i++) {
         switch (rec[0]) {
         case OP_pad_nchw:
-            pad_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5), L(6));
+            pad_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5), L(6),
+                     P(const float, 7), P(const float, 8));
             rec += LEN_pad_nchw;
             break;
         case OP_im2col_f32:
@@ -1615,7 +2020,8 @@ API long run_program(const int64_t *rec, long count, long n, long isa)
             break;
         case OP_maxpool_nchw:
             maxpool_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5),
-                         L(6), L(7), L(8), L(9), (int)L(10), isa);
+                         L(6), L(7), L(8), L(9), (int)L(10),
+                         P(const float, 11), P(const float, 12), isa);
             rec += LEN_maxpool_nchw;
             break;
         case OP_affine_ch:
@@ -1670,6 +2076,10 @@ API const char *record_variant(const int64_t *rec, long isa)
     static const char *const conv_names[] = {
         "scalar", "pos_avx2", "chan_avx2", "pos_avx512", "chan_avx512",
     };
+    static const char *const prep_names[] = {"scalar", "avx2", "avx512"};
+    static const char *const popdot_names[] = {
+        "scalar", "w1_avx2", "w2_avx2", "avx2", "w1_vpopcntdq", "vpopcntdq",
+    };
     if (isa > host_isa()) isa = host_isa();
     switch (rec[0]) {
     case OP_conv_direct:
@@ -1677,14 +2087,13 @@ API const char *record_variant(const int64_t *rec, long isa)
     case OP_maxpool_nchw:
         return maxpool_pick(L(6), L(7), isa) ? "k2s2_avx2" : "scalar";
     case OP_binconv_prepare:
-        return binconv_prepare_pick(L(6), L(9), L(10), L(11), L(13),
-                                    P(const float, 2), P(const float, 3), isa)
-            ? "avx2" : "scalar";
+        return prep_names[binconv_prepare_pick(L(6), L(9), L(10), L(11), L(13),
+                                               P(const float, 2),
+                                               P(const float, 3), isa)];
     case OP_pack_rows:
         return pack_rows_pick(L(3), isa) ? "avx2" : "scalar";
     case OP_popdot_scale:
-        if (isa < ISA_AVX2) return "scalar";
-        return L(11) == 1 ? "w1_avx2" : L(11) == 2 ? "w2_avx2" : "avx2";
+        return popdot_names[popdot_pick(L(11), isa)];
     default:
         return "scalar";
     }
@@ -1699,7 +2108,7 @@ API const char *record_variant(const int64_t *rec, long isa)
 #: are generated from it, so each opcode is defined exactly once.
 RECORD_FIELDS: Mapping[str, tuple] = MappingProxyType(
     {
-        "pad_nchw": ("x", "xp", "c", "h", "w", "pad"),
+        "pad_nchw": ("x", "xp", "c", "h", "w", "pad", "scale", "shift"),
         "im2col_f32": ("x", "cols", "c", "h", "w", "k", "stride", "pad", "oh", "ow"),
         "conv_direct": (
             "xp", "wt", "scale", "bias", "out",
@@ -1708,6 +2117,7 @@ RECORD_FIELDS: Mapping[str, tuple] = MappingProxyType(
         "conv_post": ("mm", "scale", "bias", "out", "rows", "oc", "relu_mode"),
         "maxpool_nchw": (
             "x", "out", "c", "h", "w", "k", "stride", "oh", "ow", "tie_first",
+            "scale", "shift",
         ),
         "affine_ch": ("x", "out", "scale", "shift", "c", "hw"),
         "bn_eval_ch": ("x", "out", "gamma", "beta", "mean", "inv_std", "c", "hw"),

@@ -20,6 +20,7 @@ tier, and they run every SIMD level the host supports (``isa``).
 
 import ctypes
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,13 @@ from repro.wasm import (
 )
 from repro.core.composite import build_binary_branch
 from repro.wasm import plan as plan_module
-from repro.wasm.plan import NativeSegment, PlanVerificationError, _PlanBuilder
+from repro.wasm.interpreter import conv_geometry
+from repro.wasm.plan import (
+    NativeSegment,
+    PlanVerificationError,
+    _PlanBuilder,
+    _widen_to_words,
+)
 from repro.wasm.plan_compile import (
     _CFLAGS,
     _SOURCE,
@@ -88,6 +95,18 @@ def host_levels() -> list:
     """Every SIMD level the host runs, lowest first."""
     best = ISA_LEVELS[host_isa()]
     return [name for name, level in ISA_LEVELS.items() if level <= best]
+
+
+def cpu_flags():
+    """The CPU feature flags the OS reports (Linux), or None."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return None
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return None
 
 
 def native_kernels(plan) -> list:
@@ -424,7 +443,11 @@ class TestBinaryStackProperties:
     @fewer_examples
     @given(seed=st.integers(0, 2**31 - 1))
     def test_branch_shaped_stack_matches_interpreter(self, seed):
-        """The LeNet binary-branch shape: bn→binconv→pool→bn→flatten→binlin."""
+        """The LeNet binary-branch shape: bn→binconv→pool→bn→flatten→binlin.
+
+        The leading batch norm folds into the pad and the one after the
+        pool into the pool's store; trained-looking statistics make both
+        affines non-trivial, at every SIMD level."""
         rng = np.random.default_rng(seed)
         bundle = nn.Sequential(
             nn.BatchNorm2d(2),
@@ -436,7 +459,14 @@ class TestBinaryStackProperties:
             nn.BatchNorm1d(8),
             nn.Linear(8, 4, rng=rng),
         )
+        for bn in (bundle[0], bundle[3]):
+            c = bn.num_features
+            bn.gamma.data[:] = rng.standard_normal(c).astype(np.float32)
+            bn.beta.data[:] = rng.standard_normal(c).astype(np.float32)
+            bn.running_mean.data[:] = rng.standard_normal(c).astype(np.float32)
+            bn.running_var.data[:] = rng.random(c).astype(np.float32) + 0.5
         assert_plan_bit_identical(bundle, (2, 10, 10))
+        assert every_isa_agrees(engine_for(bundle, (2, 10, 10)), (2, 10, 10), 8)
 
 
 class TestAbsMeanKernel:
@@ -464,6 +494,117 @@ class TestAbsMeanKernel:
         )
         assert get_backend().run_program(table.ctypes.data, 1, rows, 0) == 0
         np.testing.assert_array_equal(out, np.abs(x).mean(axis=1))
+
+
+def run_record(kernel: str, isa: str, n: int, **fields) -> str:
+    """Run one kernel record at SIMD level ``isa``; return its variant."""
+    ops: list = []
+    _PlanBuilder._kernel(ops, kernel, **fields)
+    table = np.array(ops[0].words, dtype=np.int64)
+    backend = get_backend()
+    assert backend.run_program(table.ctypes.data, 1, n, ISA_LEVELS[isa]) == 0
+    return backend.record_variant(table.ctypes.data, ISA_LEVELS[isa]).decode()
+
+
+class TestBinaryKernelsEveryIsa:
+    """binconv_prepare and popdot_scale, called directly at every host
+    SIMD level: words, kfac and outputs must equal the scalar kernel's
+    bit for bit, not only the plan outputs they feed."""
+
+    @settings(max_examples=4)
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("out_width", [1, 7, 8, 9, 14, 15, 16, 17])
+    @pytest.mark.parametrize("channels", [1, 6, 7, 8, 14, 16])
+    @given(n=st.integers(1, 3), out_height=st.integers(1, 3),
+           seed=st.integers(0, 2**31 - 1))
+    def test_binconv_prepare_words_every_isa(
+        self, channels, out_width, padding, n, out_height, seed
+    ):
+        """A pre-padded stride-1 gather, as the plans emit it.  c = 8 and
+        14 give two-word windows (bit 63 starts a slice that crosses the
+        word boundary at c = 8), c = 16 a 144-value window that only the
+        scalar kernel serves."""
+        k = 3
+        h = out_height + k - 1 - 2 * padding
+        w = out_width + k - 1 - 2 * padding
+        geom = conv_geometry(channels, h, w, k, 1, padding)
+        hp, wp = h + 2 * padding, w + 2 * padding
+        rng = np.random.default_rng(seed)
+        x = np.zeros((n, channels, hp, wp), dtype=np.float32)
+        inner = rng.standard_normal((n, channels, h, w)).astype(np.float32)
+        flat = inner.reshape(-1)
+        flat[rng.random(flat.size) < 0.15] = 0.0
+        flat[rng.random(flat.size) < 0.15] = -0.0
+        x[:, :, padding:padding + h, padding:padding + w] = inner
+        rows, row_len = geom.rows, geom.row_len
+        W = (row_len + 63) // 64
+        maskw = (
+            _widen_to_words(np.ascontiguousarray(geom.mbits), W)
+            if geom.mbits is not None else None
+        )
+        garbage = rng.integers(0, 2**63, size=(n * rows, W), dtype=np.uint64)
+        results = {}
+        for isa in host_levels():
+            words = garbage.copy()
+            kfac = np.full(n * rows, np.nan, dtype=np.float32)
+            variant = run_record(
+                "binconv_prepare", isa, n,
+                x=x, abscols=np.zeros(row_len, np.float32) if row_len > 128 else None,
+                kfac=kfac, words=words, maskw=maskw, c=channels, h=hp, w=wp,
+                k=k, stride=1, pad=0, oh=geom.out_height, ow=geom.out_width, W=W,
+            )
+            if isa != "scalar" and row_len <= 128 and out_width >= 8:
+                assert variant == isa
+            results[isa] = (words, kfac.view(np.uint32))
+        want_words, want_kfac = results["scalar"]
+        for isa, (words, kfac) in results.items():
+            np.testing.assert_array_equal(words, want_words, err_msg=isa)
+            np.testing.assert_array_equal(kfac, want_kfac, err_msg=isa)
+
+    @settings(max_examples=6)
+    @pytest.mark.parametrize("word_count", [1, 2, 3, 13])
+    @given(
+        rows=st.sampled_from([1, 7, 8, 9, 17, 196]),
+        oc=st.integers(1, 5),
+        n=st.integers(1, 3),
+        per_row_masks=st.booleans(),
+        with_bias=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_popdot_scale_outputs_every_isa(
+        self, word_count, rows, oc, n, per_row_masks, with_bias, seed
+    ):
+        """Every popcount kernel (AVX2 lookup tables, VPOPCNTDQ) against
+        the scalar one, with plain and per-row premasked weights."""
+        rng = np.random.default_rng(seed)
+        W = word_count
+
+        def words(*shape):
+            return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+        va = words(n * rows, W)
+        vw = None if per_row_masks else words(oc, W)
+        vwm = words(oc, rows, W) if per_row_masks else None
+        valid = (
+            rng.integers(0, 64 * W + 1, size=rows).astype(np.int32)
+            if per_row_masks else None
+        )
+        alpha = rng.standard_normal(oc).astype(np.float32)
+        kfac = np.abs(rng.standard_normal(n * rows)).astype(np.float32)
+        kfac[::5] = 0.0
+        bias = rng.standard_normal(oc).astype(np.float32) if with_bias else None
+        results = {}
+        for isa in host_levels():
+            out = np.full((n, oc, rows), np.nan, dtype=np.float32)
+            run_record(
+                "popdot_scale", isa, n,
+                va=va, vw=vw, vwm=vwm, valid=valid, alpha=alpha, kfac=kfac,
+                bias=bias, out=out, rows=rows, oc=oc, W=W,
+                fallback_valid=64 * W - 3,
+            )
+            results[isa] = out.view(np.uint32)
+        for isa, out in results.items():
+            np.testing.assert_array_equal(out, results["scalar"], err_msg=isa)
 
 
 class TestBatchShapeProperties:
@@ -662,17 +803,26 @@ class TestRecordTable:
         """Stem, branch and trunk keep the direct conv and the fused C
         means at every serving capacity: a fast kernel that failed the
         probe would step the plan down a tier and fail here, instead of
-        hiding behind the equality tests."""
+        hiding behind the equality tests.  The branch runs the host's
+        best binary kernels: the row-sign prepare at its SIMD level, and
+        the VPOPCNTDQ popdot exactly when the CPU has VPOPCNTDQ, so a
+        silent fallback fails here too."""
         network = lenet(rng=np.random.default_rng(0))
         stem = compile_wasm_plan(engine_for(network.stem, (1, 28, 28)), capacity)
-        branch = compile_wasm_plan(
-            engine_for(
-                build_binary_branch((6, 14, 14), 10, rng=np.random.default_rng(1)),
-                (6, 14, 14),
-            ),
-            capacity,
-        )
+        branch_net = build_binary_branch((6, 14, 14), 10, rng=np.random.default_rng(1))
+        branch = compile_wasm_plan(engine_for(branch_net, (6, 14, 14)), capacity)
+        # the ABC-Net accuracy tiers of the same branch
+        tiers = [
+            compile_wasm_plan(
+                WasmModel.load(
+                    serialize_browser_bundle(branch_net, (6, 14, 14), num_bases=k)
+                ),
+                capacity,
+            )
+            for k in (2, 3)
+        ]
         trunk = compile_trunk_plan(network.trunk, (6, 14, 14), capacity)
+        assert all(plan.tier == {} for plan in tiers)
         for plan in (stem, branch, trunk):
             assert plan.tier == {}
             # every conv and binary step replays in one native call
@@ -687,8 +837,29 @@ class TestRecordTable:
         assert f"conv_direct:{conv[1]}" in native_kernels(trunk)
         branch_kernels = {v.split(":")[0] for v in native_kernels(branch)}
         assert {"binconv_prepare", "absmean_rows"} <= branch_kernels
-        described = [k for s in branch.describe()["steps"] for k in s["kernels"]]
-        assert described == native_kernels(branch)
+        prepare = {"avx512": "avx512", "avx2": "avx2"}.get(best, "scalar")
+        popdot = {"avx512": ("w1_avx2", "avx2"), "avx2": ("w1_avx2", "avx2")}.get(
+            best, ("scalar", "scalar")
+        )
+        flags = cpu_flags()
+        if best == "avx512" and flags is not None and "avx512_vpopcntdq" in flags:
+            popdot = ("w1_vpopcntdq", "vpopcntdq")
+        for plan in (branch, *tiers):
+            binary = [
+                k for k in native_kernels(plan)
+                if k.startswith(("binconv_prepare:", "popdot_scale:"))
+            ]
+            # the conv's prepare and one-word popdot, the linear's popdot
+            if best != "avx512" or flags is not None:
+                assert binary == [
+                    f"binconv_prepare:{prepare}",
+                    f"popdot_scale:{popdot[0]}",
+                    f"popdot_scale:{popdot[1]}",
+                ]
+            else:
+                assert binary[0] == f"binconv_prepare:{prepare}"
+            described = [k for s in plan.describe()["steps"] for k in s["kernels"]]
+            assert described == native_kernels(plan)
 
     def test_avx512_probe_failure_steps_down_to_avx2(self, monkeypatch):
         """A failing AVX-512 kernel costs the plan its AVX-512 tier only:
