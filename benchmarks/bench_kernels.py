@@ -157,11 +157,6 @@ def bench_session() -> dict:
     batched = deployment.run_session(images, config=batched_cfg)
     assert (scalar.predictions == batched.predictions).all(), "paths disagree"
 
-    # Per-op engine counters of the batched run: where the time goes.
-    deployment.browser.stem_engine.reset_counters()
-    deployment.browser.branch_engine.reset_counters()
-    deployment.run_session(images, config=batched_cfg)
-
     return {
         "network": "lenet",
         "num_samples": SESSION_BATCH,
@@ -176,8 +171,6 @@ def bench_session() -> dict:
             "samples_per_s": SESSION_BATCH / batched_s,
         },
         "speedup": scalar_s / batched_s,
-        "stem_op_counters": deployment.browser.stem_engine.counters.summary(),
-        "branch_op_counters": deployment.browser.branch_engine.counters.summary(),
     }
 
 

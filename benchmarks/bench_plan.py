@@ -65,6 +65,7 @@ def _build_system():
 
 def bench_plan_session() -> dict:
     from repro.runtime import LCRSDeployment, SessionConfig, four_g
+    from repro.wasm import profile_plan
 
     system, test = _build_system()
     deployment = LCRSDeployment(system, four_g(seed=0).deterministic())
@@ -96,13 +97,14 @@ def bench_plan_session() -> dict:
     plan_med = float(np.median(plan_s))
     speedup = float(np.median([a / b for a, b in zip(interp_s, plan_s)]))
 
-    # Per-fused-step attribution: reset the plan counters, replay once,
-    # and record where the compiled time goes.
-    stem_plan = deployment.browser.stem_engine.plan_for(SESSION_BATCH)
-    branch_plan = deployment.browser.branch_engine.plan_for(SESSION_BATCH)
-    for plan in (stem_plan, branch_plan):
-        plan.counters.reset()
-    deployment.run_session(images, config=plan_cfg)
+    # Per-fused-step attribution: replay each plan once on its own
+    # tracer and record where the compiled time goes.
+    stem_out, stem_plan = profile_plan(
+        deployment.browser.stem_engine.plan_for(SESSION_BATCH), images
+    )
+    _, branch_plan = profile_plan(
+        deployment.browser.branch_engine.plan_for(SESSION_BATCH), stem_out
+    )
 
     return {
         "network": "lenet",
@@ -120,8 +122,8 @@ def bench_plan_session() -> dict:
             "samples_per_s": SESSION_BATCH / plan_med,
         },
         "speedup": speedup,
-        "stem_plan": stem_plan.describe(),
-        "branch_plan": branch_plan.describe(),
+        "stem_plan": stem_plan,
+        "branch_plan": branch_plan,
         "trunk": bench_trunk(system, images),
     }
 
@@ -129,7 +131,7 @@ def bench_plan_session() -> dict:
 def bench_trunk(system, images) -> dict:
     """Edge trunk: module path vs the compiled trunk plan, same batch."""
     from repro.nn.autograd import Tensor, no_grad
-    from repro.wasm import compile_trunk_plan
+    from repro.wasm import compile_trunk_plan, profile_plan
 
     model = system.model
     model.eval()
@@ -158,7 +160,7 @@ def bench_trunk(system, images) -> dict:
         "module_ms_median": float(np.median(module_s)) * 1e3,
         "plan_ms_median": float(np.median(plan_s)) * 1e3,
         "speedup": float(np.median([a / b for a, b in zip(module_s, plan_s)])),
-        "plan_steps": plan.describe()["steps"],
+        "plan_steps": profile_plan(plan, features)[1]["steps"],
     }
 
 

@@ -28,7 +28,8 @@ Twelve commands cover the library's lifecycle without writing Python:
 * ``plan``    — compile the trace-compiled inference plans (stem,
   binary branch, edge trunk) from a checkpoint, verify them bit-for-bit
   against the interpreter, and dump the fused steps with per-step
-  counters and the kernel variant serving each native record.
+  wall time (from one traced replay) and the kernel variant serving
+  each native record.
 * ``tau``     — run the open- vs closed-loop adaptive-τ overload drill
   (the :class:`~repro.runtime.tau_control.TauController` relief valve)
   and print the shed/latency/accuracy trade-off curve.
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--seed", type=int, default=0)
     plan.add_argument(
         "--json", type=Path, default=None,
-        help="write the plan descriptions (steps, counters, arenas) as JSON here",
+        help="write the plan descriptions (steps, traced step times, arenas) as JSON here",
     )
 
     tau = sub.add_parser(
@@ -823,6 +824,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         backend_available,
         backend_error,
         compile_trunk_plan,
+        profile_plan,
         serialize_browser_bundle,
     )
 
@@ -855,9 +857,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             print(f"\n{name}: no compiled plan (interpreter fallback)")
             records[name] = None
             continue
-        identical = bool(np.array_equal(plan.execute(x), engine.forward(x)))
-        _print_plan(name, plan, identical)
-        records[name] = {**plan.describe(), "bit_identical": identical}
+        out, desc = profile_plan(plan, x)
+        identical = bool(np.array_equal(out, engine.forward(x)))
+        _print_plan(name, desc, identical)
+        records[name] = {**desc, "bit_identical": identical}
 
     try:
         trunk_plan = compile_trunk_plan(model.main_trunk, stem_shape, args.batch)
@@ -868,9 +871,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         model.main_trunk.eval()
         with no_grad():
             ref = model.main_trunk(Tensor(stem_out)).data
-        identical = bool(np.array_equal(trunk_plan.execute(stem_out), ref))
-        _print_plan("trunk", trunk_plan, identical)
-        records["trunk"] = {**trunk_plan.describe(), "bit_identical": identical}
+        out, desc = profile_plan(trunk_plan, stem_out)
+        identical = bool(np.array_equal(out, ref))
+        _print_plan("trunk", desc, identical)
+        records["trunk"] = {**desc, "bit_identical": identical}
 
     if args.json is not None:
         import json
@@ -881,18 +885,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_plan(name: str, plan, identical: bool) -> None:
-    desc = plan.describe()
+def _print_plan(name: str, desc: dict, identical: bool) -> None:
     print(
         f"\n{name}: {desc['num_steps']} fused steps, capacity {desc['capacity']}, "
         f"arena {desc['arena_bytes'] / 1e6:.2f}MB, "
         f"tier {desc['tier'] or 'first'}, bit_identical={identical}"
     )
     for step in desc["steps"]:
-        wall = step.get("wall_ms", 0.0)
         print(
             f"  step[{step['index']}] {step['name']:<40} "
-            f"runners={step['runners']} wall={wall:.3f}ms"
+            f"runners={step['runners']} wall={step['wall_ms']:.3f}ms"
         )
         if step["kernels"]:
             print(f"      kernels: {' '.join(step['kernels'])}")

@@ -1,12 +1,11 @@
 """Named metrics: counters, gauges, and fixed-bucket histograms.
 
 One registry replaces the ad-hoc counter dataclasses that grew up around
-the engine (``ModelCounters``), the miss-path transport
-(``FaultCounters``), and the shared edge (``SchedulerCounters``): every
-metric is a named object in a :class:`MetricsRegistry`, so exporters and
-tests read one schema instead of three, and new subsystems get
-observability by naming a metric rather than writing a dataclass.  The
-legacy classes survive as facades over registry metrics (see
+the miss-path transport (``FaultCounters``) and the shared edge
+(``SchedulerCounters``): every metric is a named object in a
+:class:`MetricsRegistry`, so exporters and tests read one schema, and
+new subsystems get observability by naming a metric rather than writing
+a dataclass.  The legacy classes survive as facades over registry metrics (see
 :mod:`repro.profiling.op_counters`), keeping their ``counters.x += 1``
 call sites and ``as_dict`` schemas bit-compatible.
 

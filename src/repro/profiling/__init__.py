@@ -11,8 +11,6 @@ from .layer_stats import (
 )
 from .op_counters import (
     FaultCounters,
-    ModelCounters,
-    OpCounter,
     SchedulerCounters,
     counters_scope,
 )
@@ -22,9 +20,7 @@ __all__ = [
     "FLOAT_BYTES",
     "FaultCounters",
     "LayerProfile",
-    "ModelCounters",
     "NetworkProfile",
-    "OpCounter",
     "SchedulerCounters",
     "TracedLayer",
     "binary_param_bytes",

@@ -1,9 +1,8 @@
 """Runtime counter facades over the observability metrics registry.
 
-Three counter families grew up ad hoc around the system — per-op engine
-counters (:class:`ModelCounters`), miss-path transport counters
-(:class:`FaultCounters`), and shared-edge counters
-(:class:`SchedulerCounters`).  They are now *facades*: every field is
+Two counter families grew up ad hoc around the system — miss-path
+transport counters (:class:`FaultCounters`) and shared-edge counters
+(:class:`SchedulerCounters`).  They are *facades*: every field is
 backed by a named metric in a
 :class:`~repro.observability.metrics.MetricsRegistry`, so exporters and
 the ``repro trace`` telemetry read one schema, while the existing call
@@ -22,12 +21,9 @@ from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
-from typing import Mapping
-
-from ..observability.metrics import Counter, Histogram, MetricsRegistry, labeled
+from ..observability.metrics import MetricsRegistry, labeled
 
 #: Live counter facades, tracked weakly so :func:`counters_scope` can
 #: snapshot instances held by long-lived fixtures (session-scoped
@@ -37,115 +33,6 @@ _LIVE_FACADES: "weakref.WeakSet" = weakref.WeakSet()
 #: Batch sizes are small integers; a dedicated bucket ladder keeps the
 #: dynamic-batching histogram readable.
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-
-class OpCounter:
-    """Accumulated runtime statistics for one compiled op.
-
-    Fields are registry counters resolved once at construction; the hot
-    :meth:`record` path mutates them through their locked ``add`` — a
-    handful of locked stores per op call, cheap enough to stay
-    always-on and safe when worker threads share one engine.
-    """
-
-    __slots__ = ("index", "kind", "_calls", "_samples", "_wall_ms", "_bytes")
-
-    def __init__(
-        self, index: int, kind: str, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        self.index = index
-        self.kind = kind
-        base = f"op.{index:03d}.{kind}"
-        self._calls = registry.counter(f"{base}.calls")
-        self._samples = registry.counter(f"{base}.samples")
-        self._wall_ms = registry.counter(f"{base}.wall_ms")
-        self._bytes = registry.counter(f"{base}.bytes_popcounted")
-
-    @property
-    def calls(self) -> int:
-        return self._calls.value
-
-    @property
-    def samples(self) -> int:
-        return self._samples.value
-
-    @property
-    def wall_ms(self) -> float:
-        return self._wall_ms.value
-
-    @property
-    def bytes_popcounted(self) -> int:
-        return self._bytes.value
-
-    def record(self, samples: int, wall_ms: float, bytes_popcounted: int = 0) -> None:
-        self._calls.add(1)
-        self._samples.add(samples)
-        self._wall_ms.add(wall_ms)
-        self._bytes.add(bytes_popcounted)
-
-    def reset(self) -> None:
-        self._calls.value = 0
-        self._samples.value = 0
-        self._wall_ms.value = 0.0
-        self._bytes.value = 0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "calls": self.calls,
-            "samples": self.samples,
-            "wall_ms": self.wall_ms,
-            "bytes_popcounted": self.bytes_popcounted,
-        }
-
-
-class ModelCounters:
-    """Per-op counters for one engine instance, in execution order.
-
-    All ops share one :attr:`registry`, so an engine's full counter
-    state exports as a single metrics snapshot.
-    """
-
-    def __init__(
-        self,
-        ops: Optional[list[OpCounter]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.ops: list[OpCounter] = ops if ops is not None else []
-        _LIVE_FACADES.add(self)
-
-    @classmethod
-    def for_kinds(cls, kinds: list[str]) -> "ModelCounters":
-        counters = cls()
-        counters.ops = [
-            OpCounter(index=i, kind=k, registry=counters.registry)
-            for i, k in enumerate(kinds)
-        ]
-        return counters
-
-    def reset(self) -> None:
-        for op in self.ops:
-            op.reset()
-
-    @property
-    def total_calls(self) -> int:
-        return sum(op.calls for op in self.ops)
-
-    @property
-    def total_wall_ms(self) -> float:
-        return sum(op.wall_ms for op in self.ops)
-
-    @property
-    def total_bytes_popcounted(self) -> int:
-        return sum(op.bytes_popcounted for op in self.ops)
-
-    def summary(self) -> list[dict[str, object]]:
-        """JSON-ready per-op rows (the ``BENCH_*.json`` schema)."""
-        return [op.as_dict() for op in self.ops]
 
 
 class _RegistryFacade:
@@ -390,7 +277,7 @@ class SchedulerCounters(_RegistryFacade):
 def counters_scope() -> Iterator[None]:
     """Snapshot all live counter state; restore it on exit.
 
-    Covers the three facade families (wherever their instances live —
+    Covers both facade families (wherever their instances live —
     session-scoped engines, module-level deployments), the bit-packing
     kernel's process-global popcount totals, and the observability
     global registry.  Facades *created inside* the scope are left alone

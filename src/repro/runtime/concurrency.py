@@ -27,7 +27,6 @@ import numpy as np
 
 from ..observability.clock import now_s
 from ..profiling.layer_stats import NetworkProfile
-from ..profiling.op_counters import ModelCounters
 from .profiles import DeviceProfile, EDGE_SERVER
 
 
@@ -154,22 +153,6 @@ def measure_service_model(
     return ServiceTimeModel.from_measurements(sizes, walls)
 
 
-def measured_service_time_s(counters: ModelCounters) -> float:
-    """Per-sample service time from an engine's measured op counters.
-
-    ``op_counters`` record wall time per op and samples per forward, so
-    the engine's own history yields a measured ``service_time_s`` for
-    :class:`QueueModel` — the observed alternative to the FLOPs-only
-    :func:`edge_service_time_s` estimate.
-    """
-    samples = max((op.samples for op in counters.ops), default=0)
-    if samples <= 0:
-        raise ValueError("counters carry no recorded samples")
-    if counters.total_wall_ms <= 0:
-        raise ValueError("counters carry no recorded wall time")
-    return counters.total_wall_ms / samples / 1e3
-
-
 @dataclass(frozen=True)
 class QueueModel:
     """An M/M/c service station."""
@@ -182,11 +165,6 @@ class QueueModel:
             raise ValueError("workers must be positive")
         if self.service_time_s <= 0:
             raise ValueError("service_time_s must be positive")
-
-    @classmethod
-    def from_counters(cls, counters: ModelCounters, workers: int = 1) -> "QueueModel":
-        """A queue whose service time is measured, not estimated."""
-        return cls(workers=workers, service_time_s=measured_service_time_s(counters))
 
     @classmethod
     def from_service_model(

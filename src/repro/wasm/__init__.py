@@ -23,6 +23,7 @@ from .plan import (
     PlanVerificationError,
     compile_trunk_plan,
     compile_wasm_plan,
+    profile_plan,
 )
 from .plan_compile import backend_available, backend_error
 from .model_format import (
@@ -61,6 +62,7 @@ __all__ = [
     "pack_signs",
     "packed_dot",
     "parse_model",
+    "profile_plan",
     "serialize_browser_bundle",
     "total_bytes_popcounted",
     "unpack_signs",

@@ -68,13 +68,9 @@ class _ThreadDotState(threading.local):
     this thread* — "last call" is only a meaningful question per caller
     once concurrent engines run, so the answer lives in thread-local
     storage instead of a keyed global that another thread can clobber.
-    ``bytes_popcounted`` is this thread's cumulative popcount traffic;
-    profiling hooks snapshot it around an op to attribute traffic
-    per layer without another thread's kernels bleeding into the delta.
     """
 
     last: Optional[PackedDotStats] = None
-    bytes_popcounted = 0
 
 
 _THREAD_STATE = _ThreadDotState()
@@ -110,7 +106,6 @@ class _DotStatsRegistry:
                 self._evictions += 1
 
     def add_bytes(self, n: int) -> None:
-        _THREAD_STATE.bytes_popcounted += n
         with self._lock:
             self._total_bytes += n
 
@@ -154,18 +149,16 @@ class _DotStatsRegistry:
                 self._evictions,
                 self._total_bytes,
                 _THREAD_STATE.last,
-                _THREAD_STATE.bytes_popcounted,
             )
 
     def restore(self, state: tuple) -> None:
-        stats, evictions, total, last, thread_bytes = state
+        stats, evictions, total, last = state
         with self._lock:
             self._stats.clear()
             self._stats.update(stats)
             self._evictions = evictions
             self._total_bytes = total
         _THREAD_STATE.last = last
-        _THREAD_STATE.bytes_popcounted = thread_bytes
 
 
 _REGISTRY = _DotStatsRegistry(maxsize=32)
@@ -273,24 +266,12 @@ def record_plan_popcount(
 def total_bytes_popcounted() -> int:
     """Cumulative bytes run through the popcount unit since import.
 
-    A monotone process-wide counter, summed over every thread.  For
-    per-op attribution under concurrency use
-    :func:`thread_bytes_popcounted` instead — deltas of the global
-    counter include other threads' traffic.
+    A monotone process-wide counter, summed over every thread and
+    updated under a lock, so concurrent kernels never lose counts.  Per
+    call, :func:`last_dot_stats` carries the calling thread's own
+    ``bytes_popcounted``.
     """
     return _REGISTRY.total_bytes
-
-
-def thread_bytes_popcounted() -> int:
-    """Cumulative popcount bytes issued *by the calling thread*.
-
-    The attribution counter: engines snapshot it around an op so the
-    delta is exactly the traffic that op's kernels issued, regardless of
-    what other threads are running.  Kernels threaded via
-    ``num_threads`` still account to the thread that called
-    :func:`packed_dot` (recording happens after the worker fan-in).
-    """
-    return _THREAD_STATE.bytes_popcounted
 
 
 def pack_signs(signs: np.ndarray) -> tuple[np.ndarray, int]:

@@ -18,9 +18,7 @@ sizes, padding-validity mask columns and their packed bitplanes,
 reshaped/unpacked weight matrices — are computed once at load time and
 cached (shared across engine instances via :func:`conv_geometry`).
 ``forward`` does only data-dependent work per call, the same split a
-WASM module makes between instantiation and invocation.  Each compiled
-op carries an always-on :class:`~repro.profiling.op_counters.OpCounter`
-(calls, samples, wall time, popcount traffic).
+WASM module makes between instantiation and invocation.
 """
 
 from __future__ import annotations
@@ -32,9 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..observability.clock import now_ms
-from ..profiling.op_counters import ModelCounters
-from . import bitpack
 from .bitpack import pack_signs, packed_dot, unpack_signs
 from .model_format import ModelFormatError, ParsedModel, parse_model
 
@@ -253,9 +248,6 @@ class WasmModel:
         self.parsed = parsed
         self._ops: list[Callable[[np.ndarray], np.ndarray]] = []
         self._build(parsed)
-        self.counters = ModelCounters.for_kinds(
-            [spec["type"] for spec in parsed.layers]
-        )
         # Compiled-plan cache: capacity (rounded up to a power of two)
         # → CompiledPlan, or None when compilation/verification failed
         # for that capacity (so the fallback decision is cached too).
@@ -561,19 +553,8 @@ class WasmModel:
         expected = tuple(self.input_shape)
         if tuple(x.shape[1:]) != expected:
             raise ValueError(f"expected input shape (N, {expected}), got {x.shape}")
-        batch = x.shape[0]
-        for op, counter in zip(self._ops, self.counters.ops):
-            # Attribution reads the *calling thread's* popcount tally:
-            # a delta of the process-global total would credit this op
-            # with whatever concurrent engines popcounted meanwhile.
-            pop_before = bitpack.thread_bytes_popcounted()
-            t0 = now_ms()
+        for op in self._ops:
             x = op(x)
-            counter.record(
-                samples=batch,
-                wall_ms=now_ms() - t0,
-                bytes_popcounted=bitpack.thread_bytes_popcounted() - pop_before,
-            )
         return x
 
     __call__ = forward
@@ -650,9 +631,6 @@ class WasmModel:
         with self._plan_cache_lock:
             self._plan_cache.clear()
             self._plan_cache_stats.update(hits=0, misses=0, failures=0)
-
-    def reset_counters(self) -> None:
-        self.counters.reset()
 
     @property
     def num_ops(self) -> int:

@@ -43,9 +43,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..observability.clock import now_ms
-from ..observability.tracing import NULL_RECORDER
-from ..profiling.op_counters import ModelCounters
+from ..observability.tracing import NULL_RECORDER, Tracer
 from . import bitpack
 from .bitpack import unpack_signs
 from .interpreter import WasmModel, conv_geometry
@@ -182,16 +180,17 @@ class PlanStep:
     #: Callables ``runner(n)``: :class:`NativeSegment`\ s and the NumPy
     #: matmuls/reductions between them.
     runners: list = field(default_factory=list)
-    counter: object = None
 
 
 class CompiledPlan:
     """A replayable flat plan for one (model, geometry, capacity) tuple.
 
     ``execute`` serves any batch of 1..capacity samples by slicing every
-    arena buffer to the live batch; per-step :class:`OpCounter`\\ s are
-    always on, and ``plan.step[i]`` spans are emitted when a recorder is
-    passed, so profiling attribution survives fusion.
+    arena buffer to the live batch.  Per-step wall time comes only from
+    the ``plan.step[i]`` spans emitted when a recorder is passed, so
+    profiling attribution survives fusion; the default
+    :data:`~repro.observability.tracing.NULL_RECORDER` path does no
+    instrumentation work at all.
 
     One instance owns one preallocated arena, so concurrent ``execute``
     calls on the *same* plan would overwrite each other's buffers; an
@@ -223,9 +222,6 @@ class CompiledPlan:
         self.tier: dict = {}
         self._input_buf = input_buf
         self._output_view = output_buf.reshape((self.capacity,) + self.output_shape)
-        self.counters = ModelCounters.for_kinds([s.name for s in self.steps])
-        for step, counter in zip(self.steps, self.counters.ops):
-            step.counter = counter
         # Guards the shared arena during execute; see class docstring.
         self._exec_lock = threading.Lock()
 
@@ -271,18 +267,8 @@ class CompiledPlan:
 
     @staticmethod
     def _run_step(step: PlanStep, n: int) -> None:
-        # Attribution deltas come from the calling thread's tally, not
-        # the process-wide total, so concurrent plans on other threads
-        # never bleed popcount bytes into this step's counter.
-        pop_before = bitpack.thread_bytes_popcounted()
-        t0 = now_ms()
         for runner in step.runners:
             runner(n)
-        step.counter.record(
-            samples=n,
-            wall_ms=now_ms() - t0,
-            bytes_popcounted=bitpack.thread_bytes_popcounted() - pop_before,
-        )
 
     def describe(self) -> dict:
         """Inspection record for the ``repro plan`` CLI subcommand."""
@@ -306,7 +292,6 @@ class CompiledPlan:
                         if isinstance(runner, NativeSegment)
                         for variant in runner.variants
                     ],
-                    **step.counter.as_dict(),
                 }
                 for step in self.steps
             ],
@@ -1022,8 +1007,25 @@ def _verify(plan: CompiledPlan, reference: Callable, x: np.ndarray) -> CompiledP
             raise PlanVerificationError(
                 f"compiled plan diverges from its reference at batch size {n}"
             )
-    plan.counters.reset()
     return plan
+
+
+def profile_plan(plan: CompiledPlan, x: np.ndarray) -> tuple:
+    """Replay ``plan`` once on its own :class:`Tracer`.
+
+    Returns the output and :meth:`CompiledPlan.describe` with each step
+    row's ``wall_ms`` read from its ``plan.step[i]`` span.  Stem, branch
+    and trunk plans all name their spans ``plan.step[0..]``, so every
+    plan needs a fresh tracer.
+    """
+    tracer = Tracer()
+    out = plan.execute(x, recorder=tracer)
+    by_name = tracer.summary().by_name
+    desc = plan.describe()
+    desc["samples"] = int(x.shape[0])
+    for row in desc["steps"]:
+        row["wall_ms"] = by_name[f"plan.step[{row['index']}]"]["wall_ms"]
+    return out, desc
 
 
 def compile_wasm_plan(model: WasmModel, capacity: int) -> CompiledPlan:

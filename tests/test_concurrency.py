@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import build_network_assets
-from repro.profiling import ModelCounters
 from repro.runtime import (
     QueueModel,
     ServiceTimeModel,
@@ -14,7 +13,6 @@ from repro.runtime import (
     edge_service_time_s,
     max_sustainable_users,
     measure_service_model,
-    measured_service_time_s,
 )
 
 
@@ -159,32 +157,6 @@ class TestServiceTimeModel:
 
 
 class TestMeasuredQueueCalibration:
-    def _counters(self, samples, wall_ms):
-        counters = ModelCounters.for_kinds(["conv", "dense"])
-        counters.ops[0].record(samples=samples, wall_ms=wall_ms * 0.75)
-        counters.ops[1].record(samples=samples, wall_ms=wall_ms * 0.25)
-        return counters
-
-    def test_measured_service_time(self):
-        counters = self._counters(samples=40, wall_ms=80.0)
-        # 80 ms over 40 samples → 2 ms each.
-        assert measured_service_time_s(counters) == pytest.approx(2e-3)
-
-    def test_empty_counters_rejected(self):
-        with pytest.raises(ValueError, match="no recorded samples"):
-            measured_service_time_s(ModelCounters.for_kinds(["conv"]))
-
-    def test_zero_wall_time_rejected(self):
-        counters = ModelCounters.for_kinds(["conv"])
-        counters.ops[0].record(samples=10, wall_ms=0.0)
-        with pytest.raises(ValueError, match="wall time"):
-            measured_service_time_s(counters)
-
-    def test_queue_from_counters(self):
-        queue = QueueModel.from_counters(self._counters(40, 80.0), workers=2)
-        assert queue.workers == 2
-        assert queue.service_rate == pytest.approx(500.0)
-
     def test_queue_from_service_model_batching_raises_capacity(self):
         model = ServiceTimeModel(base_ms=4.0, per_sample_ms=1.0)
         solo = QueueModel.from_service_model(model, batch_size=1)

@@ -183,33 +183,6 @@ class TestBatchedEngine:
         e, a = roundtrip(bundle, (2, 7, 7))
         np.testing.assert_allclose(a, e, atol=1e-6)
 
-    def test_op_counters_attribute_work(self, rng):
-        bundle = nn.Sequential(
-            BinaryConv2d(2, 3, 3, padding=1, rng=rng), nn.ReLU()
-        )
-        payload = serialize_browser_bundle(bundle, (2, 6, 6))
-        engine = WasmModel.load(payload)
-        engine.forward(np.random.default_rng(2).standard_normal((5, 2, 6, 6)).astype(np.float32))
-
-        assert [op.kind for op in engine.counters.ops] == ["binary_conv2d", "relu"]
-        assert engine.counters.total_calls == 2
-        for op in engine.counters.ops:
-            assert op.calls == 1
-            assert op.samples == 5
-            assert op.wall_ms >= 0.0
-        conv, relu = engine.counters.ops
-        assert conv.bytes_popcounted > 0  # XNOR path ran through popcount
-        assert relu.bytes_popcounted == 0
-
-    def test_reset_counters(self, rng):
-        payload = serialize_browser_bundle(nn.Sequential(nn.ReLU()), (1, 4, 4))
-        engine = WasmModel.load(payload)
-        engine.forward(np.zeros((2, 1, 4, 4), dtype=np.float32))
-        assert engine.counters.total_calls == 1
-        engine.reset_counters()
-        assert engine.counters.total_calls == 0
-        assert engine.counters.total_wall_ms == 0.0
-
     def test_geometry_cache_shared_across_engines(self):
         from repro.wasm import conv_geometry
 

@@ -31,6 +31,7 @@ from repro.models import lenet
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.binary import BinaryConv2d, BinaryLinear
 from repro.observability import Tracer
+from repro.observability.metrics import global_registry
 from repro.wasm import (
     PlanCompileError,
     PlanExecutionError,
@@ -757,18 +758,45 @@ class TestPlanPlumbing:
         x = np.random.default_rng(0).standard_normal((2, 1, 6, 6)).astype(np.float32)
         np.testing.assert_array_equal(engine.forward_planned(x), engine.forward(x))
 
-    def test_per_step_counters_record_replays(self):
+    def test_untraced_execute_does_no_instrumentation_work(self):
+        """The default recorder path opens no span and touches no metric;
+        a Tracer still gets exactly one span per step."""
+
+        class RefusingRecorder:
+            enabled = False
+
+            def _refuse(self, *args, **kwargs):
+                raise AssertionError("untraced execute called a span method")
+
+            new_trace = start_span = end_span = span = add_span = _refuse
+
         engine = self.make_engine()
         plan = compile_wasm_plan(engine, 4)
         x = np.random.default_rng(1).standard_normal((3, 1, 6, 6)).astype(np.float32)
-        plan.execute(x)
-        plan.execute(x)
-        for step in plan.steps:
-            assert step.counter.calls == 2
-            assert step.counter.samples == 6
+        before = global_registry().state()
+        want = plan.execute(x)
+        np.testing.assert_array_equal(plan.execute(x, recorder=RefusingRecorder()), want)
+        assert global_registry().state() == before
+
+        tracer = Tracer()
+        np.testing.assert_array_equal(plan.execute(x, recorder=tracer), want)
+        spans = tracer.spans()
+        assert [s.name for s in spans] == [f"plan.step[{i}]" for i in range(plan.num_steps)]
+        for span, step in zip(spans, plan.steps):
+            assert span.attrs == {"step": step.name, "samples": 3}
         desc = plan.describe()
         assert desc["num_steps"] == len(plan.steps)
         assert desc["arena_bytes"] > 0
+
+    def test_profile_plan_reads_step_walls_from_spans(self):
+        engine = self.make_engine()
+        plan = compile_wasm_plan(engine, 4)
+        x = np.random.default_rng(2).standard_normal((3, 1, 6, 6)).astype(np.float32)
+        out, desc = wasm.profile_plan(plan, x)
+        np.testing.assert_array_equal(out, plan.execute(x))
+        assert desc["samples"] == 3
+        assert [row["index"] for row in desc["steps"]] == list(range(plan.num_steps))
+        assert all(row["wall_ms"] >= 0.0 for row in desc["steps"])
 
     def test_step_spans_are_emitted(self):
         engine = self.make_engine()
