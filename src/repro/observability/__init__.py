@@ -17,7 +17,9 @@ latency claim in this repository:
   Perfetto-loadable timelines, scrape endpoints);
 * :mod:`~repro.observability.windows` — sliding time-window views
   (bounded rings, exact within-window percentiles) tapped onto metrics
-  through their watcher hooks;
+  through their watcher hooks, and the :class:`~.windows.Hysteresis`
+  streak/cooldown machine the autoscaler, τ controller and SLO alerts
+  share;
 * :mod:`~repro.observability.slo` — declarative objectives with
   multi-window burn-rate alerting over those windows;
 * :mod:`~repro.observability.top` — the ``repro top`` / ``repro

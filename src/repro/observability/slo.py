@@ -26,8 +26,9 @@ consumes it ten times too fast.  Alerts use the multi-window rule
 the fast window gates freshness, the slow window gates significance),
 with two severities (``page`` above ``ticket``) and hysteresis on
 clear: the joint burn must stay below ``clear_ratio`` × the *ticket*
-threshold for ``clear_holds`` consecutive evaluations, so an
-oscillating burn cannot flap an alert.
+threshold for ``clear_holds`` consecutive evaluations (a
+:class:`~.windows.Hysteresis` with no cooldown), so an oscillating burn
+cannot flap an alert.
 
 Grouped specs (``group_by="shard"``) expand to one target per labeled
 series (``fleet.requests_ok{shard=2}`` …), discovered dynamically so
@@ -52,7 +53,13 @@ from typing import Callable, Optional, Sequence
 
 from .metrics import MetricsRegistry, labeled
 from .tracing import NULL_RECORDER
-from .windows import DEFAULT_WINDOW_CAPACITY, WindowedSeries
+from .windows import (
+    DEAD_BAND,
+    DEFAULT_WINDOW_CAPACITY,
+    UNDER,
+    Hysteresis,
+    WindowedSeries,
+)
 
 __all__ = [
     "BurnRatePolicy",
@@ -181,11 +188,13 @@ class _Target:
 
     __slots__ = (
         "spec", "labels", "values", "bad", "good", "total",
-        "state", "severity", "clear_streak",
+        "state", "severity", "clear",
         "peak_value", "peak_t_ms", "min_budget_remaining",
     )
 
-    def __init__(self, spec: SloSpec, labels: dict[str, str]) -> None:
+    def __init__(
+        self, spec: SloSpec, labels: dict[str, str], clear_holds: int
+    ) -> None:
         self.spec = spec
         self.labels = dict(labels)
         self.values: Optional[WindowedSeries] = None  # quantile observations
@@ -194,7 +203,8 @@ class _Target:
         self.total: Optional[WindowedSeries] = None   # denominator increments
         self.state = "ok"
         self.severity: Optional[str] = None
-        self.clear_streak = 0
+        #: The firing alert's clear streak (:data:`UNDER` readings).
+        self.clear = Hysteresis(clear_holds)
         # All-time high-waters across evaluations, so a transient spike
         # (and the budget it spent) stays visible in a report taken
         # after the windows have slid past it.
@@ -306,7 +316,7 @@ class SloMonitor:
         return series
 
     def _make_target(self, spec: SloSpec, labels: dict[str, str]) -> None:
-        target = _Target(spec, labels)
+        target = _Target(spec, labels, self.policy.clear_holds)
         if target.key in self._targets:
             return
         metric_name = labeled(spec.metric, **labels)
@@ -380,7 +390,6 @@ class SloMonitor:
                 return None
             target.state = "firing"
             target.severity = severity
-            target.clear_streak = 0
             return self._transition(target, "fire", now_ms, fast_burn, slow_burn)
         # firing
         if (
@@ -388,21 +397,16 @@ class SloMonitor:
             and _SEVERITY_RANK[severity] > _SEVERITY_RANK[target.severity]
         ):
             target.severity = severity
-            target.clear_streak = 0
+            target.clear.reset(UNDER)
             return self._transition(target, "escalate", now_ms, fast_burn, slow_burn)
-        if joint < pol.clear_ratio * pol.ticket_burn:
-            target.clear_streak += 1
-            if target.clear_streak >= pol.clear_holds:
-                event = self._transition(
-                    target, "clear", now_ms, fast_burn, slow_burn
-                )
-                target.state = "ok"
-                target.severity = None
-                target.clear_streak = 0
-                return event
-        else:
-            target.clear_streak = 0
-        return None
+        below = joint < pol.clear_ratio * pol.ticket_burn
+        if target.clear.step(UNDER if below else DEAD_BAND) is None:
+            return None
+        event = self._transition(target, "clear", now_ms, fast_burn, slow_burn)
+        target.state = "ok"
+        target.severity = None
+        target.clear.fire(UNDER)
+        return event
 
     def budget_remaining(self, target: _Target, now_ms: float) -> float:
         """Error budget left over the slow window, in [0, 1]: 1 − the

@@ -27,6 +27,11 @@ samples (oldest evicted first, counted in ``dropped``) and prunes
 anything older than its retention window on every observe.  Queries may
 ask for any window at or under the retention window — the fast/slow
 burn-rate windows of one SLO share a single ring.
+
+:class:`Hysteresis` is the one anti-flapping machine the controllers
+that read these windows share: the fleet autoscaler, the τ controller
+and the SLO alert clear each classify their own signal and hand the
+reading to it.
 """
 
 from __future__ import annotations
@@ -41,11 +46,24 @@ from .metrics import (
     MetricsRegistry,
 )
 
-__all__ = ["MetricWindows", "WindowedSeries"]
+__all__ = [
+    "DEAD_BAND",
+    "Hysteresis",
+    "MetricWindows",
+    "OVER",
+    "UNDER",
+    "WindowedSeries",
+]
 
 #: Default per-series sample capacity; at one observation per request
 #: this covers a few thousand in-window requests per series.
 DEFAULT_WINDOW_CAPACITY = 2048
+
+#: The readings :meth:`Hysteresis.step` takes (besides ``None``, no
+#: evidence) and the directions it returns.
+OVER = "over"
+UNDER = "under"
+DEAD_BAND = "dead-band"
 
 
 class WindowedSeries:
@@ -225,3 +243,80 @@ class MetricWindows:
         for metric, tap in self._taps:
             metric.unwatch(tap)
         self._taps.clear()
+
+
+class Hysteresis:
+    """Streak / dead-band / cooldown machine: the anti-flapping contract.
+
+    Each round the caller classifies its signal into one reading and
+    :meth:`step` advances the streaks: :data:`OVER` or :data:`UNDER`
+    extends its own streak and breaks the other, :data:`DEAD_BAND`
+    breaks both, and ``None`` (no evidence this round) breaks only the
+    over streak.  While the cooldown runs, :meth:`step` still advances
+    the streaks but consumes one cooldown round and answers ``None``;
+    otherwise it answers the
+    direction whose streak reached ``hold_rounds``, never on a ``None``
+    round.  It acts on nothing itself: the caller then calls
+    :meth:`fire` on that direction (reset its streak, arm the cooldown),
+    calls :meth:`reset` (reset the streak only), or leaves the streak
+    counting, so that it fires again on the next round the caller can
+    act.
+    """
+
+    __slots__ = ("hold_rounds", "cooldown_rounds", "over", "under", "cooldown")
+
+    def __init__(self, hold_rounds: int, cooldown_rounds: int = 0) -> None:
+        if hold_rounds < 1:
+            raise ValueError("hold_rounds must be at least 1")
+        if cooldown_rounds < 0:
+            raise ValueError("cooldown_rounds must be non-negative")
+        self.hold_rounds = int(hold_rounds)
+        self.cooldown_rounds = int(cooldown_rounds)
+        self.over = 0
+        self.under = 0
+        self.cooldown = 0
+
+    @staticmethod
+    def classify(value: float, low: float, high: float) -> str:
+        """The reading of ``value`` against a ``[low, high]`` dead band
+        (inclusive thresholds: ``high`` itself reads :data:`OVER`)."""
+        if value >= high:
+            return OVER
+        if value <= low:
+            return UNDER
+        return DEAD_BAND
+
+    def step(self, reading: Optional[str]) -> Optional[str]:
+        """Feed one round's reading; returns the ready direction or ``None``."""
+        if reading == OVER:
+            self.over += 1
+            self.under = 0
+        elif reading == UNDER:
+            self.under += 1
+            self.over = 0
+        else:
+            self.over = 0
+            if reading == DEAD_BAND:
+                self.under = 0
+        if self.cooldown > 0:
+            self.cooldown -= 1
+            return None
+        # Only the reading's own streak can be ready: the other was just
+        # broken, and a None round never fires.
+        if reading == OVER and self.over >= self.hold_rounds:
+            return OVER
+        if reading == UNDER and self.under >= self.hold_rounds:
+            return UNDER
+        return None
+
+    def fire(self, direction: str) -> None:
+        """An action was taken: reset that streak and arm the cooldown."""
+        self.reset(direction)
+        self.cooldown = self.cooldown_rounds
+
+    def reset(self, direction: str) -> None:
+        """Spend ``direction``'s streak without arming the cooldown."""
+        if direction == OVER:
+            self.over = 0
+        else:
+            self.under = 0

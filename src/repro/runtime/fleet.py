@@ -56,6 +56,7 @@ from typing import Callable, Optional
 from ..observability import NULL_RECORDER
 from ..observability.metrics import MetricsRegistry, labeled
 from ..observability.slo import BurnRatePolicy, SloMonitor, default_fleet_slos
+from ..observability.windows import DEAD_BAND, OVER, UNDER, Hysteresis
 from .network import FAULT_PROFILES, FrameDropped, FrameTimeout, NetworkLink, faulty
 from .protocol import (
     BatchInferenceRequest,
@@ -126,8 +127,10 @@ class AutoscalerConfig:
             raise ValueError("min_shards must be at least 1")
         if self.max_shards < self.min_shards:
             raise ValueError("max_shards must be >= min_shards")
-        if self.scale_down_depth < 0 or self.scale_up_depth <= 0:
-            raise ValueError("depth thresholds must be non-negative")
+        if self.scale_down_depth < 0:
+            raise ValueError("scale_down_depth must be non-negative")
+        if self.scale_up_depth <= 0:
+            raise ValueError("scale_up_depth must be positive")
         if self.scale_down_depth >= self.scale_up_depth:
             raise ValueError(
                 "scale_down_depth must be below scale_up_depth "
@@ -137,17 +140,16 @@ class AutoscalerConfig:
             frac = getattr(self, name)
             if not 0.0 <= frac <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.hold_rounds < 1:
-            raise ValueError("hold_rounds must be at least 1")
-        if self.cooldown_rounds < 0:
-            raise ValueError("cooldown_rounds must be non-negative")
+        Hysteresis(self.hold_rounds, self.cooldown_rounds)  # range checks
         if self.policy not in AUTOSCALER_POLICIES:
             raise ValueError(
                 f"unknown autoscaler policy {self.policy!r}; "
                 f"choose from {list(AUTOSCALER_POLICIES)}"
             )
-        if self.scale_down_burn < 0 or self.scale_up_burn <= 0:
-            raise ValueError("burn thresholds must be non-negative")
+        if self.scale_down_burn < 0:
+            raise ValueError("scale_down_burn must be non-negative")
+        if self.scale_up_burn <= 0:
+            raise ValueError("scale_up_burn must be positive")
         if self.scale_down_burn >= self.scale_up_burn:
             raise ValueError(
                 "scale_down_burn must be below scale_up_burn "
@@ -208,20 +210,21 @@ class FleetConfig:
 
 
 class Autoscaler:
-    """Hysteresis state machine over the per-round pressure signal.
+    """Fleet sizing over the per-round pressure signal.
 
-    :meth:`step` is pure bookkeeping — it consumes one round's mean
-    queue-depth high-water and busy fraction and answers ``"scale-up"``,
-    ``"scale-down"``, or ``None``; the router applies the action.  Kept
+    :meth:`step` is pure bookkeeping — it classifies one round's mean
+    queue-depth high-water and busy fraction (or the SLO burn) into a
+    :class:`~repro.observability.windows.Hysteresis` reading and answers
+    ``"scale-up"``, ``"scale-down"``, or ``None``; the router applies the
+    action.  At ``min_shards``/``max_shards`` a ready streak is left
+    counting, so it fires on the first round the bound frees.  Kept
     separate so the no-flapping contract is testable against synthetic
     load traces without building a fleet.
     """
 
     def __init__(self, config: AutoscalerConfig) -> None:
         self.config = config
-        self._over = 0
-        self._under = 0
-        self._cooldown = 0
+        self._hysteresis = Hysteresis(config.hold_rounds, config.cooldown_rounds)
 
     def step(
         self,
@@ -233,41 +236,25 @@ class Autoscaler:
         cfg = self.config
         if cfg.policy == "burn-rate" and burn_rate is not None:
             # SLO-driven sizing: pressure is error-budget spend, not
-            # backlog.  Same streak/dead-band/cooldown machinery, so the
-            # no-flapping contract carries over unchanged.
-            if burn_rate >= cfg.scale_up_burn:
-                self._over += 1
-                self._under = 0
-            elif burn_rate <= cfg.scale_down_burn:
-                self._under += 1
-                self._over = 0
-            else:
-                self._over = 0
-                self._under = 0
+            # backlog, through the same hysteresis.
+            reading = Hysteresis.classify(
+                burn_rate, cfg.scale_down_burn, cfg.scale_up_burn
+            )
         elif mean_depth >= cfg.scale_up_depth and busy_fraction >= cfg.min_busy_fraction:
-            self._over += 1
-            self._under = 0
+            reading = OVER
         elif (
             mean_depth <= cfg.scale_down_depth
             and busy_fraction <= cfg.max_idle_busy_fraction
         ):
-            self._under += 1
-            self._over = 0
+            reading = UNDER
         else:
-            # The dead band between the thresholds: pressure is neither
-            # high nor low, so any streak toward an action is broken.
-            self._over = 0
-            self._under = 0
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            return None
-        if self._over >= cfg.hold_rounds and active_shards < cfg.max_shards:
-            self._over = 0
-            self._cooldown = cfg.cooldown_rounds
+            reading = DEAD_BAND
+        ready = self._hysteresis.step(reading)
+        if ready == OVER and active_shards < cfg.max_shards:
+            self._hysteresis.fire(OVER)
             return "scale-up"
-        if self._under >= cfg.hold_rounds and active_shards > cfg.min_shards:
-            self._under = 0
-            self._cooldown = cfg.cooldown_rounds
+        if ready == UNDER and active_shards > cfg.min_shards:
+            self._hysteresis.fire(UNDER)
             return "scale-down"
         return None
 

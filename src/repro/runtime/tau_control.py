@@ -17,8 +17,9 @@ monitor burns budget against) and treats τ as a relief valve:
 * sustained waits below ``low_wait_ms`` → lower τ back toward
   ``tau_min``, one ``step_down`` per firing;
 * waits inside the dead band reset both streaks, and every action arms
-  a cooldown — the same hysteresis discipline as the fleet autoscaler,
-  so an oscillating load trace produces zero actions.
+  a cooldown — the fleet autoscaler's
+  :class:`~repro.observability.windows.Hysteresis`, so an oscillating
+  load trace produces zero actions.
 
 When τ is already pinned at ``tau_max`` and pressure persists, the
 controller spends *accuracy* instead of latency: it steps the shard's
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Optional
 
 from ..observability import NULL_RECORDER
 from ..observability.metrics import MetricsRegistry, labeled
-from ..observability.windows import MetricWindows
+from ..observability.windows import OVER, Hysteresis, MetricWindows
 
 #: Action names returned by :meth:`TauController.step`.
 ACTION_RAISE_TAU = "raise-tau"
@@ -98,10 +99,7 @@ class TauControlConfig:
                 "low_wait_ms must be below target_wait_ms (the dead band "
                 "is the hysteresis)"
             )
-        if self.hold_rounds < 1:
-            raise ValueError("hold_rounds must be at least 1")
-        if self.cooldown_rounds < 0:
-            raise ValueError("cooldown_rounds must be non-negative")
+        Hysteresis(self.hold_rounds, self.cooldown_rounds)  # range checks
         if self.window_ms <= 0.0:
             raise ValueError("window_ms must be positive")
         if self.min_quality_tier < 1:
@@ -120,10 +118,8 @@ class TauShardState:
 
     tau: float
     quality_tier: int
-    over: int = 0
-    under: int = 0
+    hysteresis: Hysteresis
     saturated: int = 0
-    cooldown: int = 0
     adjustments: int = 0
     last_p99_ms: Optional[float] = None
 
@@ -131,10 +127,10 @@ class TauShardState:
         return {
             "tau": self.tau,
             "quality_tier": self.quality_tier,
-            "over_streak": self.over,
-            "under_streak": self.under,
+            "over_streak": self.hysteresis.over,
+            "under_streak": self.hysteresis.under,
             "saturated_streak": self.saturated,
-            "cooldown": self.cooldown,
+            "cooldown": self.hysteresis.cooldown,
             "adjustments": self.adjustments,
             "last_p99_wait_ms": self.last_p99_ms,
         }
@@ -188,8 +184,11 @@ class TauController:
         """The shard's state, created at the start point on first touch."""
         st = self._states.get(shard_id)
         if st is None:
+            cfg = self.config
             st = TauShardState(
-                tau=self.config.start_tau, quality_tier=self.max_quality_tier
+                tau=cfg.start_tau,
+                quality_tier=self.max_quality_tier,
+                hysteresis=Hysteresis(cfg.hold_rounds, cfg.cooldown_rounds),
             )
             self._states[shard_id] = st
         return st
@@ -224,46 +223,46 @@ class TauController:
     def step(self, shard_id: int, p99_wait_ms: Optional[float]) -> Optional[str]:
         """Feed one round's p99 queue wait; returns the action fired.
 
-        Mirrors the autoscaler's hysteresis: streaks accumulate while
-        readings stay out of band, the dead band resets them, a firing
-        arms the cooldown, and the cooldown suppresses (and consumes)
-        rounds.  A ``None`` reading (no queue traffic at all this
-        round) is *no evidence*, not low pressure: it clears the
-        over-pressure streaks but never drives drain — a τ that
-        silenced the queue must not snap back on the silence it
-        created.  Drain requires *measured* low waits from live
-        traffic.
+        The reading goes through the shard's
+        :class:`~repro.observability.windows.Hysteresis`: streaks
+        accumulate while readings stay out of band, the dead band resets
+        them, and the cooldown suppresses (and consumes) rounds.  A ready
+        streak is spent whether or not an action fires; only an action
+        arms the cooldown.  A ``None`` reading (no queue traffic at all
+        this round) is *no evidence*, not low pressure: it clears the
+        over-pressure streaks but never drives drain — a τ that silenced
+        the queue must not snap back on the silence it created.  Drain
+        requires *measured* low waits from live traffic.
         """
         cfg = self.config
         st = self.state(shard_id)
-        if p99_wait_ms is None:
-            st.last_p99_ms = None
-            st.over = 0
+        reading = None
+        st.last_p99_ms = None
+        if p99_wait_ms is not None:
+            st.last_p99_ms = float(p99_wait_ms)
+            reading = Hysteresis.classify(
+                st.last_p99_ms, cfg.low_wait_ms, cfg.target_wait_ms
+            )
+        if reading != OVER:
             st.saturated = 0
-            if st.cooldown > 0:
-                st.cooldown -= 1
+        ready = st.hysteresis.step(reading)
+        if ready is None:
             return None
-        wait = float(p99_wait_ms)
-        st.last_p99_ms = wait
-        if wait >= cfg.target_wait_ms:
-            st.over += 1
-            st.under = 0
-        elif wait <= cfg.low_wait_ms:
-            st.under += 1
-            st.over = 0
-            st.saturated = 0
+        action = self._act(st, ready)
+        if action is None:
+            st.hysteresis.reset(ready)
         else:
-            st.over = 0
-            st.under = 0
-            st.saturated = 0
-        if st.cooldown > 0:
-            st.cooldown -= 1
-            return None
-        if st.over >= cfg.hold_rounds:
-            st.over = 0
+            st.hysteresis.fire(ready)
+            st.adjustments += 1
+        return action
+
+    def _act(self, st: TauShardState, ready: str) -> Optional[str]:
+        """Apply one ready streak's action to τ or the tier, if any."""
+        cfg = self.config
+        if ready == OVER:
             if st.tau < cfg.tau_max:
                 st.tau = min(cfg.tau_max, st.tau + cfg.step_up)
-                return self._fired(st, ACTION_RAISE_TAU)
+                return ACTION_RAISE_TAU
             # τ is pinned: only sustained saturation spends accuracy.
             st.saturated += 1
             if (
@@ -272,22 +271,15 @@ class TauController:
             ):
                 st.saturated = 0
                 st.quality_tier -= 1
-                return self._fired(st, ACTION_TIER_DOWN)
+                return ACTION_TIER_DOWN
             return None
-        if st.under >= cfg.hold_rounds:
-            st.under = 0
-            if st.quality_tier < self.max_quality_tier:
-                st.quality_tier += 1
-                return self._fired(st, ACTION_TIER_UP)
-            if st.tau > cfg.start_tau:
-                st.tau = max(cfg.start_tau, st.tau - cfg.step_down)
-                return self._fired(st, ACTION_LOWER_TAU)
+        if st.quality_tier < self.max_quality_tier:
+            st.quality_tier += 1
+            return ACTION_TIER_UP
+        if st.tau > cfg.start_tau:
+            st.tau = max(cfg.start_tau, st.tau - cfg.step_down)
+            return ACTION_LOWER_TAU
         return None
-
-    def _fired(self, st: TauShardState, action: str) -> str:
-        st.cooldown = self.config.cooldown_rounds
-        st.adjustments += 1
-        return action
 
     # ------------------------------------------------------------------
     # Fleet-facing round update

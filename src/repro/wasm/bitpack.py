@@ -23,14 +23,15 @@ the ``p·q·bytes`` an outer-product broadcast would allocate.  This is the
 layout a WASM SIMD kernel uses to stay inside linear memory and keep the
 working set in cache — XNOR-Net's reported conv speedups assume exactly
 this kind of bit-blocked inner loop.  Per-call allocation accounting is
-exposed through :func:`last_dot_stats` so tests can assert the bound and
-profiling hooks can attribute popcount traffic to layers.
+exposed through :func:`last_dot_stats` so tests can assert the bound, and
+:func:`total_bytes_popcounted` sums the popcount traffic of every
+:func:`packed_dot` call (compiled plans run their own C popcount loops
+and are not counted).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -51,14 +52,6 @@ class PackedDotStats:
     block_bytes: int = DEFAULT_BLOCK_BYTES
     output_shape: tuple[int, int] = (0, 0)
     num_threads: int = 1
-    #: Which execution path produced the call: ``"interpreter"`` for
-    #: :func:`packed_dot`, ``"plan"`` for a compiled plan's fused kernel.
-    source: str = "interpreter"
-
-    @property
-    def key(self) -> tuple[str, int, int]:
-        """The stats-registry key: (source, block_bytes, num_threads)."""
-        return (self.source, self.block_bytes, self.num_threads)
 
 
 class _ThreadDotState(threading.local):
@@ -77,33 +70,16 @@ _THREAD_STATE = _ThreadDotState()
 
 
 class _DotStatsRegistry:
-    """Lock-guarded keyed stats registry plus the global popcount total.
+    """The lock-guarded process-global popcount total.
 
-    Interpreter kernels and compiled-plan kernels record under different
-    sources (and different block/thread configurations under different
-    keys), so a reader that cares about one configuration is not raced
-    by calls made under another.  LRU-bounded so the registry cannot
-    grow without bound across configuration sweeps; insertion, eviction,
-    the eviction tally, and the process-global byte total all mutate
-    under one lock so concurrent ``packed_dot`` calls never lose counts
-    or double-pop the LRU.
+    Concurrent :func:`packed_dot` calls add under one lock, so they
+    never lose counts; each call's own stats go to the calling thread's
+    :class:`_ThreadDotState`.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._stats: "OrderedDict[tuple[str, int, int], PackedDotStats]" = OrderedDict()
-        self.maxsize = maxsize
-        self._evictions = 0
         self._total_bytes = 0
-
-    def record(self, stats: PackedDotStats) -> None:
-        _THREAD_STATE.last = stats
-        with self._lock:
-            self._stats[stats.key] = stats
-            self._stats.move_to_end(stats.key)
-            while len(self._stats) > self.maxsize:
-                self._stats.popitem(last=False)
-                self._evictions += 1
 
     def add_bytes(self, n: int) -> None:
         with self._lock:
@@ -114,58 +90,19 @@ class _DotStatsRegistry:
         with self._lock:
             return self._total_bytes
 
-    def lookup(
-        self,
-        source: Optional[str],
-        block_bytes: Optional[int],
-        num_threads: Optional[int],
-    ) -> PackedDotStats:
-        with self._lock:
-            for key in reversed(self._stats):
-                k_source, k_block, k_threads = key
-                if source is not None and k_source != source:
-                    continue
-                if block_bytes is not None and k_block != int(block_bytes):
-                    continue
-                if num_threads is not None and k_threads != int(num_threads):
-                    continue
-                return self._stats[key]
-        return PackedDotStats(block_bytes=0, source=source or "")
-
-    def info(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "size": len(self._stats),
-                "maxsize": self.maxsize,
-                "evictions": self._evictions,
-                "keys": list(self._stats.keys()),
-            }
-
     # -- scoped snapshot/restore (tests) -------------------------------
     def state(self) -> tuple:
         with self._lock:
-            return (
-                self._stats.copy(),
-                self._evictions,
-                self._total_bytes,
-                _THREAD_STATE.last,
-            )
+            return (self._total_bytes, _THREAD_STATE.last)
 
     def restore(self, state: tuple) -> None:
-        stats, evictions, total, last = state
+        total, last = state
         with self._lock:
-            self._stats.clear()
-            self._stats.update(stats)
-            self._evictions = evictions
             self._total_bytes = total
         _THREAD_STATE.last = last
 
 
-_REGISTRY = _DotStatsRegistry(maxsize=32)
-
-
-def _record_dot_stats(stats: PackedDotStats) -> None:
-    _REGISTRY.record(stats)
+_REGISTRY = _DotStatsRegistry()
 
 #: Module default for :func:`packed_dot`'s ``num_threads`` (the knob a
 #: WASM host would set from ``navigator.hardwareConcurrency``).  Set by
@@ -205,66 +142,19 @@ def _executor(n: int) -> ThreadPoolExecutor:
         return pool
 
 
-def last_dot_stats(
-    source: Optional[str] = None,
-    block_bytes: Optional[int] = None,
-    num_threads: Optional[int] = None,
-) -> PackedDotStats:
-    """Stats of the most recent popcount dot-product call.
+def last_dot_stats() -> PackedDotStats:
+    """Stats of the calling thread's most recent :func:`packed_dot` call.
 
-    With no arguments this is the most recent call made *by the calling
-    thread*, of any configuration — thread-local, so a test or profiling
-    hook that reads right after its own kernel call can never observe a
-    concurrent thread's stats.  Passing any of ``source`` /
-    ``block_bytes`` / ``num_threads`` filters the process-wide keyed
-    registry instead and returns the most recent call matching every
-    given field — e.g. ``last_dot_stats(source="plan")`` is never raced
-    by interleaved interpreter calls.  Returns an empty
-    :class:`PackedDotStats` when nothing matches.
+    Thread-local, so a test or profiling hook that reads right after its
+    own kernel call can never observe a concurrent thread's stats.
+    Returns an empty :class:`PackedDotStats` before the first call.
     """
-    if source is None and block_bytes is None and num_threads is None:
-        last = _THREAD_STATE.last
-        return last if last is not None else PackedDotStats()
-    return _REGISTRY.lookup(source, block_bytes, num_threads)
-
-
-def dot_stats_cache_info() -> dict[str, object]:
-    """Occupancy of the keyed dot-stats registry (LRU-bounded)."""
-    return _REGISTRY.info()
-
-
-def record_plan_popcount(
-    bytes_popcounted: int,
-    output_shape: tuple[int, int],
-    block_bytes: Optional[int] = None,
-    num_threads: int = 1,
-) -> None:
-    """Account popcount traffic executed by a compiled plan's kernel.
-
-    Compiled plans run their XNOR-popcount loops outside
-    :func:`packed_dot`; this keeps the process-global popcount total and
-    the keyed stats registry (under ``source="plan"``) consistent with
-    the interpreter path so profiling hooks see one coherent stream.
-    """
-    bytes_popcounted = int(bytes_popcounted)
-    _REGISTRY.add_bytes(bytes_popcounted)
-    _record_dot_stats(
-        PackedDotStats(
-            peak_temp_bytes=0,
-            tile_count=1,
-            bytes_popcounted=bytes_popcounted,
-            block_bytes=(
-                int(block_bytes) if block_bytes is not None else DEFAULT_BLOCK_BYTES
-            ),
-            output_shape=tuple(int(d) for d in output_shape),
-            num_threads=int(num_threads),
-            source="plan",
-        )
-    )
+    last = _THREAD_STATE.last
+    return last if last is not None else PackedDotStats()
 
 
 def total_bytes_popcounted() -> int:
-    """Cumulative bytes run through the popcount unit since import.
+    """Cumulative bytes :func:`packed_dot` has popcounted since import.
 
     A monotone process-wide counter, summed over every thread and
     updated under a lock, so concurrent kernels never lose counts.  Per
@@ -501,16 +391,13 @@ def packed_dot(
 
     tiles = sum(r[0] for r in results)
     popcounted = sum(r[1] for r in results)
-    _record_dot_stats(
-        PackedDotStats(
-            peak_temp_bytes=overhead + n_used * per_worker,
-            tile_count=tiles,
-            bytes_popcounted=popcounted,
-            block_bytes=block,
-            output_shape=(p, q),
-            num_threads=n_used,
-            source="interpreter",
-        )
+    _THREAD_STATE.last = PackedDotStats(
+        peak_temp_bytes=overhead + n_used * per_worker,
+        tile_count=tiles,
+        bytes_popcounted=popcounted,
+        block_bytes=block,
+        output_shape=(p, q),
+        num_threads=n_used,
     )
     _REGISTRY.add_bytes(popcounted)
     return out

@@ -44,7 +44,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..observability.tracing import NULL_RECORDER, Tracer
-from . import bitpack
 from .bitpack import unpack_signs
 from .interpreter import WasmModel, conv_geometry
 from .model_format import (
@@ -120,15 +119,12 @@ class _Record(NamedTuple):
     """One C kernel call: its table words and the arrays they point to.
 
     ``fields`` maps each record field to the value it was built from.
-    ``popcount`` is ``(rows, oc, row_bytes)`` for a popdot record — the
-    popcount traffic it issues per sample — and empty otherwise.
     """
 
     kernel: str
     words: tuple
     arrays: tuple
     fields: dict
-    popcount: tuple = ()
 
 
 class NativeSegment:
@@ -136,7 +132,6 @@ class NativeSegment:
 
     The segment owns its int64 record table and every array a record
     points to, so no address it hands the kernels can outlive its buffer.
-    Popcount traffic is accounted once, after the call, from ``n``.
     ``isa`` caps the kernels' SIMD level (an :data:`ISA_LEVELS` value);
     ``variants`` names the kernel variant that serves each record, e.g.
     ``"conv_direct:chan_avx512"``.
@@ -146,7 +141,6 @@ class NativeSegment:
         self.kernels = tuple(r.kernel for r in records)
         self.table = np.array([w for r in records for w in r.words], dtype=np.int64)
         self._arrays = [a for r in records for a in r.arrays]
-        self._popcounts = tuple(r.popcount for r in records if r.popcount)
         self._run = backend.run_program
         self._isa = isa
         self._table_ptr = self.table.ctypes.data
@@ -163,9 +157,6 @@ class NativeSegment:
             raise PlanExecutionError(
                 f"native segment record {status - 1} has an unknown opcode"
             )
-        for rows, oc, row_bytes in self._popcounts:
-            m = n * rows
-            bitpack.record_plan_popcount(m * row_bytes, output_shape=(m, oc))
 
 
 @dataclass
@@ -393,7 +384,7 @@ class _PlanBuilder:
 
     # -- helpers --------------------------------------------------------
     @staticmethod
-    def _kernel(ops: list, kernel: str, *, popcount: tuple = (), **fields) -> None:
+    def _kernel(ops: list, kernel: str, **fields) -> None:
         """Append one C kernel record: arrays become (owned) addresses."""
         layout = RECORD_FIELDS[kernel]
         if len(fields) != len(layout):
@@ -411,7 +402,7 @@ class _PlanBuilder:
                 words.append(value.ctypes.data)
             else:
                 words.append(int(value))
-        ops.append(_Record(kernel, tuple(words), tuple(arrays), fields, popcount))
+        ops.append(_Record(kernel, tuple(words), tuple(arrays), fields))
 
     @staticmethod
     def _last_record(ops: list, kernel: str, **fields) -> Optional[_Record]:
@@ -842,13 +833,11 @@ class _PlanBuilder:
                 np.mean(abscols[:m], axis=1, out=kfac[:m])
 
             ops.append(kfac_mean)
-        mask_bytes_per_row = word_count * 8 if mwords is not None else 0
         self._kernel(
             ops, "popdot_scale",
             va=words, vw=wplain, vwm=wmasked, valid=valid, alpha=alpha,
             kfac=kfac, bias=bias, out=out, rows=rows, oc=oc, W=word_count,
             fallback_valid=row_len,
-            popcount=(rows, oc, oc * word_count * 8 + mask_bytes_per_row),
         )
         # popdot's epilogue ends at the bias; a directly-adjacent relu
         # (rare — zoo binary convs feed BN/pool) runs as one extra pass.
@@ -934,7 +923,6 @@ class _PlanBuilder:
             va=words, vw=wwords, vwm=None, valid=None, alpha=alpha,
             kfac=betabuf, bias=bias, out=out, rows=1, oc=oc, W=word_count,
             fallback_valid=bit_length,
-            popcount=(1, oc, oc * word_count * 8),
         )
         self._emit_numpy_relu(ops, out, relu_mode)
         self.buf = out

@@ -139,6 +139,8 @@ class TestFleetConfig:
             {"min_busy_fraction": 1.5},
             {"hold_rounds": 0},
             {"cooldown_rounds": -1},
+            {"scale_up_burn": 0.0},
+            {"scale_down_burn": -0.1},
         ],
     )
     def test_autoscaler_validation(self, kwargs):
@@ -612,8 +614,8 @@ class TestCapacityPlanning:
         assert len(text.splitlines()) == 2
 
 
-class TestSweepConfigShims:
-    """`run_concurrency`/`run_worker_scaling` kwarg sprawl → frozen configs."""
+class TestSweepConfigs:
+    """The frozen sweep configs validate and normalize their fields."""
 
     def test_concurrency_config_validation(self):
         from repro.experiments import ConcurrencySweepConfig

@@ -7,13 +7,20 @@ capacity eviction with the ``dropped`` tally), and the watcher coupling:
 a :class:`MetricWindows` tap sees every ``add``/``observe`` stamped with
 the binder's clock, and detaching leaves the metric watcher-free so the
 allocation-free-when-unused invariant holds again.
+
+It also holds the property suite for :class:`Hysteresis`, the one
+streak/dead-band/cooldown machine behind the fleet autoscaler, the τ
+controller and the SLO alert clear: their no-flap contracts all rest on
+the properties pinned here.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.observability import MetricsRegistry, MetricWindows, WindowedSeries
+from repro.observability.windows import DEAD_BAND, OVER, UNDER, Hysteresis
 
 pytestmark = pytest.mark.obs
 
@@ -151,3 +158,134 @@ class TestMetricWindows:
         assert counter._watchers == ()
         counter.add(1)
         assert series.count(0.0) == 0  # no longer observing
+
+
+# ----------------------------------------------------------------------
+# Hysteresis: the shared streak / dead-band / cooldown machine
+# ----------------------------------------------------------------------
+readings = st.sampled_from([OVER, UNDER, DEAD_BAND, None])
+#: What the caller does with a ready direction: act, spend the streak
+#: without acting, or leave it counting (an autoscaler at its bound).
+reactions = st.sampled_from(["fire", "reset", "hold"])
+holds = st.integers(1, 4)
+cooldowns = st.integers(0, 3)
+
+
+def drive(h: Hysteresis, trace) -> None:
+    """Replay ``(reading, reaction)`` rounds, reacting to each firing."""
+    for reading, reaction in trace:
+        ready = h.step(reading)
+        if ready is not None and reaction != "hold":
+            getattr(h, reaction)(ready)
+
+
+traces = st.lists(st.tuples(readings, reactions), max_size=40)
+
+
+class TestHysteresisUnit:
+    @pytest.mark.parametrize("kwargs", [{"hold_rounds": 0}, {"cooldown_rounds": -1}])
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            Hysteresis(**{"hold_rounds": 1, **kwargs})
+
+    def test_classify_thresholds_are_inclusive(self):
+        assert Hysteresis.classify(10.0, 2.0, 10.0) == OVER
+        assert Hysteresis.classify(2.0, 2.0, 10.0) == UNDER
+        assert Hysteresis.classify(5.0, 2.0, 10.0) == DEAD_BAND
+
+    def test_hold_rounds_then_fire(self):
+        h = Hysteresis(hold_rounds=2, cooldown_rounds=1)
+        assert h.step(OVER) is None
+        assert h.step(OVER) == OVER
+        h.fire(OVER)
+        assert h.step(OVER) is None  # the cooldown round still counts
+        assert h.step(OVER) == OVER
+
+    def test_held_streak_fires_on_the_next_round(self):
+        h = Hysteresis(hold_rounds=2)
+        h.step(UNDER)
+        assert h.step(UNDER) == UNDER
+        assert h.step(UNDER) == UNDER  # left counting, still ready
+        h.reset(UNDER)
+        assert h.step(UNDER) is None
+
+
+class TestHysteresisProperties:
+    @given(
+        hold=st.integers(2, 5),
+        cooldown=cooldowns,
+        first=st.sampled_from([OVER, UNDER]),
+        rounds=st.integers(0, 40),
+    )
+    def test_alternating_readings_never_fire(self, hold, cooldown, first, rounds):
+        h = Hysteresis(hold, cooldown)
+        second = UNDER if first == OVER else OVER
+        for i in range(rounds):
+            assert h.step(first if i % 2 == 0 else second) is None
+        assert max(h.over, h.under) <= 1
+
+    @given(hold=holds, cooldown=cooldowns, trace=traces)
+    def test_none_never_fires_and_breaks_only_the_over_streak(
+        self, hold, cooldown, trace
+    ):
+        h = Hysteresis(hold, cooldown)
+        drive(h, trace)
+        under, cool = h.under, h.cooldown
+        assert h.step(None) is None
+        assert h.over == 0
+        assert h.under == under
+        assert h.cooldown == max(0, cool - 1)
+
+    @given(
+        hold=holds,
+        cooldown=st.integers(1, 4),
+        direction=st.sampled_from([OVER, UNDER]),
+        trace=traces,
+        during=st.lists(readings, min_size=1, max_size=4),
+    )
+    def test_cooldown_is_consumed_while_streaks_keep_counting(
+        self, hold, cooldown, direction, trace, during
+    ):
+        h = Hysteresis(hold, cooldown)
+        drive(h, trace)
+        h.fire(direction)
+        # Each cooldown round answers None, consumes one round, and
+        # still advances the streaks exactly as a live round would.
+        shadow = Hysteresis(hold)
+        shadow.over, shadow.under = h.over, h.under
+        for reading in during[:cooldown]:
+            remaining = h.cooldown
+            assert h.step(reading) is None
+            shadow.step(reading)
+            assert h.cooldown == remaining - 1
+            assert (h.over, h.under) == (shadow.over, shadow.under)
+
+    @given(
+        hold=holds,
+        cooldown=cooldowns,
+        direction=st.sampled_from([OVER, UNDER]),
+        trace=traces,
+    )
+    def test_fire_resets_only_that_streak_and_arms_the_cooldown(
+        self, hold, cooldown, direction, trace
+    ):
+        h = Hysteresis(hold, cooldown)
+        drive(h, trace)
+        over, under = h.over, h.under
+        h.fire(direction)
+        assert (h.over, h.under) == ((0, under) if direction == OVER else (over, 0))
+        assert h.cooldown == cooldown
+
+    @given(
+        hold=holds,
+        cooldown=cooldowns,
+        direction=st.sampled_from([OVER, UNDER]),
+        trace=traces,
+    )
+    def test_reset_arms_nothing(self, hold, cooldown, direction, trace):
+        h = Hysteresis(hold, cooldown)
+        drive(h, trace)
+        over, under, cool = h.over, h.under, h.cooldown
+        h.reset(direction)
+        assert (h.over, h.under) == ((0, under) if direction == OVER else (over, 0))
+        assert h.cooldown == cool
