@@ -113,15 +113,15 @@ def main() -> None:
             session = deployment.run_session(
             test.images[:80], config=SessionConfig(batch_size=16)
         )
-            counters = deployment.fault_counters
+            faults = deployment.registry
             print(
                 f"{profile:>9}: acc={session.accuracy(test.labels[:80]):.3f}  "
                 f"exit={session.exit_rate:.2f}  "
                 f"fallback={session.fallback_rate:.2f}  "
                 f"attempts={session.mean_attempts:.2f}  "
-                f"drops={counters.frames_dropped}  "
-                f"timeouts={counters.frames_timed_out}  "
-                f"retries={counters.retries}"
+                f"drops={faults.counter('fault.frames_dropped').value}  "
+                f"timeouts={faults.counter('fault.frames_timed_out').value}  "
+                f"retries={faults.counter('fault.retries').value}"
             )
     finally:
         system.calibration = calibrated

@@ -500,7 +500,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    from .runtime import LCRSDeployment, RetryPolicy
+    from .runtime import FAULT_COUNTERS, LCRSDeployment, RetryPolicy
     from .runtime.network import LINK_PRESETS, faulty
 
     system = load_system(args.checkpoint)
@@ -556,7 +556,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
         "  served_by: "
         + " ".join(f"{name}={count}" for name, count in sorted(served.items()))
     )
-    counters = deployment.fault_counters.as_dict()
+    counters = {
+        name: deployment.registry.counter(f"fault.{name}").value
+        for name in FAULT_COUNTERS
+    }
     print(
         "  link: "
         + " ".join(f"{name}={value}" for name, value in counters.items())
@@ -709,7 +712,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(
         f"  traces={summary.traces} spans={summary.spans} "
         f"exit={sum(r.exit_rate for r in results) / len(results):.2f} "
-        f"batches={scheduler.counters.batches}"
+        f"batches={scheduler.health()['batches']}"
     )
     for name in sorted(summary.by_name):
         stat = summary.by_name[name]

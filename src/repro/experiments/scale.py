@@ -253,19 +253,20 @@ def _concurrency_cell(
     results = run_concurrent_sessions(
         deployments, [images] * n_users, scheduler, config=session_config
     )
-    c = scheduler.counters
+    h = scheduler.health()
 
     # Analytic cross-check: an M/M/1 queue at the measured arrival rate
     # and the effective batched service time.  Session duration is the
     # slowest session's priced wall time.
     analytic_wait_ms: Optional[float] = None
     duration_s = max(sum(s.total_ms for s in r.trace.samples) for r in results) / 1e3
-    if c.samples_served and c.mean_batch_size > 0 and duration_s > 0:
-        arrival = c.accepted_samples / duration_s
+    if h["samples_served"] and h["mean_batch_size"] > 0 and duration_s > 0:
+        accepted = scheduler.registry.counter("sched.accepted_samples").value
+        arrival = accepted / duration_s
         queue = QueueModel(
             workers=scheduler.config.num_workers,
             service_time_s=scheduler.service_model.service_time_s(
-                max(1, int(round(c.mean_batch_size)))
+                max(1, int(round(h["mean_batch_size"])))
             ),
         )
         if queue.is_stable(arrival):
@@ -276,13 +277,13 @@ def _concurrency_cell(
         window_ms=scheduler_config.window_ms,
         max_batch_size=scheduler_config.max_batch_size,
         num_workers=scheduler_config.num_workers,
-        samples_served=c.samples_served,
-        batches=c.batches,
-        throughput_rps=c.throughput_rps,
-        mean_batch_size=c.mean_batch_size,
-        mean_queue_wait_ms=c.mean_queue_wait_ms,
+        samples_served=h["samples_served"],
+        batches=h["batches"],
+        throughput_rps=h["throughput_rps"],
+        mean_batch_size=h["mean_batch_size"],
+        mean_queue_wait_ms=h["mean_queue_wait_ms"],
         analytic_wait_ms=analytic_wait_ms,
-        shed_rate=c.shed_rate,
+        shed_rate=h["shed_rate"],
         fallback_rate=float(np.mean([r.fallback_rate for r in results])),
         exit_rate=float(np.mean([r.exit_rate for r in results])),
         mean_latency_ms=float(np.mean([r.mean_latency_ms for r in results])),
@@ -588,12 +589,12 @@ def run_worker_scaling(
         scheduler.flush()
         answer_key = collect_answers(scheduler, tickets)
 
-        counters = scheduler.counters
+        health = scheduler.health()
         makespan_ms = scheduler.clock_ms
         throughput = need / makespan_ms * 1e3 if makespan_ms > 0 else float("inf")
-        batches = counters.batches
-        mean_queue_wait_ms = counters.mean_queue_wait_ms
-        max_workers_busy = counters.max_workers_busy
+        batches = health["batches"]
+        mean_queue_wait_ms = health["mean_queue_wait_ms"]
+        max_workers_busy = scheduler.worker_pool.max_busy
 
         wall_makespan_ms: Optional[float] = None
         wall_throughput: Optional[float] = None

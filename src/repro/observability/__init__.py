@@ -41,7 +41,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
     labeled,
     parse_labels,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "WindowedSeries",
     "chrome_trace",
     "default_fleet_slos",
-    "global_registry",
     "labeled",
     "now_ms",
     "now_s",

@@ -1,17 +1,19 @@
 """Named metrics: counters, gauges, and fixed-bucket histograms.
 
-One registry replaces the ad-hoc counter dataclasses that grew up around
-the miss-path transport (``FaultCounters``) and the shared edge
-(``SchedulerCounters``): every metric is a named object in a
-:class:`MetricsRegistry`, so exporters and tests read one schema, and
-new subsystems get observability by naming a metric rather than writing
-a dataclass.  The legacy classes survive as facades over registry metrics (see
-:mod:`repro.profiling.op_counters`), keeping their ``counters.x += 1``
-call sites and ``as_dict`` schemas bit-compatible.
+Every count in the system is a named metric in the
+:class:`MetricsRegistry` of the object that owns it: a deployment's
+``fault.*`` miss-path counters, a scheduler's ``sched.*`` series
+(shard-labeled in a fleet's shared registry), the fleet's ``fleet.*``
+series.  Exporters, ``repro top``, the SLO layer and tests read one
+schema, and a new subsystem gets observability by naming a metric.
+Owners resolve their metrics once and change them only through the
+mutators — ``add``, ``set``/``set_max``, ``observe`` — never by
+assigning ``value`` (a lint rule in ``tests/test_lint.py``), so the lock
+and the watchers always run.
 
-Metrics are deliberately primitive — a mutable ``value`` plus an
+Metrics are deliberately primitive — a ``value`` plus an
 ``add``/``set``/``observe`` method — so the hot paths that bump them pay
-an attribute store, not a dispatch tree.  Histograms keep both
+one locked update, not a dispatch tree.  Histograms keep both
 fixed-bucket counts (stable export schema) and the raw samples (exact
 p50/p95/p99 by nearest rank); serving runs observe at most a few
 thousand samples per metric, so exactness is cheaper than a sketch.
@@ -44,7 +46,6 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricsRegistry",
-    "global_registry",
     "labeled",
     "parse_labels",
 ]
@@ -460,11 +461,3 @@ class MetricsRegistry:
                 out["counters"][name] = metric.value
         return out
 
-
-#: Process-wide registry for metrics with no better owner.  Scoped by
-#: :func:`repro.profiling.op_counters.counters_scope` in tests.
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    return _GLOBAL_REGISTRY

@@ -9,22 +9,14 @@ from .layer_stats import (
     model_size_mb,
     profile_layer,
 )
-from .op_counters import (
-    FaultCounters,
-    SchedulerCounters,
-    counters_scope,
-)
 from .tracer import TracedLayer, trace
 
 __all__ = [
     "FLOAT_BYTES",
-    "FaultCounters",
     "LayerProfile",
     "NetworkProfile",
-    "SchedulerCounters",
     "TracedLayer",
     "binary_param_bytes",
-    "counters_scope",
     "model_size_bytes",
     "model_size_mb",
     "profile_layer",

@@ -278,7 +278,6 @@ class _Shard:
         "state",
         "consecutive_failures",
         "sessions",
-        "busy_gauge",
         "requests_ok",
         "requests_total",
     )
@@ -291,10 +290,7 @@ class _Shard:
         self.state = SHARD_ACTIVE
         self.consecutive_failures = 0
         self.sessions: set[int] = set()
-        registry = scheduler.counters.registry
-        self.busy_gauge = registry.gauge(
-            scheduler.counters.metric_name("workers_busy")
-        )
+        registry = scheduler.registry
         # Availability series the per-shard SLO watches: a request is
         # "ok" when its reply was computed and collected from this
         # shard; failed submits and stranded tickets bump only the
@@ -317,18 +313,18 @@ class _Shard:
         return self.state in (SHARD_ACTIVE, SHARD_DRAINING)
 
     def describe(self) -> dict[str, object]:
-        c = self.scheduler.counters
+        h = self.scheduler.health()
         return {
             "shard": self.shard_id,
             "state": self.state,
             "sessions": len(self.sessions),
-            "samples_served": c.samples_served,
-            "batches": c.batches,
-            "busy_ms": c.busy_ms,
-            "throughput_rps": c.throughput_rps,
-            "mean_queue_wait_ms": c.mean_queue_wait_ms,
-            "shed_samples": c.shed_samples,
-            "clock_ms": self.scheduler.clock_ms,
+            "samples_served": h["samples_served"],
+            "batches": h["batches"],
+            "busy_ms": h["busy_ms"],
+            "throughput_rps": h["throughput_rps"],
+            "mean_queue_wait_ms": h["mean_queue_wait_ms"],
+            "shed_samples": h["shed_samples"],
+            "clock_ms": h["clock_ms"],
         }
 
 
@@ -976,10 +972,10 @@ class FleetRouter:
         for shard in active:
             sched = shard.scheduler
             depths.append(sched.queue_depth_gauge.value)
-            busy.append(shard.busy_gauge.value / sched.config.num_workers)
+            busy.append(sched.workers_busy_gauge.value / sched.config.num_workers)
             # Reset the high-waters so next round's signal is its own.
             sched.queue_depth_gauge.set(float(sched.queued_samples()))
-            shard.busy_gauge.set(0.0)
+            sched.workers_busy_gauge.set(0.0)
         mean_depth = sum(depths) / len(depths)
         busy_fraction = sum(busy) / len(busy)
         action = self.autoscaler.step(

@@ -169,17 +169,6 @@ class FaultyLink:
         self._rng = np.random.default_rng(self.seed)
         self._script_pos = 0
         self.last_faults: tuple[str, ...] = ()
-        #: Observability: injected-fault tallies across the link's life
-        #: (what the link *did*, vs FaultCounters' view of what the
-        #: session *experienced*).  Keys are _FAULT_KINDS minus "ok",
-        #: plus "exchanges" for the total delivery attempts seen.
-        self.fault_counts: dict[str, int] = {
-            "exchanges": 0,
-            "drop": 0,
-            "timeout": 0,
-            "corrupt": 0,
-            "duplicate": 0,
-        }
 
     # -- timing delegates to the wrapped link -------------------------
     @property
@@ -233,24 +222,19 @@ class FaultyLink:
 
     def exchange(self, frame: bytes, handler: Callable[[bytes], bytes]) -> bytes:
         kind = self._next_fault()
-        self.fault_counts["exchanges"] += 1
         if kind == "drop":
             self.last_faults = ("drop",)
-            self.fault_counts["drop"] += 1
             raise FrameDropped(f"request frame dropped on {self.name}")
         if kind == "timeout":
             handler(frame)  # the server did the work; the reply is lost
             self.last_faults = ("timeout",)
-            self.fault_counts["timeout"] += 1
             raise FrameTimeout(f"reply timed out on {self.name}")
         faults: list[str] = []
         if kind == "corrupt":
             faults.append("corrupt")
-            self.fault_counts["corrupt"] += 1
             frame = self._corrupt(frame)
         if kind == "duplicate":
             faults.append("duplicate")
-            self.fault_counts["duplicate"] += 1
             handler(frame)  # at-least-once delivery: served twice
         reply = handler(frame)
         self.last_faults = tuple(faults)

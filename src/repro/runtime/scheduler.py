@@ -44,9 +44,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..observability import NULL_RECORDER, Counter, labeled
+from ..observability import NULL_RECORDER, Counter, MetricsRegistry, labeled
 from ..observability.clock import now_ms
-from ..profiling import SchedulerCounters
 from ..profiling.layer_stats import NetworkProfile
 from .concurrency import ServiceTimeModel
 from .profiles import DeviceProfile, EDGE_SERVER
@@ -70,6 +69,33 @@ from .session import (
     SessionTrace,
 )
 from .worker_pool import WorkerPool
+
+#: The ``sched.*`` counters of one scheduler.  Requests and samples split
+#: by admission outcome (accepted vs shed vs malformed); ``batches``,
+#: ``samples_served`` and ``busy_ms`` describe what the trunk executed;
+#: ``queue_wait_ms`` sums the simulated per-sample wait (window +
+#: head-of-line + edge busy).
+_COUNTERS = (
+    "submitted_requests",
+    "accepted_requests",
+    "shed_requests",
+    "malformed_requests",
+    "submitted_samples",
+    "accepted_samples",
+    "shed_samples",
+    "samples_served",
+    "batches",
+    "busy_ms",
+    "queue_wait_ms",
+)
+
+#: Outcomes of the per-tenant ``sched.tenant_samples{outcome=…,tenant=…}``
+#: sample counters, which keep the fairness policy observable.
+_TENANT_OUTCOMES = ("submitted", "accepted", "shed", "served")
+
+#: Batch sizes are small integers; a dedicated bucket ladder keeps the
+#: ``sched.batch_size`` histogram readable.
+_BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 @dataclass(frozen=True)
@@ -168,9 +194,20 @@ class EdgeScheduler:
         #: router's shared ``registry`` so N shards never fold their
         #: telemetry into one series.
         self.shard = shard
-        self.counters = SchedulerCounters(
-            registry=registry,
-            labels={"shard": shard} if shard is not None else None,
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._counts = {
+            name: self.registry.counter(self._series(name)) for name in _COUNTERS
+        }
+        self._max_queue_depth = self.registry.gauge(self._series("max_queue_depth"))
+        # Exact mode: every batch size stays readable, not just its bucket.
+        self._batch_size_h = self.registry.histogram(
+            self._series("batch_size"), bounds=_BATCH_SIZE_BUCKETS
+        )
+        # Per-request waits feed the windowed p99 SLO; bounded mode caps
+        # retained samples so long-running fleets don't grow without
+        # bound (bucket counts and the sum stay exact regardless).
+        self._request_wait_h = self.registry.histogram(
+            self._series("request_queue_wait_ms"), max_samples=4096
         )
         # Tracing: with an enabled recorder, every served request gets a
         # `sched.queue_wait` span and every trunk pass a `trunk.batch`
@@ -183,15 +220,11 @@ class EdgeScheduler:
         #: Queue-depth high-water gauge (samples queued at admission);
         #: consumers that want per-window readings (the fleet autoscaler)
         #: read it and reset it between windows.
-        self.queue_depth_gauge = self.counters.registry.gauge(
-            self.counters.metric_name("queue_depth")
-        )
+        self.queue_depth_gauge = self.registry.gauge(self._series("queue_depth"))
         #: Real thread pool for batch execution; its busy high-water
-        #: feeds the `sched.workers_busy` gauge and counter.  The gauge
-        #: is also read by :meth:`health` for the busy fraction.
-        self.workers_busy_gauge = self.counters.registry.gauge(
-            self.counters.metric_name("workers_busy")
-        )
+        #: feeds the `sched.workers_busy` gauge, which :meth:`health`
+        #: reads for the busy fraction.
+        self.workers_busy_gauge = self.registry.gauge(self._series("workers_busy"))
         self.worker_pool = WorkerPool(
             self.config.num_workers, gauge=self.workers_busy_gauge
         )
@@ -199,7 +232,8 @@ class EdgeScheduler:
         self._results: dict[int, tuple[bytes, float]] = {}
         self._tickets = itertools.count(1)
         self._batch_ids = itertools.count(1)
-        self._tenants: set[int] = set()
+        #: Registered tenants and their ``sched.tenant_samples`` counters.
+        self._tenants: dict[int, dict[str, Counter]] = {}
         # At-least-once delivery: a resubmission of the same (tenant,
         # sequences) pair must land on the same queue entry.
         self._dedupe: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -228,6 +262,12 @@ class EdgeScheduler:
         )
 
     # -- observability -------------------------------------------------
+    def _series(self, name: str, **labels: object) -> str:
+        """Registry name of one ``sched.*`` series, shard-labeled in a fleet."""
+        if self.shard is not None:
+            labels["shard"] = self.shard
+        return labeled(f"sched.{name}", **labels)
+
     @property
     def clock_ms(self) -> float:
         """Simulated time at which the whole trunk pool is next free.
@@ -243,7 +283,14 @@ class EdgeScheduler:
         self._worker_free = [float(value)] * len(self._worker_free)
 
     def register(self, tenant_id: int) -> None:
-        self._tenants.add(int(tenant_id))
+        tenant_id = int(tenant_id)
+        if tenant_id not in self._tenants:
+            self._tenants[tenant_id] = {
+                outcome: self.registry.counter(
+                    self._series("tenant_samples", outcome=outcome, tenant=tenant_id)
+                )
+                for outcome in _TENANT_OUTCOMES
+            }
 
     @property
     def tenant_fair_share(self) -> int:
@@ -264,10 +311,14 @@ class EdgeScheduler:
         top``: instantaneous queue state plus the windowable wait
         summaries.  ``queue_depth`` is live (samples queued right now);
         ``queue_depth_hw`` is the high-water gauge the autoscaler reads
-        and resets per round.
+        and resets per round.  This is the one place the derived rates
+        are computed: ``shed_rate`` is the fraction of submitted samples
+        refused with a 503, ``throughput_rps`` is samples per second of
+        edge busy time (serving efficiency).
         """
-        counters = self.counters
-        wait_h = counters.request_wait_histogram
+        c = {name: counter.value for name, counter in self._counts.items()}
+        served, batches, busy_ms = c["samples_served"], c["batches"], c["busy_ms"]
+        submitted = c["submitted_samples"]
         return {
             "shard": self.shard,
             "clock_ms": self.clock_ms,
@@ -279,11 +330,15 @@ class EdgeScheduler:
                 else 0.0
             ),
             "num_workers": self.config.num_workers,
-            "samples_served": counters.samples_served,
-            "shed_samples": counters.shed_samples,
-            "batches": counters.batches,
-            "mean_queue_wait_ms": counters.mean_queue_wait_ms,
-            "p99_queue_wait_ms": wait_h.p99,
+            "samples_served": served,
+            "shed_samples": c["shed_samples"],
+            "batches": batches,
+            "busy_ms": busy_ms,
+            "shed_rate": c["shed_samples"] / submitted if submitted else 0.0,
+            "mean_batch_size": served / batches if batches else 0.0,
+            "mean_queue_wait_ms": c["queue_wait_ms"] / served if served else 0.0,
+            "throughput_rps": served / busy_ms * 1e3 if busy_ms > 0 else 0.0,
+            "p99_queue_wait_ms": self._request_wait_h.p99,
             "tenants": len(self._tenants),
         }
 
@@ -298,15 +353,15 @@ class EdgeScheduler:
         come, and the client's retry policy (then binary-branch
         fallback) takes over.
         """
-        counters = self.counters
-        counters.submitted_requests += 1
+        c = self._counts
+        c["submitted_requests"].add(1)
         try:
             message = decode_frame(frame)
         except ProtocolError as exc:
-            counters.malformed_requests += 1
+            c["malformed_requests"].add(1)
             return encode_frame(ErrorResponse(code=400, message=str(exc)))
         if not isinstance(message, BatchInferenceRequest):
-            counters.malformed_requests += 1
+            c["malformed_requests"].add(1)
             return encode_frame(
                 ErrorResponse(
                     code=405,
@@ -318,10 +373,10 @@ class EdgeScheduler:
             )
         tenant = int(message.session_id)
         self.register(tenant)
+        row = self._tenants[tenant]
         n = len(message.sequences)
-        counters.submitted_samples += n
-        row = counters.tenant(tenant)
-        row["submitted"] += n
+        c["submitted_samples"].add(n)
+        row["submitted"].add(n)
 
         key = (tenant, message.sequences)
         if key in self._dedupe:
@@ -334,35 +389,25 @@ class EdgeScheduler:
                     queued_samples=self.queued_samples(),
                 )
             )
-        if self.queued_samples() + n > self.config.queue_capacity:
-            counters.shed_requests += 1
-            counters.shed_samples += n
-            row["shed"] += n
-            return encode_frame(
-                ErrorResponse(
-                    code=503,
-                    message=(
-                        f"queue full: {self.queued_samples()}+{n} over "
-                        f"{self.config.queue_capacity} samples"
-                    ),
-                )
-            )
         held = self.queued_samples(tenant)
+        shed = None
+        if self.queued_samples() + n > self.config.queue_capacity:
+            shed = (
+                f"queue full: {self.queued_samples()}+{n} over "
+                f"{self.config.queue_capacity} samples"
+            )
         # Fairness sheds a tenant's *additional* requests; a tenant with
         # nothing queued is never starved by the share arithmetic.
-        if held > 0 and held + n > self.tenant_fair_share:
-            counters.shed_requests += 1
-            counters.shed_samples += n
-            row["shed"] += n
-            return encode_frame(
-                ErrorResponse(
-                    code=503,
-                    message=(
-                        f"tenant {tenant} over fair share: {held}+{n} over "
-                        f"{self.tenant_fair_share} samples"
-                    ),
-                )
+        elif held > 0 and held + n > self.tenant_fair_share:
+            shed = (
+                f"tenant {tenant} over fair share: {held}+{n} over "
+                f"{self.tenant_fair_share} samples"
             )
+        if shed is not None:
+            c["shed_requests"].add(1)
+            c["shed_samples"].add(n)
+            row["shed"].add(n)
+            return encode_frame(ErrorResponse(code=503, message=shed))
         ticket = next(self._tickets)
         self._queue.append(
             _Queued(
@@ -373,11 +418,11 @@ class EdgeScheduler:
             )
         )
         self._dedupe[key] = ticket
-        counters.accepted_requests += 1
-        counters.accepted_samples += n
-        row["accepted"] += n
+        c["accepted_requests"].add(1)
+        c["accepted_samples"].add(n)
+        row["accepted"].add(n)
         depth = self.queued_samples()
-        counters.max_queue_depth = max(counters.max_queue_depth, depth)
+        self._max_queue_depth.set_max(depth)
         self.queue_depth_gauge.set_max(depth)
         return encode_frame(
             SchedulerAck(session_id=tenant, ticket=ticket, queued_samples=depth)
@@ -485,9 +530,7 @@ class EdgeScheduler:
                 self._queue.remove(q)
 
         outputs = self.worker_pool.map(self._execute_batch, batches)
-        self.counters.max_workers_busy = max(
-            self.counters.max_workers_busy, self.worker_pool.max_busy
-        )
+        c = self._counts
 
         for batch, (logits, infer_wall_ms) in zip(batches, outputs):
             # Same softmax/argmax math as EdgeProtocolServer's per-request
@@ -511,8 +554,8 @@ class EdgeScheduler:
                 )
                 wait = start - q.arrival_ms
                 self._results[q.ticket] = (encode_frame(response), wait)
-                self.counters.record_request_wait(wait)
-                self.counters.tenant(q.tenant)["served"] += q.samples
+                self._request_wait_h.observe(wait)
+                self._tenants[q.tenant]["served"].add(q.samples)
                 waits += wait * q.samples
                 offset += q.samples
                 served.append(q.ticket)
@@ -529,7 +572,11 @@ class EdgeScheduler:
                         samples=q.samples,
                         batch=batch.batch_id,
                     )
-            self.counters.record_batch(batch.total, batch.exec_ms, waits)
+            c["batches"].add(1)
+            c["samples_served"].add(batch.total)
+            c["busy_ms"].add(batch.exec_ms)
+            c["queue_wait_ms"].add(waits)
+            self._batch_size_h.observe(batch.total)
             if rec.enabled:
                 batch_span = rec.add_span(
                     "trunk.batch",
@@ -633,14 +680,11 @@ def run_concurrent_sessions(
     rec = scheduler.recorder
     cfg = config if config is not None else SessionConfig()
     # Session-level registry series (satellite of the SLO layer): who
-    # served each sample and the running fallback fraction.  Bumped via
-    # Counter.add so windowed watchers see every increment (a facade
-    # `+=` would bypass them).  ``scheduler`` may be a FleetRouter,
-    # which exposes ``registry`` directly and no shard identity (these
-    # series aggregate the whole fleet; sessions move across shards).
-    registry = getattr(scheduler, "registry", None)
-    if registry is None:
-        registry = scheduler.counters.registry
+    # served each sample and the running fallback fraction.
+    # ``scheduler`` may be a FleetRouter, whose registry these series
+    # share with no shard identity (they aggregate the whole fleet;
+    # sessions move across shards).
+    registry = scheduler.registry
     shard = getattr(scheduler, "shard", None)
     session_labels = {"shard": shard} if shard is not None else {}
     samples_c = registry.counter(labeled("session.samples", **session_labels))
@@ -725,7 +769,7 @@ def run_concurrent_sessions(
                     if deployment._reply_valid(reply, pending.request):
                         pending.queue_ms = wait_ms
                     else:
-                        deployment.fault_counters.replies_rejected += 1
+                        deployment._faults["replies_rejected"].add(1)
                         reply = None
                 deployment._apply_reply(pending, reply)
             deployment._finish_chunk(

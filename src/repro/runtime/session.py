@@ -39,8 +39,8 @@ from ..nn import Sequential
 from ..nn.autograd import Tensor, no_grad
 from ..nn.functional import softmax
 from ..nn.module import Module
-from ..observability import NULL_RECORDER, TelemetrySummary
-from ..profiling import FLOAT_BYTES, FaultCounters, NetworkProfile
+from ..observability import NULL_RECORDER, MetricsRegistry, TelemetrySummary
+from ..profiling import FLOAT_BYTES, NetworkProfile
 from ..wasm import WasmModel, serialize_browser_bundle
 from .latency import (
     ComputeStep,
@@ -83,6 +83,23 @@ RESULT_BYTES = 64
 #: sequence and collision-free across live deployments (``id(self)`` was
 #: neither — it varies run to run and recycles addresses).
 _SESSION_IDS = itertools.count(1)
+
+#: A deployment's ``fault.*`` miss-path counters, in report order.  Every
+#: attempt is a ``frames_sent``; failures split by cause; ``retries``
+#: counts re-sends after a failure; ``fallbacks`` counts the samples the
+#: binary branch answered after the retry policy ran out.
+FAULT_COUNTERS = (
+    "frames_sent",
+    "frames_dropped",
+    "frames_timed_out",
+    "frames_corrupted",
+    "frames_duplicated",
+    "edge_errors",
+    "overloads",
+    "replies_rejected",
+    "retries",
+    "fallbacks",
+)
 
 #: ``served_by`` values on :class:`RecognitionOutcome`.
 SERVED_BY_BRANCH = "binary-branch"
@@ -763,7 +780,12 @@ class LCRSDeployment:
         self.edge_device = edge_device
         self.feature_codec = feature_codec
         self.retry_policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-        self.fault_counters = FaultCounters()
+        #: The deployment's metrics; the ``fault.*`` counters are
+        #: resolved once here (see :data:`FAULT_COUNTERS`).
+        self.registry = MetricsRegistry()
+        self._faults = {
+            name: self.registry.counter(f"fault.{name}") for name in FAULT_COUNTERS
+        }
         # Tracing is opt-in: the null recorder keeps every span call site
         # behind a single `enabled` check with zero per-sample allocation.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -884,7 +906,7 @@ class LCRSDeployment:
         cost.
         """
         link, policy, rec = ctx.link, ctx.policy, ctx.recorder
-        counters = self.fault_counters
+        counts = self._faults
         frame = encode_frame(pending.request)
         ex_span = att_span = None
         if rec.enabled:
@@ -901,7 +923,7 @@ class LCRSDeployment:
         result = None
         while attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
             attempts += 1
-            counters.frames_sent += 1
+            counts["frames_sent"].add(1)
             if rec.enabled:
                 att_span = rec.start_span(
                     "link.attempt",
@@ -914,19 +936,19 @@ class LCRSDeployment:
                     frame, lambda f, wasted_ms=retry_ms: send(f, wasted_ms)
                 )
             except FrameDropped:
-                counters.frames_dropped += 1
+                counts["frames_dropped"].add(1)
                 failure_ms = policy.per_attempt_timeout_ms
                 outcome = "dropped"
             except FrameTimeout:
-                counters.frames_timed_out += 1
+                counts["frames_timed_out"].add(1)
                 failure_ms = policy.per_attempt_timeout_ms
                 outcome = "timed-out"
             else:
                 faults = getattr(link, "last_faults", ())
                 if "corrupt" in faults:
-                    counters.frames_corrupted += 1
+                    counts["frames_corrupted"].add(1)
                 if "duplicate" in faults:
-                    counters.frames_duplicated += 1
+                    counts["frames_duplicated"].add(1)
                 if att_span is not None and faults:
                     att_span.set(faults=list(faults))
                 reply = self._decode_reply(raw, ctx, pending)
@@ -934,14 +956,14 @@ class LCRSDeployment:
                 if result is not None:
                     break
                 if isinstance(reply, ErrorResponse):
-                    counters.edge_errors += 1
+                    counts["edge_errors"].add(1)
                     if reply.code == 503:
-                        counters.overloads += 1
+                        counts["overloads"].add(1)
                         outcome = "shed"
                     else:
                         outcome = "edge-error"
                 else:
-                    counters.replies_rejected += 1
+                    counts["replies_rejected"].add(1)
                     outcome = "rejected"
                 # A refusal came back quickly: price the wasted round
                 # trip, not a full timeout window.
@@ -953,7 +975,7 @@ class LCRSDeployment:
                 att_span.set(outcome=outcome, failure_ms=failure_ms)
                 rec.end_span(att_span)
             if attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
-                counters.retries += 1
+                counts["retries"].add(1)
                 retry_ms += policy.backoff_ms(attempts, self._retry_rng)
         pending.attempts = attempts
         pending.retry_ms = retry_ms
@@ -1118,7 +1140,7 @@ class LCRSDeployment:
             # binary-branch argmax, already in `predictions`.  The
             # counter tracks samples.
             pending.served_by = SERVED_BY_FALLBACK
-            self.fault_counters.fallbacks += int(pending.miss_idx.size)
+            self._faults["fallbacks"].add(int(pending.miss_idx.size))
         else:
             by_sequence = {
                 int(s): int(c) for s, c in zip(reply.sequences, reply.class_ids)

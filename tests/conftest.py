@@ -25,7 +25,7 @@ from hypothesis import settings
 
 from repro.core import LCRS, load_system
 from repro.data import ArrayDataset, make_dataset
-from repro.profiling import counters_scope
+from repro.wasm import bitpack
 
 from .golden_system import GOLDEN_SYSTEM, tiny_mnist_split, train_system
 
@@ -37,15 +37,16 @@ settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)
-def _isolated_counters():
-    """Snapshot/restore the process-global counter state around each test.
+def _isolated_popcount_tally():
+    """Snapshot/restore bitpack's popcount tally around each test.
 
-    Counters (fault/scheduler facades, the global metrics registry, the
-    bitpack byte tally) are process-global by design; without this scope
-    a test that bumps them leaks state into whichever test runs next.
+    It is the one process-global counter left: deployments, schedulers
+    and fleets each own their metrics registry, so a test that bumps
+    those leaks nothing into the next test.
     """
-    with counters_scope():
-        yield
+    snapshot = bitpack._REGISTRY.state()
+    yield
+    bitpack._REGISTRY.restore(snapshot)
 
 
 @pytest.fixture(scope="session")

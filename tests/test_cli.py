@@ -130,6 +130,20 @@ class TestSessionCommand:
 
         record = json.loads(output.read_text())
         assert "mean_retry_ms" in record and "mean_queue_ms" in record
+        counters = record["fault_counters"]
+        assert list(counters) == [
+            "frames_sent",
+            "frames_dropped",
+            "frames_timed_out",
+            "frames_corrupted",
+            "frames_duplicated",
+            "edge_errors",
+            "overloads",
+            "replies_rejected",
+            "retries",
+            "fallbacks",
+        ]
+        assert all(type(value) is int for value in counters.values())
         assert len(record["per_sample"]) == 24
         for sample in record["per_sample"]:
             assert "retry_ms" in sample and "queue_ms" in sample

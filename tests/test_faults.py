@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.profiling import FaultCounters
 from repro.runtime import (
+    FAULT_COUNTERS,
     SERVED_BY_BRANCH,
     SERVED_BY_EDGE,
     SERVED_BY_FALLBACK,
@@ -44,6 +44,24 @@ FAST_POLICY = RetryPolicy(
     backoff_multiplier=2.0,
     jitter=0.0,
 )
+
+
+def faults_of(deployment) -> dict[str, int]:
+    """The deployment's ``fault.*`` registry counters, by short name."""
+    return {
+        name: deployment.registry.counter(f"fault.{name}").value
+        for name in FAULT_COUNTERS
+    }
+
+
+def failures(counts: dict[str, int]) -> int:
+    """Attempts that did not yield a valid reply."""
+    return (
+        counts["frames_dropped"]
+        + counts["frames_timed_out"]
+        + counts["edge_errors"]
+        + counts["replies_rejected"]
+    )
 
 
 @pytest.fixture
@@ -304,7 +322,7 @@ class TestRegressionFixes:
         misses = [o for o in session.outcomes if not o.exited_locally]
         assert misses
         assert all(o.served_by == SERVED_BY_FALLBACK for o in misses)
-        assert deployment.fault_counters.replies_rejected > 0
+        assert faults_of(deployment)["replies_rejected"] > 0
         np.testing.assert_array_equal(
             session.predictions, branch_predictions(deployment, test.images[:20])
         )
@@ -354,12 +372,12 @@ class TestGracefulDegradation:
         )
         session = deployment.run_session(test.images[:20])
         misses = sum(not o.exited_locally for o in session.outcomes)
-        counters = deployment.fault_counters
-        assert counters.fallbacks == misses
-        assert counters.frames_sent == misses * FAST_POLICY.max_attempts
-        assert counters.frames_dropped == misses * FAST_POLICY.max_attempts
-        assert counters.retries == misses * (FAST_POLICY.max_attempts - 1)
-        assert counters.failures == counters.frames_dropped
+        counters = faults_of(deployment)
+        assert counters["fallbacks"] == misses
+        assert counters["frames_sent"] == misses * FAST_POLICY.max_attempts
+        assert counters["frames_dropped"] == misses * FAST_POLICY.max_attempts
+        assert counters["retries"] == misses * (FAST_POLICY.max_attempts - 1)
+        assert failures(counters) == counters["frames_dropped"]
 
     def test_partition_batched_counts_fallbacks_per_sample(self, strict_system):
         system, test = strict_system
@@ -372,7 +390,7 @@ class TestGracefulDegradation:
             test.images[:20], config=SessionConfig(batch_size=7)
         )
         misses = sum(not o.exited_locally for o in session.outcomes)
-        assert deployment.fault_counters.fallbacks == misses
+        assert faults_of(deployment)["fallbacks"] == misses
 
     def test_fallback_cost_prices_failed_attempts(self, strict_system):
         """Three dropped attempts with jitter-free backoff cost exactly
@@ -425,9 +443,10 @@ class TestGracefulDegradation:
         for i, (a, b) in enumerate(zip(clean.outcomes, session.outcomes)):
             if i != first_miss:
                 assert b.cost.total_ms == pytest.approx(a.cost.total_ms)
-        assert deployment.fault_counters.frames_dropped == 1
-        assert deployment.fault_counters.retries == 1
-        assert deployment.fault_counters.fallbacks == 0
+        counters = faults_of(deployment)
+        assert counters["frames_dropped"] == 1
+        assert counters["retries"] == 1
+        assert counters["fallbacks"] == 0
 
     def test_timeout_still_reaches_server(self, strict_system):
         """A timeout loses the reply, not the request: the endpoint does
@@ -440,7 +459,7 @@ class TestGracefulDegradation:
         )
         session = deployment.run_session(test.images[:20])
         misses = sum(not o.exited_locally for o in session.outcomes)
-        assert deployment.fault_counters.frames_timed_out == 1
+        assert faults_of(deployment)["frames_timed_out"] == 1
         assert deployment.edge.requests_served == misses + 1  # one served twice
 
     def test_corrupted_frame_rejected_by_server_then_retried(self, strict_system):
@@ -451,10 +470,10 @@ class TestGracefulDegradation:
             retry_policy=FAST_POLICY,
         )
         session = deployment.run_session(test.images[:20])
-        counters = deployment.fault_counters
-        assert counters.frames_corrupted == 1
-        assert counters.edge_errors == 1  # the mangled frame drew a 400
-        assert counters.fallbacks == 0
+        counters = faults_of(deployment)
+        assert counters["frames_corrupted"] == 1
+        assert counters["edge_errors"] == 1  # the mangled frame drew a 400
+        assert counters["fallbacks"] == 0
         assert all(
             o.served_by == SERVED_BY_EDGE
             for o in session.outcomes
@@ -474,7 +493,7 @@ class TestGracefulDegradation:
         session = deployment.run_session(test.images[:20])
         np.testing.assert_array_equal(session.predictions, clean.predictions)
         misses = sum(not o.exited_locally for o in session.outcomes)
-        assert deployment.fault_counters.frames_duplicated == 1
+        assert faults_of(deployment)["frames_duplicated"] == 1
         assert deployment.edge.requests_served == misses + 1
 
     @pytest.mark.parametrize("batch_size", [1, 8])
@@ -499,10 +518,10 @@ class TestGracefulDegradation:
             assert b.cost.retry_ms == 0.0
             assert b.served_by in (SERVED_BY_BRANCH, SERVED_BY_EDGE)
             assert b.attempts == (0 if b.exited_locally else 1)
-        counters = deployment.fault_counters
-        assert counters.failures == 0
-        assert counters.fallbacks == 0
-        assert counters.retries == 0
+        counters = faults_of(deployment)
+        assert failures(counters) == 0
+        assert counters["fallbacks"] == 0
+        assert counters["retries"] == 0
 
     def test_deadline_stops_retrying_early(self, strict_system):
         system, test = strict_system
@@ -524,16 +543,6 @@ class TestGracefulDegradation:
         # 100 ms per failure: the third failure crosses the 250 ms deadline.
         assert all(o.attempts == 3 for o in misses)
         assert all(o.served_by == SERVED_BY_FALLBACK for o in misses)
-
-
-class TestFaultCountersType:
-    def test_reset_and_dict_roundtrip(self):
-        counters = FaultCounters(frames_sent=3, frames_dropped=2, retries=1)
-        as_dict = counters.as_dict()
-        assert as_dict["frames_sent"] == 3 and as_dict["retries"] == 1
-        counters.reset()
-        assert counters.as_dict() == FaultCounters().as_dict()
-        assert counters.failures == 0
 
 
 class TestWebARFallbackSurface:
@@ -596,9 +605,9 @@ class TestFaultSmokeProfile:
         session = deployment.run_session(images, config=SessionConfig(batch_size=batch_size))
 
         assert len(session.outcomes) == len(images)
-        counters = deployment.fault_counters
+        counters = faults_of(deployment)
         fallbacks = sum(o.served_by == SERVED_BY_FALLBACK for o in session.outcomes)
-        assert counters.fallbacks == fallbacks
+        assert counters["fallbacks"] == fallbacks
         branch = branch_predictions(deployment, images)
         for i, outcome in enumerate(session.outcomes):
             assert outcome.served_by in (

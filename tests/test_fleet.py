@@ -517,7 +517,7 @@ class TestFleetMetrics:
         scheduler = EdgeScheduler(StubTrunk(), MODEL, SchedulerConfig(window_ms=0.0))
         scheduler.submit(make_frame(1, [0, 1]), 0.0)
         scheduler.flush()
-        names = set(scheduler.counters.registry.as_dict()["counters"])
+        names = set(scheduler.registry.as_dict()["counters"])
         assert "sched.accepted_samples" in names
         assert not any("{shard=" in n for n in names)
 

@@ -1,6 +1,6 @@
 """Repo lint gates (source-text checks, no runtime behaviour).
 
-Two rules.  Wall-clock reads go through
+Three rules.  Wall-clock reads go through
 :mod:`repro.observability.clock` — direct ``time.time()`` /
 ``time.perf_counter()`` / ``time.monotonic()`` calls outside
 ``observability/`` would reintroduce the simulated-ms / wall-ms
@@ -11,7 +11,10 @@ excising exactly that class of state (the no-grad flag, the geometry
 cache dict, the popcount totals), and any new unsynchronized module
 global would silently reintroduce cross-thread races.  The audited
 survivors — import-time-frozen registries and lock-guarded caches —
-are allowlisted by file and name.
+are allowlisted by file and name.  And outside ``observability/`` no
+code assigns a metric's ``value``: counters, gauges and histograms
+change only through ``add``, ``set``/``set_max`` and ``observe``, so
+the metric's lock and its watchers always run.
 """
 
 from __future__ import annotations
@@ -156,3 +159,49 @@ def test_mutable_global_allowlist_is_tight():
         live = {name for _, name in _mutable_global_bindings(ast.parse(path.read_text()))}
         stale = names - live
         assert not stale, f"stale allowlist entries for {rel}: {sorted(stale)}"
+
+
+# ----------------------------------------------------------------------
+# Metrics change only through their mutators
+# ----------------------------------------------------------------------
+#: Sources that may not store to ``<anything>.value`` (tests included).
+_METRIC_WRITE_ROOTS = (*_CHECKED_ROOTS, "tests")
+
+
+def _value_stores(tree: ast.Module) -> list[int]:
+    """Line numbers of ``x.value = …``/``x.value += …`` stores (any
+    target position) and of ``setattr(x, "value", …)`` calls."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "value"
+            and isinstance(node.ctx, ast.Store)
+        ):
+            found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "value"
+        ):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.obs
+def test_metric_values_change_only_through_mutators():
+    offenders = []
+    for root in _METRIC_WRITE_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            if rel.startswith(_ALLOWED):
+                continue
+            for lineno in _value_stores(ast.parse(path.read_text())):
+                offenders.append(f"{rel}:{lineno}")
+    assert not offenders, (
+        "direct writes to a metric's .value bypass its lock and watchers "
+        "(use add / set / set_max / observe):\n" + "\n".join(offenders)
+    )

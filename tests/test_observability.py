@@ -130,22 +130,34 @@ class TestMetricsRegistry:
         assert reg.histogram("h").count == 0
 
 
-class TestCountersScope:
-    def test_scope_restores_facades_and_global_registry(self):
-        from repro.observability import global_registry
-        from repro.profiling import FaultCounters, counters_scope
-
-        counters = FaultCounters()
-        counters.retries += 2
-        global_registry().counter("test.scope.probe").add(1)
-        with counters_scope():
-            counters.retries += 100
-            counters.frames_dropped += 3
-            global_registry().counter("test.scope.probe").add(41)
-            assert counters.retries == 102
-        assert counters.retries == 2
-        assert counters.frames_dropped == 0
-        assert global_registry().counter("test.scope.probe").value == 1
+class TestOwnedCountersReachWatchers:
+    def test_shed_and_retry_increments_reach_taps(self, trained_system, tiny_mnist):
+        """Deployments and schedulers bump their counters through
+        ``Counter.add``, so a watcher sees every increment."""
+        _, test = tiny_mnist
+        deployment = LCRSDeployment(
+            trained_system,
+            four_g(seed=2).deterministic(),
+            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
+        )
+        # A 4-sample chunk never fits a 2-sample queue: every attempt is
+        # shed, the first one is retried, then the chunk falls back.
+        scheduler = EdgeScheduler.for_system(
+            trained_system, config=SchedulerConfig(queue_capacity=2)
+        )
+        shed = scheduler.registry.counter("sched.shed_samples")
+        retries = deployment.registry.counter("fault.retries")
+        shed_seen, retries_seen = [], []
+        shed.watch(shed_seen.append)
+        retries.watch(retries_seen.append)
+        run_concurrent_sessions(
+            [deployment],
+            [test.images[:4]],
+            scheduler,
+            config=SessionConfig(batch_size=4, threshold=0.0),
+        )
+        assert shed_seen == [4, 4] and shed.value == 8
+        assert retries_seen == [1] and retries.value == 1
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +314,8 @@ class TestFaultySessionSpans:
         retried = [e for e in exchanges if e.attrs["attempts"] > 1]
         assert all(e.attrs["retry_ms"] > 0 for e in retried)
         # Every transport attempt put one frame on the wire.
-        assert sum(d.fault_counters.frames_sent for d in deployments) == sum(
-            e.attrs["attempts"] for e in exchanges
-        )
+        sent = sum(d.registry.counter("fault.frames_sent").value for d in deployments)
+        assert sent == sum(e.attrs["attempts"] for e in exchanges)
 
     def test_chunk_roots_cover_children_on_sim_timeline(
         self, trained_system, tiny_mnist, transport

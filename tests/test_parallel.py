@@ -200,7 +200,7 @@ class TestParallelScheduler:
         for tenant in range(1, 5):
             sched.submit(make_frame(tenant, [0, 1]), 0.0)
         sched.flush()
-        assert sched.counters.batches == 4
+        assert sched.health()["batches"] == 4
         assert sched.clock_ms == pytest.approx(2 * MODEL.batch_ms(2))
 
     def test_worker_gate_delays_start_not_membership(self):
@@ -243,9 +243,9 @@ class TestParallelScheduler:
         for tenant in (1, 2, 3, 4):
             sched.submit(make_frame(tenant, [0]), 0.0)
         sched.flush()
-        gauge = sched.counters.registry.gauge("sched.workers_busy")
-        assert 1 <= sched.counters.max_workers_busy <= 2
-        assert gauge.value == sched.counters.max_workers_busy
+        gauge = sched.registry.gauge("sched.workers_busy")
+        assert 1 <= sched.worker_pool.max_busy <= 2
+        assert gauge.value == sched.worker_pool.max_busy
 
     def test_clock_setter_resets_all_workers(self):
         sched = make_scheduler(num_workers=3)

@@ -9,6 +9,8 @@ simulated clock are checked exactly.  The integration tier runs real
 ``run_concurrency`` sweep against the trained fixture system.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.runtime import (
     four_g,
     run_concurrent_sessions,
 )
+from repro.observability import labeled
 from repro.runtime.protocol import (
     BatchInferenceRequest,
     BatchInferenceResponse,
@@ -59,6 +62,17 @@ MODEL = ServiceTimeModel(base_ms=1.0, per_sample_ms=0.5)
 
 def make_scheduler(**config_kwargs):
     return EdgeScheduler(StubTrunk(), MODEL, SchedulerConfig(**config_kwargs))
+
+
+def count(scheduler, name):
+    """One ``sched.*`` counter of an unlabeled (non-fleet) scheduler."""
+    return scheduler.registry.counter(f"sched.{name}").value
+
+
+def batch_sizes(scheduler) -> dict[int, int]:
+    """Batch size → batches, from the exact-mode ``sched.batch_size``."""
+    *_, samples = scheduler.registry.histogram("sched.batch_size").state()
+    return dict(Counter(int(size) for size in samples))
 
 
 def make_frame(session_id, seqs, classes=None):
@@ -115,16 +129,16 @@ class TestAdmission:
         ack2 = submit(scheduler, make_frame(2, [0, 1]))
         assert ack2.ticket == 2
         assert ack2.queued_samples == 5
-        assert scheduler.counters.accepted_requests == 2
-        assert scheduler.counters.accepted_samples == 5
-        assert scheduler.counters.max_queue_depth == 5
+        assert count(scheduler, "accepted_requests") == 2
+        assert count(scheduler, "accepted_samples") == 5
+        assert scheduler.registry.gauge("sched.max_queue_depth").value == 5
 
     def test_undecodable_frame_is_400(self):
         scheduler = make_scheduler()
         reply = decode_frame(scheduler.submit(b"not a frame", 0.0))
         assert isinstance(reply, ErrorResponse)
         assert reply.code == 400
-        assert scheduler.counters.malformed_requests == 1
+        assert count(scheduler, "malformed_requests") == 1
 
     def test_non_batch_message_is_405(self):
         scheduler = make_scheduler()
@@ -132,7 +146,7 @@ class TestAdmission:
         assert isinstance(reply, ErrorResponse)
         assert reply.code == 405
         assert "ModelRequest" in reply.message
-        assert scheduler.counters.malformed_requests == 1
+        assert count(scheduler, "malformed_requests") == 1
 
     def test_queue_capacity_sheds_503(self):
         scheduler = make_scheduler(queue_capacity=4)
@@ -141,9 +155,9 @@ class TestAdmission:
         assert isinstance(reply, ErrorResponse)
         assert reply.code == 503
         assert "queue full" in reply.message
-        assert scheduler.counters.shed_requests == 1
-        assert scheduler.counters.shed_samples == 3
-        assert scheduler.counters.shed_rate == pytest.approx(0.5)
+        assert count(scheduler, "shed_requests") == 1
+        assert count(scheduler, "shed_samples") == 3
+        assert scheduler.health()["shed_rate"] == pytest.approx(0.5)
 
     def test_tenant_fair_share_sheds_503(self):
         scheduler = make_scheduler(queue_capacity=16)
@@ -180,7 +194,7 @@ class TestAdmission:
         again = submit(scheduler, frame, arrival_ms=1.0)
         assert isinstance(again, SchedulerAck)
         assert again.ticket == first.ticket
-        assert scheduler.counters.accepted_requests == 1
+        assert count(scheduler, "accepted_requests") == 1
         assert scheduler.queued_samples() == 2
         # Once served, the same sequences are a fresh request again.
         scheduler.flush()
@@ -195,9 +209,9 @@ class TestBatching:
         t1 = submit(scheduler, make_frame(1, [0, 1]), arrival_ms=0.0)
         t2 = submit(scheduler, make_frame(2, [0, 1, 2]), arrival_ms=2.0)
         scheduler.flush()
-        assert scheduler.counters.batches == 1
+        assert count(scheduler, "batches") == 1
         assert scheduler.endpoint.calls == 1
-        assert scheduler.counters.batch_size_hist == {5: 1}
+        assert batch_sizes(scheduler) == {5: 1}
         # Both replies exist and the batch started when the head's
         # window closed (0 + 4 ms).
         _, wait1 = scheduler.collect(t1.ticket)
@@ -210,7 +224,7 @@ class TestBatching:
         submit(scheduler, make_frame(1, [0]), arrival_ms=0.0)
         submit(scheduler, make_frame(2, [0]), arrival_ms=10.0)
         scheduler.flush()
-        assert scheduler.counters.batches == 2
+        assert count(scheduler, "batches") == 2
         assert scheduler.endpoint.calls == 2
 
     def test_zero_window_batches_same_instant_only(self):
@@ -219,7 +233,7 @@ class TestBatching:
         submit(scheduler, make_frame(2, [0]), arrival_ms=0.0)
         submit(scheduler, make_frame(3, [0]), arrival_ms=0.25)
         scheduler.flush()
-        assert scheduler.counters.batch_size_hist == {2: 1, 1: 1}
+        assert batch_sizes(scheduler) == {2: 1, 1: 1}
 
     def test_window_smaller_than_arrival_gap_serves_solo(self):
         # Every batch closes before the next request lands: dynamic
@@ -230,8 +244,8 @@ class TestBatching:
             for i in range(3)
         ]
         scheduler.flush()
-        assert scheduler.counters.batches == 3
-        assert scheduler.counters.batch_size_hist == {1: 3}
+        assert count(scheduler, "batches") == 3
+        assert batch_sizes(scheduler) == {1: 3}
         for i, ticket in enumerate(tickets):
             _, wait = scheduler.collect(ticket)
             assert wait == pytest.approx(1.0)  # each waits out its own window
@@ -241,7 +255,7 @@ class TestBatching:
         a = submit(scheduler, make_frame(1, [0, 1, 2]), arrival_ms=0.0)
         b = submit(scheduler, make_frame(1, [3, 4, 5]), arrival_ms=1.0)
         scheduler.flush()
-        assert scheduler.counters.batch_size_hist == {3: 2}
+        assert batch_sizes(scheduler) == {3: 2}
         # A full (can't-grow) batch dispatches at its last member's
         # arrival instead of waiting out the window...
         _, wait_a = scheduler.collect(a.ticket)
@@ -254,7 +268,7 @@ class TestBatching:
         scheduler = make_scheduler(window_ms=0.0, max_batch_size=4)
         submit(scheduler, make_frame(1, list(range(10))))
         scheduler.flush()
-        assert scheduler.counters.batch_size_hist == {10: 1}
+        assert batch_sizes(scheduler) == {10: 1}
 
     def test_round_robin_spreads_batch_across_tenants(self):
         scheduler = make_scheduler(window_ms=4.0, max_batch_size=4)
@@ -264,10 +278,10 @@ class TestBatching:
         scheduler.flush()
         # The head (tenant 1) plus tenant 2's request form the first
         # batch; tenant 1's second request waits, despite arriving first.
-        assert scheduler.counters.batch_size_hist == {4: 1, 2: 1}
-        served = scheduler.counters.per_tenant
-        assert served[1]["served"] == 4
-        assert served[2]["served"] == 2
+        assert batch_sizes(scheduler) == {4: 1, 2: 1}
+        for tenant, served in ((1, 4), (2, 2)):
+            name = labeled("sched.tenant_samples", outcome="served", tenant=tenant)
+            assert scheduler.registry.counter(name).value == served
 
     def test_busy_trunk_delays_next_batch(self):
         scheduler = make_scheduler(window_ms=0.0)
@@ -282,7 +296,7 @@ class TestBatching:
         assert scheduler.clock_ms == pytest.approx(
             MODEL.batch_ms(2) + MODEL.batch_ms(1)
         )
-        assert scheduler.counters.busy_ms == pytest.approx(
+        assert count(scheduler, "busy_ms") == pytest.approx(
             MODEL.batch_ms(2) + MODEL.batch_ms(1)
         )
 
@@ -290,7 +304,7 @@ class TestBatching:
         scheduler = make_scheduler(window_ms=3.0)
         submit(scheduler, make_frame(1, [0, 1]), arrival_ms=5.0)
         scheduler.flush()
-        assert scheduler.counters.mean_queue_wait_ms == pytest.approx(3.0)
+        assert scheduler.health()["mean_queue_wait_ms"] == pytest.approx(3.0)
         assert scheduler.clock_ms == pytest.approx(8.0 + MODEL.batch_ms(2))
 
     def test_replies_are_correlated_per_session(self):
@@ -338,15 +352,13 @@ class TestBatching:
                     tickets.append(ack.ticket)
             scheduler.flush()
             replies = [scheduler.collect(t) for t in tickets]
-            return replies, scheduler.counters, scheduler.clock_ms
+            return replies, scheduler.registry.as_dict(), scheduler.clock_ms
 
-        replies_a, counters_a, clock_a = run()
-        replies_b, counters_b, clock_b = run()
+        replies_a, metrics_a, clock_a = run()
+        replies_b, metrics_b, clock_b = run()
         assert replies_a == replies_b  # bytes and waits, exactly
         assert clock_a == clock_b
-        assert counters_a.batch_size_hist == counters_b.batch_size_hist
-        assert counters_a.queue_wait_ms == counters_b.queue_wait_ms
-        assert counters_a.busy_ms == counters_b.busy_ms
+        assert metrics_a == metrics_b
 
 
 class TestConcurrentSessions:
@@ -379,7 +391,7 @@ class TestConcurrentSessions:
         solo = LCRSDeployment(trained_system, four_g(seed=99)).run_session(
             images, config=cfg
         )
-        assert scheduler.counters.batches >= 1
+        assert count(scheduler, "batches") >= 1
         for result in results:
             assert result.trace.approach == "lcrs-scheduled"
             np.testing.assert_array_equal(result.predictions, solo.predictions)
@@ -414,7 +426,7 @@ class TestConcurrentSessions:
             if outcome.exited_locally
         ]
         assert all(q == 0.0 for q in exit_costs)
-        assert scheduler.counters.mean_queue_wait_ms > 0.0
+        assert scheduler.health()["mean_queue_wait_ms"] > 0.0
 
     def test_overload_sheds_to_branch_fallback(self, trained_system, tiny_mnist):
         """A tiny queue forces 503s; sessions retry, exhaust, and fall
@@ -430,11 +442,9 @@ class TestConcurrentSessions:
         results = run_concurrent_sessions(
             deployments, [images] * 4, scheduler, config=cfg
         )
-        assert scheduler.counters.shed_requests > 0
-        overloads = sum(d.fault_counters.overloads for d in deployments)
-        fallbacks = sum(d.fault_counters.fallbacks for d in deployments)
-        assert overloads > 0
-        assert fallbacks > 0
+        assert count(scheduler, "shed_requests") > 0
+        for name in ("fault.overloads", "fault.fallbacks"):
+            assert sum(d.registry.counter(name).value for d in deployments) > 0
         for result in results:
             assert len(result.outcomes) == len(images)
         # The lucky session that filled the queue serves normally; the
@@ -456,17 +466,18 @@ class TestConcurrentSessions:
                 scheduler,
                 config=cfg,
             )
-            return results, scheduler.counters
+            return results, scheduler
 
-        results_a, counters_a = run()
-        results_b, counters_b = run()
+        results_a, scheduler_a = run()
+        results_b, scheduler_b = run()
         for a, b in zip(results_a, results_b):
             np.testing.assert_array_equal(a.predictions, b.predictions)
             for ca, cb in zip(a.trace.samples, b.trace.samples):
                 assert ca.total_ms == cb.total_ms
                 assert ca.queue_ms == cb.queue_ms
-        assert counters_a.batch_size_hist == counters_b.batch_size_hist
-        assert counters_a.queue_wait_ms == counters_b.queue_wait_ms
+        assert batch_sizes(scheduler_a) == batch_sizes(scheduler_b)
+        waits = [count(s, "queue_wait_ms") for s in (scheduler_a, scheduler_b)]
+        assert waits[0] == waits[1]
 
 
 @pytest.mark.sched

@@ -139,7 +139,7 @@ class TestConfigKnobs:
         assert len(session.outcomes) == len(images)
         misses = sum(not o.exited_locally for o in session.outcomes)
         assert session.fallback_rate == pytest.approx(misses / len(images))
-        assert deployment.fault_counters.frames_dropped > 0
+        assert deployment.registry.counter("fault.frames_dropped").value > 0
         # The config wraps a copy for the session; the deployment link
         # stays fault-free for the next caller.
         follow_up = deployment.run_session(images)
