@@ -10,8 +10,10 @@
 # golden checkpoint at one OpenBLAS thread and rewrites the golden
 # fixtures after an intentional behaviour change.
 # `make golden-threads` runs both golden suites at one and at two
-# OpenBLAS threads: they load a committed checkpoint, so the thread
-# count must not move them.
+# OpenBLAS threads, and under the Haswell and SandyBridge OpenBLAS
+# kernels: they load a committed checkpoint, and inference BLAS is left
+# only in the convs, so none of these may move them.  SandyBridge has no
+# FMA, so there the stem conv steps down to its matmul tier.
 
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
@@ -45,6 +47,8 @@ golden:
 golden-threads:
 	OPENBLAS_NUM_THREADS=1 $(PYTEST) tests/test_golden_tau.py tests/test_golden_trace.py
 	OPENBLAS_NUM_THREADS=2 $(PYTEST) tests/test_golden_tau.py tests/test_golden_trace.py
+	OPENBLAS_CORETYPE=Haswell $(PYTEST) tests/test_golden_tau.py tests/test_golden_trace.py
+	OPENBLAS_CORETYPE=SandyBridge $(PYTEST) tests/test_golden_tau.py tests/test_golden_trace.py
 
 stress:
 	$(PYTEST) -m par tests/test_thread_safety.py

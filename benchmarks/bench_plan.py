@@ -129,21 +129,26 @@ def bench_plan_session() -> dict:
 
 
 def bench_trunk(system, images) -> dict:
-    """Edge trunk: module path vs the compiled trunk plan, same batch."""
+    """Edge trunk: module path vs the compiled trunk plan, same batch.
+
+    The plan must equal the trunk's interpreter engine bit for bit; the
+    framework module differs from both within ``validate_bundle``'s
+    tolerance (``max_abs_vs_module``).
+    """
     from repro.nn.autograd import Tensor, no_grad
-    from repro.wasm import compile_trunk_plan, profile_plan
+    from repro.wasm import compile_wasm_plan, load_trunk_engine, profile_plan
 
     model = system.model
     model.eval()
     with no_grad():
         features = model.stem(Tensor(images)).data.astype(np.float32)
-    plan = compile_trunk_plan(
-        model.main_trunk, tuple(features.shape[1:]), len(features)
-    )
+    engine = load_trunk_engine(model.main_trunk, tuple(features.shape[1:]))
+    plan = compile_wasm_plan(engine, len(features))
 
+    out = plan.execute(features)
     with no_grad():
         reference = model.main_trunk(Tensor(features)).data
-    bit_identical = bool(np.array_equal(plan.execute(features), reference))
+    bit_identical = bool(np.array_equal(out, engine.forward(features)))
 
     module_s, plan_s = [], []
     for _ in range(TRUNK_REPEATS):
@@ -157,6 +162,7 @@ def bench_trunk(system, images) -> dict:
     return {
         "batch_size": len(features),
         "bit_identical": bit_identical,
+        "max_abs_vs_module": float(np.max(np.abs(out - reference))),
         "module_ms_median": float(np.median(module_s)) * 1e3,
         "plan_ms_median": float(np.median(plan_s)) * 1e3,
         "speedup": float(np.median([a / b for a, b in zip(module_s, plan_s)])),

@@ -481,9 +481,9 @@ def run_worker_scaling(
     against the serial run's predictions bit-for-bit.
 
     ``measure`` opts into a *measured* service model when
-    ``service_model`` is not given: ``"module"`` times real trunk module
-    passes, ``"plan"`` times the trace-compiled trunk plan the edge
-    endpoint actually replays (see
+    ``service_model`` is not given: ``"module"`` times the edge endpoint
+    without compiled plans (its trunk interpreter), ``"plan"`` times the
+    trace-compiled trunk plan the edge endpoint actually replays (see
     :func:`repro.runtime.concurrency.measure_service_model`).  The
     default stays the analytic FLOPs model so the M/M/c cross-check is
     machine-independent; pass ``measure="plan"`` when the numbers should

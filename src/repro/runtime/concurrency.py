@@ -105,48 +105,31 @@ def measure_service_model(
 ) -> ServiceTimeModel:
     """Calibrate a :class:`ServiceTimeModel` by timing real trunk passes.
 
-    Runs the trunk (a framework :class:`~repro.nn.module.Module`) over
-    random feature stacks at each batch size, takes the best-of-N wall
-    time per size, and fits the affine model — the measured counterpart
-    of :meth:`ServiceTimeModel.from_profile`.
+    Runs the trunk (a framework :class:`~repro.nn.module.Module`) through
+    an :class:`~repro.runtime.session.EdgeEndpoint` — what the edge
+    executes — over random feature stacks at each batch size, takes the
+    best-of-N wall time per size, and fits the affine model: the
+    measured counterpart of :meth:`ServiceTimeModel.from_profile`.
 
-    With ``compile_plan`` the timings come from the trace-compiled trunk
-    plan (:func:`repro.wasm.plan.compile_trunk_plan`) — what the edge
-    endpoint actually executes when ``SessionConfig.compile_plan`` is on
-    — falling back to module passes per batch size when compilation is
-    unavailable.  Measured models are always an explicit opt-in: the
-    analytic :meth:`ServiceTimeModel.from_profile` stays the default
-    everywhere so simulated clocks remain machine-independent.
+    ``compile_plan`` picks the endpoint's path: the compiled trunk plan
+    (what runs when ``SessionConfig.compile_plan`` is on), or the trunk
+    engine's interpreter.  Measured models are always an explicit
+    opt-in: the analytic :meth:`ServiceTimeModel.from_profile` stays the
+    default everywhere so simulated clocks remain machine-independent.
     """
-    from ..nn.autograd import Tensor, no_grad
+    from .session import EdgeEndpoint
 
     rng = np.random.default_rng(seed)
-    trunk.eval()
+    endpoint = EdgeEndpoint(trunk, compile_plan=compile_plan)
     sizes: list[int] = []
     walls: list[float] = []
     for batch in batch_sizes:
         feats = rng.standard_normal((batch, *input_shape)).astype(np.float32)
-        runner = None
-        if compile_plan:
-            from ..wasm.plan import PlanCompileError, compile_trunk_plan
-
-            try:
-                plan = compile_trunk_plan(trunk, tuple(input_shape), int(batch))
-                runner = lambda p=plan, f=feats: p.execute(f)
-            except PlanCompileError:
-                runner = None
-        if runner is None:
-            x = Tensor(feats)
-
-            def runner(x=x):
-                with no_grad():
-                    trunk(x)
-
-        runner()  # warm caches (and the plan's kernels) before timing
+        endpoint.infer(feats)  # warm caches (and compile the plan) before timing
         best = math.inf
         for _ in range(repeats):
             t0 = now_s()
-            runner()
+            endpoint.infer(feats)
             best = min(best, now_s() - t0)
         sizes.append(int(batch))
         walls.append(best * 1e3)

@@ -41,7 +41,14 @@ from ..nn.functional import softmax
 from ..nn.module import Module
 from ..observability import NULL_RECORDER, MetricsRegistry, TelemetrySummary
 from ..profiling import FLOAT_BYTES, NetworkProfile
-from ..wasm import WasmModel, serialize_browser_bundle
+from ..wasm import (
+    ModelFormatError,
+    PlanCompileError,
+    WasmModel,
+    compile_wasm_plan,
+    load_trunk_engine,
+    serialize_browser_bundle,
+)
 from .latency import (
     ComputeStep,
     ExecutionPlan,
@@ -358,18 +365,17 @@ class _TrunkPlanPool:
     buffers, so one instance cannot serve two workers at once without
     serializing on its internal lock.  The pool hands each concurrent
     ``infer`` its *own* instance: ``lease`` pops an idle plan, or
-    compiles a fresh one (outside the pool lock) while fewer than
-    ``max_instances`` exist.  When the pool is exhausted — or the first
-    compile failed — ``lease`` returns ``None`` and the caller takes the
-    module path, which is bit-identical because every plan is
-    probe-verified against the trunk module at compile time.
+    compiles a fresh one from the trunk engine (outside the pool lock)
+    while fewer than ``max_instances`` exist.  When the pool is
+    exhausted — or the first compile failed — ``lease`` returns ``None``
+    and the caller runs the engine's interpreter.  That answer is
+    bit-identical to a plan's: every plan is probe-verified against the
+    interpreter, and its linear kernel implements the interpreter's
+    specified reduction order.
     """
 
-    def __init__(
-        self, trunk: Module, feature_shape: tuple, capacity: int, max_instances: int
-    ) -> None:
-        self._trunk = trunk
-        self.feature_shape = tuple(int(d) for d in feature_shape)
+    def __init__(self, engine: WasmModel, capacity: int, max_instances: int) -> None:
+        self._engine = engine
         self.capacity = int(capacity)
         self.max_instances = int(max_instances)
         self._lock = threading.Lock()
@@ -386,10 +392,8 @@ class _TrunkPlanPool:
             if self._total >= self.max_instances:
                 return None
             self._total += 1
-        from ..wasm.plan import PlanCompileError, compile_trunk_plan
-
         try:
-            return compile_trunk_plan(self._trunk, self.feature_shape, self.capacity)
+            return compile_wasm_plan(self._engine, self.capacity)
         except PlanCompileError:
             with self._lock:
                 self._failed = True
@@ -411,15 +415,20 @@ class _TrunkPlanPool:
 class EdgeEndpoint:
     """The edge server's inference service: conv1 features → class logits.
 
-    When ``compile_plan`` is on, batches execute through a trace-compiled
-    trunk plan (:func:`repro.wasm.plan.compile_trunk_plan`) leased from a
-    per-(feature geometry, power-of-two capacity) pool; plans are
-    probe-verified bit-identical to the module path at compile time, and
-    compile failure or pool exhaustion falls back to the module path
-    silently.  ``infer`` is thread-safe: concurrent callers lease
-    distinct plan instances (each owns its own arena), the module path
-    only reads frozen weights, and ``requests_served`` is bumped under a
-    lock.
+    The trunk runs as an interpreter engine of its serialized bundle
+    (:func:`repro.wasm.plan.load_trunk_engine`), one per feature
+    geometry, built on first use from the trunk's weights at that time.
+    When ``compile_plan`` is on, batches
+    execute through a compiled plan of that engine leased from a
+    per-(feature geometry, power-of-two capacity) pool.  The engine's
+    own ``forward`` serves ``compile_plan=False``, pool exhaustion and a
+    failed compile, with the same bits as the plan.  Only a trunk the
+    bundle format cannot express runs the :mod:`repro.nn` module, whose
+    BLAS arithmetic matches the engine to ``validate_bundle``'s
+    tolerance, not bit for bit.  ``infer`` is thread-safe: concurrent
+    callers lease distinct plan instances (each owns its own arena), the
+    engine and the module only read frozen weights, and
+    ``requests_served`` is bumped under a lock.
     """
 
     #: Plan pools kept per (feature geometry, capacity), LRU.
@@ -433,11 +442,28 @@ class EdgeEndpoint:
         self._trunk.eval()
         self.requests_served = 0
         self.compile_plan = bool(compile_plan)
+        #: Feature geometry → trunk engine, or None when the trunk
+        #: cannot be serialized.
+        self._engines: dict = {}
         self._pools: "OrderedDict[tuple, _TrunkPlanPool]" = OrderedDict()
         self._pools_lock = threading.Lock()
         self._served_lock = threading.Lock()
 
-    def _pool_for(self, feature_shape: tuple, batch_size: int) -> _TrunkPlanPool:
+    def _engine_for(self, feature_shape: tuple) -> Optional[WasmModel]:
+        """The trunk engine for this feature geometry, or None when the
+        trunk cannot be serialized."""
+        key = tuple(int(d) for d in feature_shape)
+        with self._pools_lock:
+            if key in self._engines:
+                return self._engines[key]
+        try:
+            engine = load_trunk_engine(self._trunk, key)
+        except ModelFormatError:
+            engine = None
+        with self._pools_lock:
+            return self._engines.setdefault(key, engine)
+
+    def _pool_for(self, engine: WasmModel, batch_size: int) -> _TrunkPlanPool:
         """The plan pool for this geometry/capacity, created on miss.
 
         Capacity is the batch size rounded up to a power of two, so a
@@ -445,13 +471,11 @@ class EdgeEndpoint:
         instead of compiling one per size.
         """
         capacity = 1 << max(0, int(batch_size) - 1).bit_length()
-        key = (tuple(int(d) for d in feature_shape), capacity)
+        key = (tuple(engine.input_shape), capacity)
         with self._pools_lock:
             pool = self._pools.get(key)
             if pool is None:
-                pool = _TrunkPlanPool(
-                    self._trunk, key[0], capacity, self.PLAN_POOL_SIZE
-                )
+                pool = _TrunkPlanPool(engine, capacity, self.PLAN_POOL_SIZE)
                 self._pools[key] = pool
                 if len(self._pools) > self.PLAN_CACHE_SIZE:
                     self._pools.popitem(last=False)
@@ -471,23 +495,25 @@ class EdgeEndpoint:
         trace_id: str = "",
         track: str = "edge",
     ) -> np.ndarray:
-        if self.compile_plan and len(features):
-            pool = self._pool_for(features.shape[1:], len(features))
+        features = np.ascontiguousarray(features, dtype=np.float32)
+        engine = self._engine_for(features.shape[1:])
+        if engine is None:
+            with no_grad():
+                logits = self._trunk(Tensor(features)).data
+        elif self.compile_plan and len(features):
+            pool = self._pool_for(engine, len(features))
             plan = pool.lease()
-            if plan is not None:
+            if plan is None:
+                logits = engine.forward(features)
+            else:
                 try:
                     logits = plan.execute(
-                        np.ascontiguousarray(features, dtype=np.float32),
-                        recorder=recorder,
-                        trace_id=trace_id,
-                        track=track,
+                        features, recorder=recorder, trace_id=trace_id, track=track
                     )
                 finally:
                     pool.release(plan)
-                self._count_served(len(features))
-                return logits
-        with no_grad():
-            logits = self._trunk(Tensor(features)).data
+        else:
+            logits = engine.forward(features)
         self._count_served(len(features))
         return logits
 

@@ -15,7 +15,7 @@ from .bitpack import (
     total_bytes_popcounted,
     unpack_signs,
 )
-from .interpreter import ConvGeometry, WasmModel, conv_geometry
+from .interpreter import ConvGeometry, WasmModel, conv_geometry, linear_spec
 from .plan import (
     CompiledPlan,
     PlanCompileError,
@@ -23,6 +23,7 @@ from .plan import (
     PlanVerificationError,
     compile_trunk_plan,
     compile_wasm_plan,
+    load_trunk_engine,
     profile_plan,
 )
 from .plan_compile import backend_available, backend_error
@@ -58,6 +59,8 @@ __all__ = [
     "conv_geometry",
     "iter_leaf_modules",
     "last_dot_stats",
+    "linear_spec",
+    "load_trunk_engine",
     "pack_rows_with_mask",
     "pack_signs",
     "packed_dot",

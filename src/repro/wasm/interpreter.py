@@ -188,6 +188,48 @@ def _unfold(a: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> np.nda
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kernel * kernel)
 
 
+#: Elements of one tile of :func:`linear_spec`'s product tensor (256 KB).
+_SPEC_BLOCK_ELEMS = 1 << 16
+
+
+def linear_spec(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """``x @ w_t`` in the one reduction order the plans implement.
+
+    For each output, the float32 products ``x[i, k] * w_t[k, j]`` are
+    each rounded, then summed over ``k`` in ascending order starting
+    from +0.0, one rounded add at a time: no FMA, no blocking, no
+    pairwise tree.  BLAS picks its order per shape and thread count, so
+    no kernel can match it in general; this order is the specification
+    the compiled plans' ``linear_seq`` kernel implements bit for bit.
+
+    It runs as an outer-axis ``np.add.reduce`` over the ``(K, rows, N)``
+    product tensor, which NumPy accumulates one K slice at a time.  The
+    tensor is built in tiles of rows and columns of about
+    ``_SPEC_BLOCK_ELEMS`` elements, so large batches and wide layers
+    stay bounded.  Every tile keeps at least two outputs: NumPy sums a
+    lone contiguous axis pairwise.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    k, n = w_t.shape
+    if n == 1:
+        return linear_spec(x, np.repeat(w_t, 2, axis=1))[:, :1]
+    rows = x.shape[0]
+    out = np.empty((rows, n), dtype=np.float32)
+    cols = min(n, max(2, _SPEC_BLOCK_ELEMS // max(1, k)))
+    rows_per_tile = max(1, _SPEC_BLOCK_ELEMS // max(1, k * cols))
+    for r0 in range(0, rows, rows_per_tile):
+        xt = x[r0 : r0 + rows_per_tile].T[:, :, None]
+        for c0 in range(0, n, cols):
+            c0 = min(c0, n - cols)  # the last tile overlaps its neighbour
+            prod = np.empty((k, xt.shape[1], cols), dtype=np.float32)
+            np.multiply(xt, w_t[:, None, c0 : c0 + cols], out=prod)
+            np.add.reduce(
+                prod, axis=0, out=out[r0 : r0 + rows_per_tile, c0 : c0 + cols],
+                initial=0.0,
+            )
+    return out
+
+
 def _im2col(x: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     """im2col an NCHW batch using precomputed geometry.
 
@@ -316,7 +358,7 @@ class WasmModel:
         w_t = np.ascontiguousarray(weight.T)
 
         def op(x: np.ndarray) -> np.ndarray:
-            out = x @ w_t
+            out = linear_spec(x, w_t)
             return out + bias if bias is not None else out
 
         return op, (int(spec["out_features"]),)
@@ -483,7 +525,7 @@ class WasmModel:
             signs_t = np.ascontiguousarray(unpack_signs(packed_w, bit_length).T)
 
             def op(x: np.ndarray) -> np.ndarray:
-                out = (x @ signs_t) * alpha_row
+                out = linear_spec(x, signs_t) * alpha_row
                 if bias is not None:
                     out += bias
                 return out.astype(np.float32)

@@ -5,32 +5,36 @@ dispatch — many tiny relu/batch-norm/pool ops around each conv — not by
 popcount math.  This module is the record-once/replay-many answer
 (ROADMAP item 2): walking a model's layer specs for a *fixed* input
 geometry and batch capacity compiles a flat list of :class:`PlanStep`
-objects, each a handful of C kernels (:mod:`.plan_compile`) plus the
-occasional BLAS matmul, all reading and writing preallocated arena
-buffers.  A step's consecutive C kernels are int64 records in a
-plan-owned table and replay in one native call.  Replay touches zero
-Python-level layer or ``Tensor`` objects.
+objects, each a handful of C kernels (:mod:`.plan_compile`), all
+reading and writing preallocated arena buffers.  A step's consecutive C
+kernels are int64 records in a plan-owned table and replay in one
+native call; when every step is native, an untraced replay runs the
+whole plan's records in one call, with the GIL released throughout.
+Replay touches zero Python-level layer or ``Tensor`` objects.
 
 Fusion set (one step per *anchor* op, adjacent elementwise ops ride
 along):
 
 * ``unfold → XNOR → popcount → scale → bias`` for binarized convs, with
   the padding-validity mask applied inside the popcount loop;
-* ``conv → relu`` (and ``linear → relu``) fused into the matmul
+* ``conv → relu`` (and ``linear → relu``) fused into the kernel's
   epilogue; pooling and batch-norm run as fused trailing micro-kernels
   of the same step;
-* ``batch_norm`` folded to a per-channel affine (interpreter flavor) or
-  replayed with the framework's exact four-rounding chain.
+* ``batch_norm`` folded to the interpreter's per-channel affine.
 
-Two arithmetic *flavors* exist because the repo has two reference
-executors with deliberately different float semantics: ``"wasm"``
-replicates :class:`~repro.wasm.interpreter.WasmModel` (browser stem /
-branch), ``"framework"`` replicates the :mod:`repro.nn` eval path (edge
-trunk).  A plan promises **bit identity** with its reference — every
+Every plan replicates :class:`~repro.wasm.interpreter.WasmModel`: the
+browser stem and branch, and the edge trunk, which compiles from its
+serialized bundle (:func:`compile_trunk_plan`).  Linear layers follow
+the interpreter's specified reduction order
+(:func:`~repro.wasm.interpreter.linear_spec`), implemented by the
+``linear_seq`` kernel.  Convs keep the interpreter's ``im2col @ W``;
+the direct-conv kernel mirrors the BLAS order at skinny shapes, and a
+wider conv calls ``np.matmul``, the one BLAS call left on the request
+path.  A plan promises **bit identity** with its interpreter — every
 compiled plan is probe-verified against it on randomized inputs
 (including exact zeros) before use, and any model the compiler cannot
 express raises :class:`PlanCompileError`, which callers treat as
-"transparently fall back to the reference path".
+"transparently fall back to the interpreter".
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .interpreter import WasmModel, conv_geometry
 from .model_format import (
     ModelFormatError,
     ParsedModel,
-    parse_model,
     serialize_browser_bundle,
 )
 from .plan_compile import (
@@ -69,6 +72,7 @@ __all__ = [
     "PlanVerificationError",
     "compile_trunk_plan",
     "compile_wasm_plan",
+    "load_trunk_engine",
 ]
 
 #: Ops that anchor a fused step (they own the step's heavy kernel).
@@ -193,7 +197,6 @@ class CompiledPlan:
     def __init__(
         self,
         *,
-        flavor: str,
         capacity: int,
         input_shape: tuple,
         output_shape: tuple,
@@ -201,8 +204,8 @@ class CompiledPlan:
         arena: Arena,
         input_buf: np.ndarray,
         output_buf: np.ndarray,
+        program: Optional[NativeSegment] = None,
     ) -> None:
-        self.flavor = flavor
         self.capacity = int(capacity)
         self.input_shape = tuple(input_shape)
         self.output_shape = tuple(output_shape)
@@ -211,6 +214,9 @@ class CompiledPlan:
         #: The probe tier this plan was built at: the ``_PlanBuilder``
         #: options, ``{}`` for the first (fastest) tier.
         self.tier: dict = {}
+        #: Every step's records in one table, when every runner is
+        #: native: an untraced replay is then one ``run_program`` call.
+        self.program = program
         self._input_buf = input_buf
         self._output_view = output_buf.reshape((self.capacity,) + self.output_shape)
         # Guards the shared arena during execute; see class docstring.
@@ -242,18 +248,21 @@ class CompiledPlan:
             )
         with self._exec_lock:
             self._input_buf[:n] = x
-            for step in self.steps:
-                if rec.enabled:
-                    with rec.span(
-                        f"plan.step[{step.index}]",
-                        track=track,
-                        trace_id=trace_id,
-                        step=step.name,
-                        samples=int(n),
-                    ):
+            if not rec.enabled and self.program is not None:
+                self.program(n)
+            else:
+                for step in self.steps:
+                    if rec.enabled:
+                        with rec.span(
+                            f"plan.step[{step.index}]",
+                            track=track,
+                            trace_id=trace_id,
+                            step=step.name,
+                            samples=int(n),
+                        ):
+                            self._run_step(step, n)
+                    else:
                         self._run_step(step, n)
-                else:
-                    self._run_step(step, n)
             return self._output_view[:n].copy()
 
     @staticmethod
@@ -264,7 +273,6 @@ class CompiledPlan:
     def describe(self) -> dict:
         """Inspection record for the ``repro plan`` CLI subcommand."""
         return {
-            "flavor": self.flavor,
             "capacity": self.capacity,
             "input_shape": list(self.input_shape),
             "output_shape": list(self.output_shape),
@@ -332,33 +340,26 @@ class _PlanBuilder:
 
     Each step's ops are C kernel records (:meth:`_kernel`) and NumPy
     runners; :meth:`_runners` merges every run of consecutive records
-    into one :class:`NativeSegment`.
-
-    ``flavor`` selects which reference executor's float semantics each
-    runner replicates: ``"wasm"`` for the browser interpreter,
-    ``"framework"`` for the :mod:`repro.nn` eval path.
+    into one :class:`NativeSegment`.  Every runner replicates the
+    interpreter's float semantics.
     """
 
     def __init__(
         self,
         parsed: ParsedModel,
         capacity: int,
-        flavor: str,
         c_mean: bool = True,
         direct_conv: bool = True,
         isa: Optional[str] = None,
     ) -> None:
-        if flavor not in ("wasm", "framework"):
-            raise PlanCompileError(f"unknown plan flavor {flavor!r}")
         capacity = int(capacity)
         if capacity < 1:
             raise PlanCompileError("plan capacity must be positive")
         self.parsed = parsed
         self.capacity = capacity
-        self.flavor = flavor
         #: Fold the binary layers' |x| means (binary-conv kfac, binary
         #: linear beta) into C, replicating NumPy's pairwise sum.
-        #: ``_compile_verified`` retries with False if probe verification
+        #: ``compile_wasm_plan`` retries with False if probe verification
         #: ever disagrees.
         self.c_mean = bool(c_mean)
         #: Use the fused direct-conv kernel (sequential-K fmaf, the
@@ -444,6 +445,7 @@ class _PlanBuilder:
     # -- build ----------------------------------------------------------
     def build(self) -> CompiledPlan:
         input_buf = self.buf
+        all_ops: list = []
         for index, group in enumerate(_split_groups(self.parsed.layers)):
             ops: list = []
             kinds: list = []
@@ -462,8 +464,9 @@ class _PlanBuilder:
                     runners=self._runners(ops),
                 )
             )
+            all_ops.extend(ops)
+        native = all(isinstance(op, _Record) for op in all_ops)
         return CompiledPlan(
-            flavor=self.flavor,
             capacity=self.capacity,
             input_shape=self.input_shape,
             output_shape=self.shape,
@@ -471,6 +474,7 @@ class _PlanBuilder:
             arena=self.arena,
             input_buf=input_buf,
             output_buf=self.buf,
+            program=NativeSegment(self.backend, all_ops, self.isa) if native else None,
         )
 
     # -- appendable micro-kernels --------------------------------------
@@ -479,10 +483,7 @@ class _PlanBuilder:
         kinds.append(kind)
         if kind == "relu":
             self._kernel(
-                ops, "relu_inplace",
-                x=self.buf,
-                elems=int(np.prod(self.shape)),
-                mode=1 if self.flavor == "wasm" else 2,
+                ops, "relu_inplace", x=self.buf, elems=int(np.prod(self.shape))
             )
         elif kind == "flatten":
             self.shape = (int(np.prod(self.shape)),)
@@ -494,34 +495,25 @@ class _PlanBuilder:
             eps = float(spec["eps"])
             c = int(self.shape[0])
             hw = int(np.prod(self.shape[1:])) if len(self.shape) > 1 else 1
-            if self.flavor == "wasm":
-                # Interpreter folds BN to affine at load: exactly two
-                # float32 roundings per element.
-                scale = gamma / np.sqrt(var + eps)
-                shift = beta - mean * scale
-                pool = self._last_record(ops, "maxpool_nchw", out=self.buf, scale=None)
-                if pool is not None and (c, hw) == (
-                    pool.fields["c"], pool.fields["oh"] * pool.fields["ow"]
-                ):
-                    # The pool's store applies the affine.
-                    ops.pop()
-                    self._kernel(
-                        ops, "maxpool_nchw",
-                        **{**pool.fields, "scale": scale, "shift": shift},
-                    )
-                else:
-                    self._kernel(
-                        ops, "affine_ch",
-                        x=self.buf, out=self.buf, scale=scale, shift=shift,
-                        c=c, hw=hw,
-                    )
-            else:
-                # Framework eval BN: four roundings, inv_std precomputed.
-                inv_std = 1.0 / np.sqrt(var + eps)
+            # Interpreter folds BN to affine at load: exactly two float32
+            # roundings per element.
+            scale = gamma / np.sqrt(var + eps)
+            shift = beta - mean * scale
+            pool = self._last_record(ops, "maxpool_nchw", out=self.buf, scale=None)
+            if pool is not None and (c, hw) == (
+                pool.fields["c"], pool.fields["oh"] * pool.fields["ow"]
+            ):
+                # The pool's store applies the affine.
+                ops.pop()
                 self._kernel(
-                    ops, "bn_eval_ch",
-                    x=self.buf, out=self.buf, gamma=gamma, beta=beta,
-                    mean=mean, inv_std=inv_std, c=c, hw=hw,
+                    ops, "maxpool_nchw",
+                    **{**pool.fields, "scale": scale, "shift": shift},
+                )
+            else:
+                self._kernel(
+                    ops, "affine_ch",
+                    x=self.buf, out=self.buf, scale=scale, shift=shift,
+                    c=c, hw=hw,
                 )
         elif kind == "max_pool2d":
             c, h, w = self._require_chw(spec)
@@ -533,8 +525,7 @@ class _PlanBuilder:
             self._kernel(
                 ops, "maxpool_nchw",
                 x=self.buf, out=dst, c=c, h=h, w=w, k=k, stride=stride,
-                oh=oh, ow=ow, tie_first=0 if self.flavor == "wasm" else 1,
-                scale=None, shift=None,
+                oh=oh, ow=ow, scale=None, shift=None,
             )
             self.buf = dst
             self.shape = (c, oh, ow)
@@ -542,18 +533,9 @@ class _PlanBuilder:
             c, h, w = self._require_chw(spec)
             dst = self.arena.new("gap", (self.capacity, c))
             src = self.buf.reshape(self.capacity, c, h, w)
-            if self.flavor == "wasm":
 
-                def runner(n, src=src, dst=dst):
-                    dst[:n] = src[:n].mean(axis=(2, 3))
-
-            else:
-                # Tensor.mean is sum * (1/count) — one extra rounding
-                # versus np.mean; replicate it exactly.
-                inv_count = 1.0 / (h * w)
-
-                def runner(n, src=src, dst=dst, inv_count=inv_count):
-                    dst[:n] = src[:n].sum(axis=(2, 3)) * inv_count
+            def runner(n, src=src, dst=dst):
+                dst[:n] = src[:n].mean(axis=(2, 3))
 
             ops.append(runner)
             self.buf = dst
@@ -561,8 +543,8 @@ class _PlanBuilder:
         elif kind == "base_fold":
             # Group-sum of a widened ABC-Net binary layer (plus its
             # relocated bias); the reshape/sum expression mirrors the
-            # interpreter's _op_base_fold exactly, so both flavors are
-            # bit-identical by construction.
+            # interpreter's _op_base_fold exactly, so it is bit-identical
+            # by construction.
             groups = int(spec["groups"])
             bias = self._param(spec, "bias", required=False)
             if len(self.shape) == 3:
@@ -615,15 +597,10 @@ class _PlanBuilder:
     def _emit_anchor(self, spec: dict, post: list, ops: list, kinds: list) -> None:
         kind = spec["type"]
         kinds.append(kind)
-        if kind.startswith("binary") and self.flavor != "wasm":
-            raise PlanCompileError("binary layers compile only in wasm flavor")
-        fuse_relu = bool(post) and post[0]["type"] == "relu"
-        if fuse_relu:
+        relu_mode = int(bool(post) and post[0]["type"] == "relu")
+        if relu_mode:
             post.pop(0)
             kinds.append("relu")
-        relu_mode = 0
-        if fuse_relu:
-            relu_mode = 1 if self.flavor == "wasm" else 2
 
         if kind == "conv2d":
             self._emit_conv_matmul(
@@ -640,7 +617,7 @@ class _PlanBuilder:
         elif kind == "linear":
             weight = self._param(spec, "weight")
             bias = self._param(spec, "bias", required=False)
-            self._emit_linear_matmul(ops, spec, weight, None, bias, relu_mode)
+            self._emit_linear_seq(ops, spec, weight, None, bias, relu_mode)
         elif kind == "binary_linear":
             if bool(spec["binarize_input"]):
                 self._emit_binary_linear(ops, spec, relu_mode)
@@ -649,7 +626,7 @@ class _PlanBuilder:
                 signs = unpack_signs(packed_w, int(spec["bit_length"]))
                 alpha = self._param(spec, "alpha")
                 bias = self._param(spec, "bias", required=False)
-                self._emit_linear_matmul(ops, spec, signs, alpha, bias, relu_mode)
+                self._emit_linear_seq(ops, spec, signs, alpha, bias, relu_mode)
         else:  # pragma: no cover - _split_groups filters kinds
             raise PlanCompileError(f"unknown anchor kind {kind!r}")
 
@@ -694,7 +671,7 @@ class _PlanBuilder:
 
         Sequential-K ``fmaf`` accumulation reproduces the GEMM's dot
         products bit-for-bit for these skinny shapes (probe-verified; the
-        matmul tier takes over via ``_compile_verified`` if a BLAS build
+        matmul tier takes over via ``compile_wasm_plan`` if a BLAS build
         ever blocks the K loop for them).  Weights are laid out as
         ``row_len × 16`` lanes: one load holds every output channel of
         a window tap, and one broadcast serves one channel.  The C side
@@ -749,12 +726,7 @@ class _PlanBuilder:
                 ops, geom, c, h, w, oc, w_flat, alpha, bias, relu_mode
             )
             return
-        if self.flavor == "wasm":
-            wmat = np.ascontiguousarray(w_flat.T)
-        else:
-            # Framework conv multiplies by the transposed *view*; keep
-            # the same strides so the GEMM call is identical.
-            wmat = np.ascontiguousarray(w_flat).T
+        wmat = np.ascontiguousarray(w_flat.T)
         rows = geom.rows
         oh, ow = geom.out_height, geom.out_width
         cols = self.arena.new("cols", (self.capacity * rows, geom.row_len))
@@ -842,13 +814,11 @@ class _PlanBuilder:
         # popdot's epilogue ends at the bias; a directly-adjacent relu
         # (rare — zoo binary convs feed BN/pool) runs as one extra pass.
         if relu_mode:
-            self._kernel(
-                ops, "relu_inplace", x=out, elems=oc * oh * ow, mode=relu_mode
-            )
+            self._kernel(ops, "relu_inplace", x=out, elems=oc * oh * ow)
         self.buf = out
         self.shape = (oc, oh, ow)
 
-    def _emit_linear_matmul(
+    def _emit_linear_seq(
         self,
         ops: list,
         spec: dict,
@@ -857,37 +827,35 @@ class _PlanBuilder:
         bias: Optional[np.ndarray],
         relu_mode: int,
     ) -> None:
-        """Float linear (or non-binarized binary linear) with fused epilogue."""
+        """Float linear (or non-binarized binary linear): the interpreter's
+        specified reduction order with the scale/bias/relu epilogue, in
+        one ``linear_seq`` record.
+
+        The kernel loads full 16-lane vectors, so the transposed weight
+        and the epilogue vectors are zero-padded to ``ldw`` columns.
+        """
         features = int(np.prod(self.shape))
-        if weight.shape[-1] != features and weight.shape[0] != features:
-            raise PlanCompileError("linear weight does not match activation shape")
         out_features = int(spec["out_features"])
-        if self.flavor == "wasm":
-            wmat = np.ascontiguousarray(weight.T)
-        else:
-            wmat = np.ascontiguousarray(weight).T
-        x2d = self.buf.reshape(self.capacity, -1)
+        if weight.shape != (out_features, features):
+            raise PlanCompileError("linear weight does not match activation shape")
+        ldw = -(-out_features // 16) * 16
+
+        def padded(rows: np.ndarray) -> np.ndarray:
+            wide = np.zeros(rows.shape[:-1] + (ldw,), dtype=np.float32)
+            wide[..., :out_features] = rows
+            return wide
+
         out = self.arena.new("act", (self.capacity, out_features))
-        alpha_row = alpha[None, :] if alpha is not None else None
-
-        def matmul(n, x2d=x2d, wmat=wmat, out=out):
-            np.matmul(x2d[:n], wmat, out=out[:n])
-
-        ops.append(matmul)
-        if alpha_row is not None:
-            ops.append(lambda n, a=alpha_row, o=out: np.multiply(o[:n], a, out=o[:n]))
-        if bias is not None:
-            ops.append(lambda n, b=bias, o=out: np.add(o[:n], b, out=o[:n]))
-        self._emit_numpy_relu(ops, out, relu_mode)
+        self._kernel(
+            ops, "linear_seq",
+            x=self.buf, wt=padded(weight.T),
+            scale=None if alpha is None else padded(alpha),
+            bias=None if bias is None else padded(bias),
+            out=out, k=features, out_features=out_features, ldw=ldw,
+            relu_mode=relu_mode,
+        )
         self.buf = out
         self.shape = (out_features,)
-
-    @staticmethod
-    def _emit_numpy_relu(ops: list, out: np.ndarray, relu_mode: int) -> None:
-        if relu_mode == 1:
-            ops.append(lambda n, o=out: np.maximum(o[:n], 0.0, out=o[:n]))
-        elif relu_mode == 2:
-            ops.append(lambda n, o=out: np.multiply(o[:n], o[:n] > 0, out=o[:n]))
 
     def _emit_binary_linear(self, ops: list, spec: dict, relu_mode: int) -> None:
         """Fused abs-mean → pack → XNOR popcount → scale for binary linear."""
@@ -924,7 +892,8 @@ class _PlanBuilder:
             kfac=betabuf, bias=bias, out=out, rows=1, oc=oc, W=word_count,
             fallback_valid=bit_length,
         )
-        self._emit_numpy_relu(ops, out, relu_mode)
+        if relu_mode:
+            self._kernel(ops, "relu_inplace", x=out, elems=oc)
         self.buf = out
         self.shape = (oc,)
 
@@ -952,39 +921,6 @@ _TIERS = (
     {"c_mean": False},
     {"direct_conv": False, "c_mean": False},
 )
-
-
-def _compile_verified(
-    parsed: ParsedModel, capacity: int, flavor: str, reference: Callable
-) -> CompiledPlan:
-    """Build + probe-verify, stepping down through kernel variants.
-
-    Two fused kernels replicate library numerics exactly-by-construction
-    rather than by spec: the direct conv's sequential-K FMA loop mirrors
-    the BLAS GEMM microkernel for skinny shapes, and the in-C |x| means
-    mirror NumPy's pairwise sum.  If a BLAS/NumPy upgrade ever changes
-    either, the probe catches it and a later tier swaps the offending
-    fusion back to the library call — the plan survives, slightly
-    slower, instead of being lost.  Before that, an AVX-512 host retries
-    with its AVX2 kernels.  ``plan.tier`` records the tier that passed.
-    """
-    try:
-        best = ISA_LEVELS[host_isa()]
-    except KernelBackendError as exc:
-        raise PlanCompileError(str(exc)) from exc
-    last: Optional[PlanVerificationError] = None
-    for options in _TIERS:
-        if "isa" in options and ISA_LEVELS[options["isa"]] >= best:
-            continue  # tier 0 already ran the host's best kernels
-        plan = _PlanBuilder(parsed, capacity, flavor, **options).build()
-        try:
-            _verify(plan, reference, _probe_batch(plan.input_shape, capacity))
-        except PlanVerificationError as exc:
-            last = exc
-            continue
-        plan.tier = dict(options)
-        return plan
-    raise last  # type: ignore[misc]  # loop always ran
 
 
 def _verify(plan: CompiledPlan, reference: Callable, x: np.ndarray) -> CompiledPlan:
@@ -1017,39 +953,64 @@ def profile_plan(plan: CompiledPlan, x: np.ndarray) -> tuple:
 
 
 def compile_wasm_plan(model: WasmModel, capacity: int) -> CompiledPlan:
-    """Compile + probe-verify a plan replicating ``model.forward``.
+    """Compile + probe-verify a plan replicating ``model.forward``,
+    stepping down through kernel variants.
+
+    The linear kernel implements the interpreter's specified order, so
+    it needs no fallback.  Two fused kernels still replicate library
+    numerics rather than a spec: the direct conv's sequential-K FMA loop
+    mirrors the BLAS GEMM microkernel for skinny shapes, and the in-C
+    |x| means mirror NumPy's pairwise sum.  If a BLAS/NumPy build ever
+    reduces otherwise (an ``OPENBLAS_CORETYPE`` without FMA, say), the
+    probe catches it and a later tier swaps the offending fusion back to
+    the library call — the plan survives, slightly slower, instead of
+    being lost.  Before that, an AVX-512 host retries with its AVX2
+    kernels.  ``plan.tier`` records the tier that passed.
 
     Raises :class:`PlanCompileError` (including verification failures and
     a missing C backend) — ``WasmModel.plan_for`` turns that into a cached
     ``None`` and callers fall back to the interpreter.
     """
-    def reference(x: np.ndarray) -> np.ndarray:
-        for op in model._ops:
-            x = op(x)
-        return x
+    try:
+        best = ISA_LEVELS[host_isa()]
+    except KernelBackendError as exc:
+        raise PlanCompileError(str(exc)) from exc
+    last: Optional[PlanVerificationError] = None
+    for options in _TIERS:
+        if "isa" in options and ISA_LEVELS[options["isa"]] >= best:
+            continue  # tier 0 already ran the host's best kernels
+        plan = _PlanBuilder(model.parsed, capacity, **options).build()
+        try:
+            _verify(plan, model.forward, _probe_batch(plan.input_shape, capacity))
+        except PlanVerificationError as exc:
+            last = exc
+            continue
+        plan.tier = dict(options)
+        return plan
+    raise last  # type: ignore[misc]  # loop always ran
 
-    return _compile_verified(model.parsed, capacity, "wasm", reference)
+
+def load_trunk_engine(trunk, input_shape: tuple) -> WasmModel:
+    """The edge trunk as an interpreter engine.
+
+    The trunk module is serialized to its ``.lcrs`` bundle (a bit-exact
+    float32 round trip of its weights) and loaded.  Raises
+    :class:`~repro.wasm.model_format.ModelFormatError` for a trunk the
+    format cannot express (a composite module, an unsupported layer).
+    """
+    return WasmModel.load(
+        serialize_browser_bundle(trunk, tuple(int(d) for d in input_shape))
+    )
 
 
 def compile_trunk_plan(trunk, input_shape: tuple, capacity: int) -> CompiledPlan:
-    """Compile + probe-verify a plan replicating the framework trunk.
+    """Compile + probe-verify a plan of the trunk's interpreter engine.
 
-    The trunk is serialized through the ``.lcrs`` format (bit-exact
-    float32 round trip) and compiled with framework-flavor arithmetic;
-    non-Sequential trunks or unsupported layers raise
-    :class:`PlanCompileError` and the edge keeps using the framework.
+    See :func:`load_trunk_engine`; a trunk the format cannot express
+    raises :class:`PlanCompileError`.
     """
-    from ..nn import Tensor, no_grad
-
     try:
-        payload = serialize_browser_bundle(trunk, tuple(int(d) for d in input_shape))
+        engine = load_trunk_engine(trunk, input_shape)
     except ModelFormatError as exc:
         raise PlanCompileError(f"trunk not serializable: {exc}") from exc
-    parsed = parse_model(payload)
-    trunk.eval()
-
-    def reference(x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return trunk(Tensor(x)).data
-
-    return _compile_verified(parsed, capacity, "framework", reference)
+    return compile_wasm_plan(engine, capacity)

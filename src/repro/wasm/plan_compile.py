@@ -230,18 +230,13 @@ API void im2col_f32(const float *x, float *cols,
     }
 }
 
-/* relu_mode 1 mirrors np.maximum(x, 0.0): NaN propagates, -0.0 -> +0.0.
-   Branchless (data-dependent float branches mispredict ~50%). */
+/* The interpreter's relu, np.maximum(x, 0.0): NaN propagates,
+   -0.0 -> +0.0.  Branchless (data-dependent float branches mispredict
+   ~50%).  A nonzero relu_mode in a record applies it. */
 static inline float relu_max0(float v)
 {
     float t = (v > 0.0f) ? v : 0.0f;
     return (v != v) ? v : t;
-}
-
-/* relu_mode 2 mirrors x * (x > 0): negatives -> -0.0, -inf -> NaN. */
-static inline float relu_mask(float v)
-{
-    return v * ((v > 0.0f) ? 1.0f : 0.0f);
 }
 
 /* Epilogue after the conv matmul: optional per-channel scale, optional
@@ -263,8 +258,7 @@ API void conv_post(const float *mm, const float *scale, const float *bias,
                 float v = mo[r * oc];
                 if (scale) v = v * sc;
                 if (bias) v = v + bi;
-                if (relu_mode == 1) v = relu_max0(v);
-                else if (relu_mode == 2) v = relu_mask(v);
+                if (relu_mode) v = relu_max0(v);
                 oo[r] = v;
             }
         }
@@ -314,8 +308,7 @@ static void conv_direct_scalar(const float *xp, const float *wt,
                     }
                     if (scale) acc = acc * scale[j];
                     if (bias) acc = acc + bias[j];
-                    if (relu_mode == 1) acc = relu_max0(acc);
-                    else if (relu_mode == 2) acc = relu_mask(acc);
+                    if (relu_mode) acc = relu_max0(acc);
                     oi[j * rows + r] = acc;
                 }
             }
@@ -382,23 +375,17 @@ static const int32_t lanemask8[9][8] = {
     {-1, -1, -1, -1, -1, -1, -1, -1},
 };
 
-/* The scalar epilogue, lanewise: a*scale, +bias, then relu mode 1
-   (np.maximum(x, 0): NaN propagates, -0 -> +0) or 2 (x * (x > 0)). */
+/* The scalar epilogue, lanewise: a*scale, +bias, then relu_max0. */
 AVX2_FN __m256 epilogue256(__m256 a, const float *scale, __m256 sc,
                            const float *bias, __m256 bi, int relu_mode)
 {
     __m256 zero = _mm256_setzero_ps();
     if (scale) a = _mm256_mul_ps(a, sc);
     if (bias) a = _mm256_add_ps(a, bi);
-    if (relu_mode == 1) {
+    if (relu_mode) {
         __m256 gt = _mm256_cmp_ps(a, zero, _CMP_GT_OQ);
         __m256 nn = _mm256_cmp_ps(a, a, _CMP_UNORD_Q);
         return _mm256_blendv_ps(_mm256_blendv_ps(zero, a, gt), a, nn);
-    }
-    if (relu_mode == 2) {
-        __m256 m = _mm256_blendv_ps(zero, _mm256_set1_ps(1.0f),
-                                    _mm256_cmp_ps(a, zero, _CMP_GT_OQ));
-        return _mm256_mul_ps(a, m);
     }
     return a;
 }
@@ -586,14 +573,10 @@ AVX512_FN __m512 epilogue512(__m512 a, const float *scale, __m512 sc,
     __m512 zero = _mm512_setzero_ps();
     if (scale) a = _mm512_mul_ps(a, sc);
     if (bias) a = _mm512_add_ps(a, bi);
-    if (relu_mode == 1) {
+    if (relu_mode) {
         __mmask16 keep = _mm512_cmp_ps_mask(a, zero, _CMP_GT_OQ) |
                          _mm512_cmp_ps_mask(a, a, _CMP_UNORD_Q);
         return _mm512_mask_mov_ps(zero, keep, a);
-    }
-    if (relu_mode == 2) {
-        __mmask16 gt = _mm512_cmp_ps_mask(a, zero, _CMP_GT_OQ);
-        return _mm512_mul_ps(a, _mm512_mask_mov_ps(zero, gt, _mm512_set1_ps(1.0f)));
     }
     return a;
 }
@@ -765,16 +748,12 @@ API void conv_direct(const float *xp, const float *wt,
 }
 
 /* Max pooling over non-overlapping-or-strided windows, valid region
-   only (matches conv_geometry with pad 0).  tie_first=0 reproduces the
-   interpreter's chained np.maximum (ties keep the accumulator, i.e. the
-   earliest window element wins only through the chain semantics);
-   tie_first=1 reproduces the framework's argmax/take_along_axis (first
-   maximal element wins, NaN beats numbers). */
+   only (matches conv_geometry with pad 0), as the interpreter's chained
+   np.maximum: a tie takes the new value, a NaN accumulator sticks. */
 static inline void maxpool_impl(const float *x, float *out,
                                 long n, long c, long h, long w,
                                 long k, long stride, long oh, long ow,
-                                int tie_first, const float *scale,
-                                const float *shift)
+                                const float *scale, const float *shift)
 {
     for (long i = 0; i < n; i++) {
         for (long ci = 0; ci < c; ci++) {
@@ -789,17 +768,8 @@ static inline void maxpool_impl(const float *x, float *out,
                         for (long kj = 0; kj < k; kj++) {
                             if (ki == 0 && kj == 0) continue;
                             float v = xc[(y0 + ki) * w + (x0 + kj)];
-                            if (tie_first) {
-                                /* argmax semantics: first max wins, NaN
-                                   beats numbers; branchless. */
-                                float t = (v > m) ? v : m;
-                                m = (v != v && m == m) ? v : t;
-                            } else {
-                                /* chained np.maximum: tie takes the new
-                                   value, NaN accumulator sticks. */
-                                float t = (m > v) ? m : v;
-                                m = (m != m) ? m : t;
-                            }
+                            float t = (m > v) ? m : v;
+                            m = (m != m) ? m : t;
                         }
                     }
                     if (scale) {
@@ -816,13 +786,13 @@ static inline void maxpool_impl(const float *x, float *out,
 #ifdef HAVE_SIMD
 /* 2x2/stride-2 pool, eight output columns per iteration.  The window
    chain runs lanewise with the exact scalar tie/NaN semantics: each
-   step is the branchless cmp+blendv transliteration of the tie_first
-   expressions in maxpool_impl, so results match bit-for-bit, and so is
+   step is the branchless cmp+blendv transliteration of the chain step
+   in maxpool_impl, so results match bit-for-bit, and so is
    the optional affine store (a mul, then an add). */
 AVX2_KERNEL
 void maxpool_k2s2_avx2(const float *x, float *out,
                        long n, long c, long h, long w,
-                       long oh, long ow, int tie_first,
+                       long oh, long ow,
                        const float *scale, const float *shift)
 {
     /* lanemask8[cnt] selects the first cnt lanes for maskload and
@@ -864,24 +834,12 @@ void maxpool_k2s2_avx2(const float *x, float *out,
                     _mm256_shuffle_ps(v0, v1, 0x88), idx_ev);
                 wv[2] = _mm256_permutevar8x32_ps(
                     _mm256_shuffle_ps(v0, v1, 0xDD), idx_ev);
-                if (tie_first) {
-                    for (int s = 0; s < 3; s++) {
-                        __m256 v = wv[s];
-                        __m256 gt = _mm256_cmp_ps(v, m, _CMP_GT_OQ);
-                        __m256 t = _mm256_blendv_ps(m, v, gt);
-                        __m256 cond = _mm256_and_ps(
-                            _mm256_cmp_ps(v, v, _CMP_UNORD_Q),
-                            _mm256_cmp_ps(m, m, _CMP_ORD_Q));
-                        m = _mm256_blendv_ps(t, v, cond);
-                    }
-                } else {
-                    for (int s = 0; s < 3; s++) {
-                        __m256 v = wv[s];
-                        __m256 gt = _mm256_cmp_ps(m, v, _CMP_GT_OQ);
-                        __m256 t = _mm256_blendv_ps(v, m, gt);
-                        __m256 nn = _mm256_cmp_ps(m, m, _CMP_UNORD_Q);
-                        m = _mm256_blendv_ps(t, m, nn);
-                    }
+                for (int s = 0; s < 3; s++) {
+                    __m256 v = wv[s];
+                    __m256 gt = _mm256_cmp_ps(m, v, _CMP_GT_OQ);
+                    __m256 t = _mm256_blendv_ps(v, m, gt);
+                    __m256 nn = _mm256_cmp_ps(m, m, _CMP_UNORD_Q);
+                    m = _mm256_blendv_ps(t, m, nn);
                 }
                 if (scale) m = _mm256_add_ps(_mm256_mul_ps(m, s8), sh8);
                 if (nl == 8)
@@ -906,13 +864,12 @@ static int maxpool_pick(long k, long stride, long isa)
    affine_ch's two roundings, folded into the pool's store. */
 API void maxpool_nchw(const float *x, float *out,
                       long n, long c, long h, long w,
-                      long k, long stride, long oh, long ow, int tie_first,
+                      long k, long stride, long oh, long ow,
                       const float *scale, const float *shift, long isa)
 {
 #ifdef HAVE_SIMD
     if (maxpool_pick(k, stride, isa)) {
-        maxpool_k2s2_avx2(x, out, n, c, h, w, oh, ow, tie_first,
-                          scale, shift);
+        maxpool_k2s2_avx2(x, out, n, c, h, w, oh, ow, scale, shift);
         return;
     }
 #endif
@@ -920,16 +877,13 @@ API void maxpool_nchw(const float *x, float *out,
        skip-first-element branch). */
     switch (k) {
     case 2:
-        maxpool_impl(x, out, n, c, h, w, 2, stride, oh, ow, tie_first,
-                     scale, shift);
+        maxpool_impl(x, out, n, c, h, w, 2, stride, oh, ow, scale, shift);
         break;
     case 3:
-        maxpool_impl(x, out, n, c, h, w, 3, stride, oh, ow, tie_first,
-                     scale, shift);
+        maxpool_impl(x, out, n, c, h, w, 3, stride, oh, ow, scale, shift);
         break;
     default:
-        maxpool_impl(x, out, n, c, h, w, k, stride, oh, ow, tie_first,
-                     scale, shift);
+        maxpool_impl(x, out, n, c, h, w, k, stride, oh, ow, scale, shift);
         break;
     }
 }
@@ -952,35 +906,199 @@ API void affine_ch(const float *x, float *out, const float *scale,
     }
 }
 
-/* Framework eval batch-norm: gamma*((x - mean) * inv_std) + beta with
-   the same four float32 roundings as nn.functional.batch_norm. */
-API void bn_eval_ch(const float *x, float *out, const float *gamma,
-                    const float *beta, const float *mean,
-                    const float *inv_std, long n, long c, long hw)
+/* Standalone relu pass (unfused). */
+API void relu_inplace(float *x, long size)
+{
+    for (long j = 0; j < size; j++) x[j] = relu_max0(x[j]);
+}
+
+/* Linear layers in the interpreter's specified order (linear_spec):
+   out[i][j] is the sum over k = 0 .. K-1, in ascending order from +0.0,
+   of the float32 products x[i][k] * wt[k][j], each product rounded
+   before its add (the SIMD variants multiply, then add: no FMA).  The
+   epilogue follows in registers: *scale[j], +bias[j], relu_max0.  wt
+   is (K, ldw) and scale/bias have ldw entries, ldw >= N a multiple of
+   16 zero-padded past N, so every load is a full vector and only the
+   stores are masked.  The variants block rows and columns differently
+   but keep one add chain per output, in that order, so they agree bit
+   for bit.  x and out are (n, K) and (n, N), row-major. */
+static void linear_seq_scalar(const float *x, const float *wt,
+                              const float *scale, const float *bias,
+                              float *out, long n, long K, long N, long ldw,
+                              int relu_mode)
 {
     for (long i = 0; i < n; i++) {
-        for (long ci = 0; ci < c; ci++) {
-            const float *xi = x + (i * c + ci) * hw;
-            float *oi = out + (i * c + ci) * hw;
-            float mu = mean[ci], inv = inv_std[ci];
-            float g = gamma[ci], b = beta[ci];
-            for (long j = 0; j < hw; j++) {
-                float t1 = xi[j] - mu;
-                float t2 = t1 * inv;
-                float t3 = g * t2;
-                oi[j] = t3 + b;
+        const float *xi = x + i * K;
+        float *oi = out + i * N;
+        for (long j = 0; j < N; j++) oi[j] = 0.0f;
+        for (long k = 0; k < K; k++) {
+            float xv = xi[k];
+            const float *wk = wt + k * ldw;
+            for (long j = 0; j < N; j++) {
+                float p = xv * wk[j];
+                oi[j] = oi[j] + p;
             }
+        }
+        for (long j = 0; j < N; j++) {
+            float v = oi[j];
+            if (scale) v = v * scale[j];
+            if (bias) v = v + bias[j];
+            if (relu_mode) v = relu_max0(v);
+            oi[j] = v;
         }
     }
 }
 
-/* Standalone relu pass (unfused); modes as in conv_post. */
-API void relu_inplace(float *x, long size, int mode)
+enum { LIN_SCALAR, LIN_AVX2, LIN_AVX512 };
+
+static int linear_seq_pick(long isa)
 {
-    if (mode == 1) {
-        for (long j = 0; j < size; j++) x[j] = relu_max0(x[j]);
-    } else {
-        for (long j = 0; j < size; j++) x[j] = relu_mask(x[j]);
+    if (isa >= ISA_AVX512) return LIN_AVX512;
+    return isa >= ISA_AVX2 ? LIN_AVX2 : LIN_SCALAR;
+}
+
+#ifdef HAVE_SIMD
+/* EACH_RV(X) expands X(r, v) over a block's NR <= 4 rows and NV <= 2
+   vectors of columns: NR * NV named chains, so they stay in registers;
+   guards on the clone constants fold the unused ones away. */
+#define EACH_RV(X) X(0, 0) X(0, 1) X(1, 0) X(1, 1) \
+                   X(2, 0) X(2, 1) X(3, 0) X(3, 1)
+
+/* NR and NV as literals: the clones a row/column block dispatches to. */
+#define LINEAR_CLONES(IMPL, nr, nv, ...) do { \
+    if ((nv) == 2) { switch (nr) { \
+        case 1: IMPL(__VA_ARGS__, 1, 2); break; \
+        case 2: IMPL(__VA_ARGS__, 2, 2); break; \
+        case 3: IMPL(__VA_ARGS__, 3, 2); break; \
+        default: IMPL(__VA_ARGS__, 4, 2); break; } \
+    } else { switch (nr) { \
+        case 1: IMPL(__VA_ARGS__, 1, 1); break; \
+        case 2: IMPL(__VA_ARGS__, 2, 1); break; \
+        case 3: IMPL(__VA_ARGS__, 3, 1); break; \
+        default: IMPL(__VA_ARGS__, 4, 1); break; } } \
+    } while (0)
+
+/* Rows x[0 .. NR) by columns j0 .. j0 + 8 * NV, AVX2. */
+AVX2_FN void linear_block_avx2(const float *x, const float *wt,
+                               const float *scale, const float *bias,
+                               float *out, long K, long N, long ldw,
+                               long j0, int relu_mode, int NR, int NV)
+{
+    __m256 zero = _mm256_setzero_ps();
+#define ACC(r, v) __m256 a##r##v = zero;
+    EACH_RV(ACC)
+#undef ACC
+    const float *wk = wt + j0;
+    for (long k = 0; k < K; k++, wk += ldw) {
+        __m256 w0 = _mm256_loadu_ps(wk);
+        __m256 w1 = NV == 2 ? _mm256_loadu_ps(wk + 8) : zero;
+#define MAC(r, v) if (r < NR && v < NV) \
+    a##r##v = _mm256_add_ps( \
+        a##r##v, _mm256_mul_ps(_mm256_set1_ps(x[r * K + k]), w##v));
+        EACH_RV(MAC)
+#undef MAC
+    }
+#define STORE(r, v) if (r < NR && v < NV) { \
+    long j = j0 + 8 * v, cnt = N - j < 8 ? N - j : 8; \
+    __m256 e = epilogue256( \
+        a##r##v, scale, scale ? _mm256_loadu_ps(scale + j) : zero, \
+        bias, bias ? _mm256_loadu_ps(bias + j) : zero, relu_mode); \
+    if (cnt == 8) _mm256_storeu_ps(out + r * N + j, e); \
+    else _mm256_maskstore_ps( \
+        out + r * N + j, \
+        _mm256_loadu_si256((const __m256i *)lanemask8[cnt]), e); }
+    EACH_RV(STORE)
+#undef STORE
+}
+
+/* Column blocks outermost: a block's K x 16 weight panel stays in L1
+   while the row blocks pass over it.  With n >= 4 the last row block
+   overlaps its neighbour and rewrites the same values. */
+AVX2_KERNEL void linear_seq_avx2(const float *x, const float *wt,
+                                 const float *scale, const float *bias,
+                                 float *out, long n, long K, long N,
+                                 long ldw, int relu_mode)
+{
+    int nr = n < 4 ? (int)n : 4;
+    for (long j0 = 0; j0 < N; j0 += 16) {
+        int nv = N - j0 > 8 ? 2 : 1;
+        for (long i0 = 0; i0 < n; i0 += 4) {
+            long ib = i0 + nr <= n ? i0 : n - nr;
+            LINEAR_CLONES(linear_block_avx2, nr, nv, x + ib * K, wt, scale,
+                          bias, out + ib * N, K, N, ldw, j0, relu_mode);
+        }
+    }
+}
+
+#ifdef HAVE_AVX512
+/* Rows x[0 .. NR) by columns j0 .. j0 + 16 * NV, AVX-512. */
+AVX512_FN void linear_block_avx512(const float *x, const float *wt,
+                                   const float *scale, const float *bias,
+                                   float *out, long K, long N, long ldw,
+                                   long j0, int relu_mode, int NR, int NV)
+{
+    __m512 zero = _mm512_setzero_ps();
+#define ACC(r, v) __m512 a##r##v = zero;
+    EACH_RV(ACC)
+#undef ACC
+    const float *wk = wt + j0;
+    for (long k = 0; k < K; k++, wk += ldw) {
+        __m512 w0 = _mm512_loadu_ps(wk);
+        __m512 w1 = NV == 2 ? _mm512_loadu_ps(wk + 16) : zero;
+#define MAC(r, v) if (r < NR && v < NV) \
+    a##r##v = _mm512_add_ps( \
+        a##r##v, _mm512_mul_ps(_mm512_set1_ps(x[r * K + k]), w##v));
+        EACH_RV(MAC)
+#undef MAC
+    }
+#define STORE(r, v) if (r < NR && v < NV) { \
+    long j = j0 + 16 * v, cnt = N - j < 16 ? N - j : 16; \
+    _mm512_mask_storeu_ps( \
+        out + r * N + j, (__mmask16)((1u << cnt) - 1), \
+        epilogue512(a##r##v, scale, \
+                    scale ? _mm512_loadu_ps(scale + j) : zero, bias, \
+                    bias ? _mm512_loadu_ps(bias + j) : zero, relu_mode)); }
+    EACH_RV(STORE)
+#undef STORE
+}
+
+AVX512_KERNEL void linear_seq_avx512(const float *x, const float *wt,
+                                     const float *scale, const float *bias,
+                                     float *out, long n, long K, long N,
+                                     long ldw, int relu_mode)
+{
+    int nr = n < 4 ? (int)n : 4;
+    for (long j0 = 0; j0 < N; j0 += 32) {
+        int nv = N - j0 > 16 ? 2 : 1;
+        for (long i0 = 0; i0 < n; i0 += 4) {
+            long ib = i0 + nr <= n ? i0 : n - nr;
+            LINEAR_CLONES(linear_block_avx512, nr, nv, x + ib * K, wt, scale,
+                          bias, out + ib * N, K, N, ldw, j0, relu_mode);
+        }
+    }
+}
+#endif /* HAVE_AVX512 */
+#undef LINEAR_CLONES
+#undef EACH_RV
+#endif /* HAVE_SIMD */
+
+API void linear_seq(const float *x, const float *wt, const float *scale,
+                    const float *bias, float *out, long n, long K, long N,
+                    long ldw, int relu_mode, long isa)
+{
+    switch (linear_seq_pick(isa)) {
+#ifdef HAVE_SIMD
+#ifdef HAVE_AVX512
+    case LIN_AVX512:
+        linear_seq_avx512(x, wt, scale, bias, out, n, K, N, ldw, relu_mode);
+        return;
+#endif
+    case LIN_AVX2:
+        linear_seq_avx2(x, wt, scale, bias, out, n, K, N, ldw, relu_mode);
+        return;
+#endif
+    default:
+        linear_seq_scalar(x, wt, scale, bias, out, n, K, N, ldw, relu_mode);
     }
 }
 
@@ -2020,8 +2138,8 @@ API long run_program(const int64_t *rec, long count, long n, long isa)
             break;
         case OP_maxpool_nchw:
             maxpool_nchw(P(const float, 1), P(float, 2), n, L(3), L(4), L(5),
-                         L(6), L(7), L(8), L(9), (int)L(10),
-                         P(const float, 11), P(const float, 12), isa);
+                         L(6), L(7), L(8), L(9),
+                         P(const float, 10), P(const float, 11), isa);
             rec += LEN_maxpool_nchw;
             break;
         case OP_affine_ch:
@@ -2029,15 +2147,15 @@ API long run_program(const int64_t *rec, long count, long n, long isa)
                       P(const float, 4), n, L(5), L(6));
             rec += LEN_affine_ch;
             break;
-        case OP_bn_eval_ch:
-            bn_eval_ch(P(const float, 1), P(float, 2), P(const float, 3),
-                       P(const float, 4), P(const float, 5),
-                       P(const float, 6), n, L(7), L(8));
-            rec += LEN_bn_eval_ch;
-            break;
         case OP_relu_inplace:
-            relu_inplace(P(float, 1), n * L(2), (int)L(3));
+            relu_inplace(P(float, 1), n * L(2));
             rec += LEN_relu_inplace;
+            break;
+        case OP_linear_seq:
+            linear_seq(P(const float, 1), P(const float, 2),
+                       P(const float, 3), P(const float, 4), P(float, 5),
+                       n, L(6), L(7), L(8), (int)L(9), isa);
+            rec += LEN_linear_seq;
             break;
         case OP_binconv_prepare:
             binconv_prepare(P(const float, 1), P(float, 2), P(float, 3),
@@ -2076,7 +2194,7 @@ API const char *record_variant(const int64_t *rec, long isa)
     static const char *const conv_names[] = {
         "scalar", "pos_avx2", "chan_avx2", "pos_avx512", "chan_avx512",
     };
-    static const char *const prep_names[] = {"scalar", "avx2", "avx512"};
+    static const char *const simd_names[] = {"scalar", "avx2", "avx512"};
     static const char *const popdot_names[] = {
         "scalar", "w1_avx2", "w2_avx2", "avx2", "w1_vpopcntdq", "vpopcntdq",
     };
@@ -2087,11 +2205,13 @@ API const char *record_variant(const int64_t *rec, long isa)
     case OP_maxpool_nchw:
         return maxpool_pick(L(6), L(7), isa) ? "k2s2_avx2" : "scalar";
     case OP_binconv_prepare:
-        return prep_names[binconv_prepare_pick(L(6), L(9), L(10), L(11), L(13),
+        return simd_names[binconv_prepare_pick(L(6), L(9), L(10), L(11), L(13),
                                                P(const float, 2),
                                                P(const float, 3), isa)];
     case OP_pack_rows:
         return pack_rows_pick(L(3), isa) ? "avx2" : "scalar";
+    case OP_linear_seq:
+        return simd_names[linear_seq_pick(isa)];
     case OP_popdot_scale:
         return popdot_names[popdot_pick(L(11), isa)];
     default:
@@ -2116,13 +2236,15 @@ RECORD_FIELDS: Mapping[str, tuple] = MappingProxyType(
         ),
         "conv_post": ("mm", "scale", "bias", "out", "rows", "oc", "relu_mode"),
         "maxpool_nchw": (
-            "x", "out", "c", "h", "w", "k", "stride", "oh", "ow", "tie_first",
-            "scale", "shift",
+            "x", "out", "c", "h", "w", "k", "stride", "oh", "ow", "scale", "shift",
         ),
         "affine_ch": ("x", "out", "scale", "shift", "c", "hw"),
-        "bn_eval_ch": ("x", "out", "gamma", "beta", "mean", "inv_std", "c", "hw"),
         # elems is per sample: the kernel relus n * elems values.
-        "relu_inplace": ("x", "elems", "mode"),
+        "relu_inplace": ("x", "elems"),
+        "linear_seq": (
+            "x", "wt", "scale", "bias", "out", "k", "out_features", "ldw",
+            "relu_mode",
+        ),
         "binconv_prepare": (
             "x", "abscols", "kfac", "words", "maskw",
             "c", "h", "w", "k", "stride", "pad", "oh", "ow", "W",

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,24 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "M_Acc=" in out and "checkpoint written" in out
         assert (tmp_path / "out.npz").exists()
+
+
+class TestPlanCommand:
+    def test_trunk_plan_is_first_tier_and_matches_its_engine(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """The trunk plan keeps its first tier and equals the trunk's
+        interpreter engine bit for bit; the framework module is within
+        validate_bundle's tolerance of it."""
+        out = tmp_path / "plan.json"
+        assert main(["plan", str(checkpoint), "--batch", "8", "--json", str(out)]) == 0
+        record = json.loads(out.read_text())
+        for name in ("stem", "binary_branch", "trunk"):
+            assert record[name]["bit_identical"] is True, name
+        trunk = record["trunk"]
+        assert trunk["tier"] == {}
+        assert trunk["max_abs_vs_module"] <= 1e-3
+        assert "max_abs_vs_module=" in capsys.readouterr().out
 
 
 class TestEvaluateCommand:

@@ -14,8 +14,10 @@ Any drift — a kernel change, a scheduler reorder, a codec tweak, a
 pricing change — fails here with a field-level diff instead of silently
 shifting downstream numbers.  Every field is compared exactly except
 the entropies, which are compared at ``ENTROPY_ATOL``: the float convs
-and linears run on the host's BLAS, whose CPU-specific kernels and
-thread count move the low bits from one host to another.  The system
+run on the host's BLAS (the interpreter's ``im2col @ W``, which the
+direct-conv kernel mirrors), whose CPU-specific kernels can move the
+low bits from one host to another.  The linear layers no longer do:
+their reduction order is specified (``wasm.linear_spec``).  The system
 is ``golden_system``, loaded from a committed checkpoint trained at one
 BLAS thread, so training adds no drift.  The fixture records the
 host it was generated on (``host``, informational only).  To regenerate
@@ -50,11 +52,12 @@ LINK_SEED = 11
 SESSION = dict(batch_size=4, threshold=0.05)
 #: Absolute tolerance (nats) on each per-sample entropy across hosts.
 #: The committed entropies come from the committed checkpoint, so only
-#: inference BLAS moves them: on a 2-vCPU AVX-512 x86-64 VM they drift
-#: by 0 at one and at two OpenBLAS threads, and by at most 1.9e-7 under
-#: the Haswell, SandyBridge and Prescott OpenBLAS kernels
-#: (``OPENBLAS_CORETYPE``).  The bound leaves a 500x margin above that.
-#: A wrong kernel that moves a decision still fails the exact fields.
+#: inference BLAS moves them, and only the convs still use it: on a
+#: 2-vCPU AVX-512 x86-64 VM they drift by 0 at one and at two OpenBLAS
+#: threads and under the Haswell kernels, and by at most 4.8e-8 under
+#: the SandyBridge and Prescott kernels (``OPENBLAS_CORETYPE``).  The
+#: bound leaves a 2000x margin above that.  A wrong kernel that moves a
+#: decision still fails the exact fields.
 ENTROPY_ATOL = 1e-4
 
 

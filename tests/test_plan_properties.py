@@ -143,7 +143,7 @@ def every_isa_agrees(engine, input_shape, capacity) -> bool:
     sequential order the direct conv replicates.
     """
     plans = {
-        isa: _PlanBuilder(engine.parsed, capacity, "wasm", isa=isa).build()
+        isa: _PlanBuilder(engine.parsed, capacity, isa=isa).build()
         for isa in host_levels()
     }
     probe = plan_module._probe_batch(tuple(input_shape), capacity)
@@ -261,7 +261,7 @@ class TestFloatStackProperties:
         input_shape = (in_channels, height, width)
         engine = engine_for(nn.Sequential(*layers), input_shape)
         if out_channels == 1 or out_width * out_height == 1:
-            plan = _PlanBuilder(engine.parsed, 3, "wasm").build()
+            plan = _PlanBuilder(engine.parsed, 3).build()
             assert not any(v.startswith("conv_direct") for v in native_kernels(plan))
             return
         plan = compile_wasm_plan(engine, 3)
@@ -363,12 +363,20 @@ class TestBinaryStackProperties:
     @given(
         features=st.sampled_from([16, 63, 64, 100, 784]),
         out=st.integers(2, 12),
+        binarize_input=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_binary_linear_matches_interpreter(self, features, out, seed):
-        """Word-count sweep crosses the W=1/W=2/general popcount kernels."""
+    def test_binary_linear_matches_interpreter(
+        self, features, out, binarize_input, seed
+    ):
+        """Word-count sweep crosses the W=1/W=2/general popcount kernels;
+        without input binarization the ±1 weights run as ``linear_seq``
+        with α as its scale."""
         rng = np.random.default_rng(seed)
-        bundle = nn.Sequential(nn.Flatten(), BinaryLinear(features, out, rng=rng))
+        bundle = nn.Sequential(
+            nn.Flatten(),
+            BinaryLinear(features, out, binarize_input=binarize_input, rng=rng),
+        )
         assert_plan_bit_identical(bundle, (features, 1, 1))
 
     @fewer_examples
@@ -634,10 +642,24 @@ class TestBatchShapeProperties:
             plan.execute(np.zeros((1, 1, 5, 5), dtype=np.float32))
 
 
+def assert_trunk_plan_matches_engine(trunk, input_shape, x) -> None:
+    """The trunk plan equals its interpreter engine bit for bit, and the
+    framework module to ``validate_bundle``'s tolerance."""
+    plan = compile_trunk_plan(trunk, input_shape, 4)
+    got = plan.execute(x)
+    np.testing.assert_array_equal(
+        got, wasm.load_trunk_engine(trunk, input_shape).forward(x)
+    )
+    trunk.eval()
+    with no_grad():
+        module = trunk(Tensor(x)).data
+    np.testing.assert_allclose(got, module, rtol=0, atol=1e-3)
+
+
 class TestTrunkPlan:
     @fewer_examples
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_trunk_plan_matches_module(self, seed):
+    def test_trunk_plan_matches_interpreter(self, seed):
         rng = np.random.default_rng(seed)
         trunk = nn.Sequential(
             nn.Conv2d(2, 6, 3, padding=1, rng=rng),
@@ -646,18 +668,17 @@ class TestTrunkPlan:
             nn.Flatten(),
             nn.Linear(6 * 4 * 4, 10, rng=rng),
         )
-        plan = compile_trunk_plan(trunk, (2, 8, 8), 4)
         x = rng.standard_normal((4, 2, 8, 8)).astype(np.float32)
-        trunk.eval()
-        with no_grad():
-            expected = trunk(Tensor(x)).data
-        np.testing.assert_array_equal(plan.execute(x), expected)
+        assert_trunk_plan_matches_engine(trunk, (2, 8, 8), x)
 
     @fewer_examples
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_trunk_with_batch_norm_and_unfused_relu_matches_module(self, seed):
-        """Framework batch-norm and a relu the anchor cannot fuse (it
-        follows the pool) each replay as their own kernel record."""
+    def test_trunk_with_batch_norm_and_unfused_relu_matches_interpreter(
+        self, seed
+    ):
+        """Batch-norm (folded to the interpreter's affine) and a relu the
+        anchor cannot fuse (it follows the pool) each replay as their own
+        kernel record."""
         rng = np.random.default_rng(seed)
         bn = nn.BatchNorm2d(4)
         bn.running_mean.data[:] = rng.standard_normal(4).astype(np.float32)
@@ -670,12 +691,8 @@ class TestTrunkPlan:
             nn.Flatten(),
             nn.Linear(4 * 4 * 4, 5, rng=rng),
         )
-        plan = compile_trunk_plan(trunk, (2, 8, 8), 4)
         x = rng.standard_normal((3, 2, 8, 8)).astype(np.float32)
-        trunk.eval()
-        with no_grad():
-            expected = trunk(Tensor(x)).data
-        np.testing.assert_array_equal(plan.execute(x), expected)
+        assert_trunk_plan_matches_engine(trunk, (2, 8, 8), x)
 
     def test_unsupported_trunk_raises_compile_error(self):
         class Opaque(nn.Module):
@@ -807,8 +824,149 @@ class TestPlanPlumbing:
         assert all(s.attrs["samples"] == 2 for s in tracer.spans())
 
 
+def literal_linear_spec(x, w_t):
+    """The specified order spelled out: for k ascending, from +0.0, add
+    the rounded products."""
+    acc = np.zeros((x.shape[0], w_t.shape[1]), dtype=np.float32)
+    for k in range(x.shape[1]):
+        acc = acc + x[:, k : k + 1] * w_t[k : k + 1]
+    return acc
+
+
+def spec_operands(m, k, n, seed):
+    """x (m, k) and w_t (k, n) over a wide exponent range: subnormal
+    products, large magnitudes, and exact ±0.0 in both operands."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape) * np.exp2(rng.integers(-75, 60, size=shape))
+        a = a.astype(np.float32)
+        flat = a.reshape(-1)
+        flat[rng.random(flat.size) < 0.1] = 0.0
+        flat[rng.random(flat.size) < 0.1] = -0.0
+        return a
+
+    return draw(m, k), draw(k, n)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+class TestLinearSpec:
+    """The linear layers' reduction order is a specification: the
+    interpreter's reduce form must equal the literal loop, and the
+    plans' linear_seq kernel must equal the spec at every SIMD level,
+    bit for bit (signed zeros included)."""
+
+    @fewer_examples
+    @given(
+        m=st.integers(1, 33), k=st.integers(1, 800), n=st.integers(1, 130),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(m=1, k=1, n=1, seed=0)
+    @example(m=33, k=800, n=130, seed=1)
+    # One output column: a (K, rows, 1) product tensor whose rows axis
+    # follows x.T's memory order is reduced pairwise by NumPy.
+    @example(m=32, k=375, n=1, seed=0)
+    def test_reduce_form_equals_literal_loop(self, m, k, n, seed):
+        x, w_t = spec_operands(m, k, n, seed)
+        np.testing.assert_array_equal(
+            bits(wasm.linear_spec(x, w_t)), bits(literal_linear_spec(x, w_t))
+        )
+
+    def test_all_negative_zero_products_sum_to_positive_zero(self):
+        x = np.full((2, 3), -0.0, dtype=np.float32)
+        w_t = np.ones((3, 2), dtype=np.float32)
+        assert not np.signbit(wasm.linear_spec(x, w_t)).any()
+
+    @fewer_examples
+    @given(
+        m=st.integers(1, 33), k=st.integers(1, 800), n=st.integers(1, 130),
+        scale=st.booleans(), bias=st.booleans(), relu=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(m=1, k=1, n=1, scale=False, bias=False, relu=False, seed=0)
+    @example(m=5, k=400, n=120, scale=False, bias=True, relu=True, seed=0)
+    @example(m=3, k=84, n=10, scale=True, bias=True, relu=False, seed=0)
+    def test_linear_seq_equals_spec_every_isa(
+        self, m, k, n, scale, bias, relu, seed
+    ):
+        """Row tails (m % 4), column tails (n % 8, n % 16, n % 32) and the
+        scale/bias/relu epilogue, at every SIMD level the host runs."""
+        x, w_t = spec_operands(m, k, n, seed)
+        rng = np.random.default_rng(seed + 1)
+        alpha = rng.standard_normal(n).astype(np.float32) if scale else None
+        beta = rng.standard_normal(n).astype(np.float32) if bias else None
+        want = wasm.linear_spec(x, w_t)
+        if alpha is not None:
+            want = want * alpha
+        if beta is not None:
+            want = want + beta
+        if relu:
+            want = np.maximum(want, 0.0)
+        ldw = -(-n // 16) * 16
+
+        def padded(a):
+            wide = np.zeros(a.shape[:-1] + (ldw,), dtype=np.float32)
+            wide[..., :n] = a
+            return wide
+
+        for isa in host_levels():
+            out = np.full((m, n), np.nan, dtype=np.float32)
+            variant = run_record(
+                "linear_seq", isa, m,
+                x=x, wt=padded(w_t),
+                scale=None if alpha is None else padded(alpha),
+                bias=None if beta is None else padded(beta),
+                out=out, k=k, out_features=n, ldw=ldw, relu_mode=int(relu),
+            )
+            assert variant == isa
+            np.testing.assert_array_equal(bits(out), bits(want), err_msg=isa)
+
+
+class TestNoBlasOnRequestPath:
+    @pytest.mark.parametrize("capacity", [1, 2, 4, 8, 16])
+    def test_lenet_plans_are_native_and_replay_in_one_call(
+        self, capacity, monkeypatch
+    ):
+        """The LeNet stem, branch and trunk compile at their first tier
+        with every runner native, so no NumPy (and no BLAS) runs on the
+        request path, and an untraced replay is one run_program call."""
+        backend = get_backend()
+        calls = []
+
+        class CountingBackend:
+            def run_program(self, *args):
+                calls.append(args)
+                return backend.run_program(*args)
+
+            def record_variant(self, *args):
+                return backend.record_variant(*args)
+
+        monkeypatch.setattr(plan_module, "get_backend", CountingBackend)
+        network = lenet(rng=np.random.default_rng(0))
+        branch_net = build_binary_branch((6, 14, 14), 10, rng=np.random.default_rng(1))
+        engines = {
+            "stem": engine_for(network.stem, (1, 28, 28)),
+            "branch": engine_for(branch_net, (6, 14, 14)),
+            "trunk": wasm.load_trunk_engine(network.trunk, (6, 14, 14)),
+        }
+        for name, engine in engines.items():
+            plan = compile_wasm_plan(engine, capacity)
+            assert plan.tier == {}, name
+            runners = [r for step in plan.steps for r in step.runners]
+            assert all(isinstance(r, NativeSegment) for r in runners), name
+            x = plan_module._probe_batch(tuple(engine.input_shape), capacity)
+            calls.clear()
+            got = plan.execute(x)
+            assert len(calls) == 1, name
+            np.testing.assert_array_equal(got, engine.forward(x), err_msg=name)
+
+
 class TestRecordTable:
     def test_lenet_stem_step_replays_in_one_native_call(self):
+        """Traced, the stem's one step is one native call of its own."""
         network = lenet(rng=np.random.default_rng(0))
         engine = engine_for(network.stem, (1, 28, 28))
         plan = compile_wasm_plan(engine, 8)
@@ -820,7 +978,8 @@ class TestRecordTable:
         native = segment._run
         segment._run = lambda *args: calls.append(args) or native(*args)
         x = np.random.default_rng(1).standard_normal((5, 1, 28, 28)).astype(np.float32)
-        np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
+        got = plan.execute(x, recorder=Tracer())
+        np.testing.assert_array_equal(got, engine.forward(x))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("capacity", [1, 8, 16])
@@ -933,9 +1092,13 @@ class TestRecordTable:
         )
         plan = compile_wasm_plan(engine, 2)
         (segment,) = plan.steps[0].runners
-        segment.table[0] = max(OPCODES.values()) + 1
+        x = np.ones((2, 1, 6, 6), dtype=np.float32)
+        for table in (plan.program.table, segment.table):
+            table[0] = max(OPCODES.values()) + 1
         with pytest.raises(PlanExecutionError, match="record 0 .*unknown opcode"):
-            plan.execute(np.ones((2, 1, 6, 6), dtype=np.float32))
+            plan.execute(x)  # the whole-plan table
+        with pytest.raises(PlanExecutionError, match="record 0 .*unknown opcode"):
+            plan.execute(x, recorder=Tracer())  # the step's own table
 
     def test_property_suite_exercises_every_opcode(self):
         """Runs last: the plans compiled by this module, together, must

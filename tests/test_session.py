@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.autograd import Tensor, no_grad
 from repro.runtime import (
     BrowserClient,
     EDGE_SERVER,
@@ -49,6 +50,31 @@ class TestEdgeEndpoint:
         logits = endpoint.infer(features)
         assert logits.shape == (4, test.num_classes)
         assert endpoint.requests_served == 4
+
+    def test_pool_exhaustion_fallback_matches_the_plan(
+        self, trained_system, tiny_mnist
+    ):
+        """With the pool's only plan held, ``infer`` runs the trunk
+        engine's interpreter, and its logits equal the plan's bit for
+        bit."""
+        _, test = tiny_mnist
+        model = trained_system.model
+        model.eval()
+        with no_grad():
+            features = model.forward_features(Tensor(test.images[:4])).data
+        endpoint = EdgeEndpoint(model.main_trunk)
+        endpoint.PLAN_POOL_SIZE = 1
+        planned = endpoint.infer(features)
+        pool = endpoint._pool_for(endpoint._engine_for(features.shape[1:]), 4)
+        plan = pool.lease()
+        try:
+            assert plan is not None and pool.instances == 1
+            assert pool.lease() is None
+            fallback = endpoint.infer(features)
+        finally:
+            pool.release(plan)
+        np.testing.assert_array_equal(fallback.view(np.uint32), planned.view(np.uint32))
+        assert endpoint.requests_served == 8
 
 
 class TestBrowserClient:

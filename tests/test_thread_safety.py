@@ -281,7 +281,7 @@ class TestSharedEndpointConcurrency:
     def test_module_path_concurrency_bit_identical(
         self, trained_system, tiny_mnist
     ):
-        """compile_plan=False exercises the bare framework trunk."""
+        """compile_plan=False exercises the trunk engine's interpreter."""
         features = self._features(trained_system, tiny_mnist)
         batches = [
             features[i * self.BATCH : (i + 1) * self.BATCH]
