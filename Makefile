@@ -18,7 +18,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
 
-.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-threads stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
+.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-threads stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-plan bench-fleet bench-tau bench-check bench-check-dry
 
 test:
 	$(PYTEST)
@@ -76,9 +76,6 @@ bench-sched:
 
 bench-par:
 	PYTHONPATH=src $(PY) benchmarks/bench_parallel.py
-
-bench-par-wall:
-	REPRO_BENCH_WALL=1 PYTHONPATH=src $(PY) benchmarks/bench_parallel.py
 
 bench-plan:
 	PYTHONPATH=src $(PY) benchmarks/bench_plan.py

@@ -19,9 +19,8 @@ Floors (mirroring the claims in DESIGN.md):
   (trace-compiled plans vs the interpreter on the session hot path).
 * ``BENCH_parallel.json`` — ``results.worker_scaling.headline
   .speedup_vs_serial``    >= 2.5x, sim: the 4-worker capacity ratio, a
-  model identity.  The wall-clock headline is only checked when its own
-  ``floor_applies`` flag is true (single-core hosts physically cap
-  wall parallelism at 1x and record that exemption themselves).
+  model identity.  The c workers are simulated lanes and the program
+  runs on the caller's thread, so no wall-clock worker speedup is gated.
 * ``BENCH_fleet.json``    — ``results.headline_speedup`` >= 3.0x, sim:
   the 4-shard to 1-shard capacity ratio, a model identity.
 * ``BENCH_adaptive.json`` — ``results.headline_shed_margin`` >= 0.10
@@ -64,7 +63,6 @@ class HeadlineCheck:
         floor: float,
         label: str,
         clock: str,
-        gate_path: Optional[str] = None,
     ) -> None:
         self.filename = filename
         self.path = path
@@ -72,12 +70,9 @@ class HeadlineCheck:
         self.label = label
         #: "wall" (measured) or "sim" (simulated clock: a model check)
         self.clock = clock
-        #: optional json-path of a boolean; when present and false the
-        #: floor does not apply (the bench recorded its own exemption).
-        self.gate_path = gate_path
 
     def run(self, root: Path) -> tuple[str, str]:
-        """Returns (status, message); status in {ok, skip, missing, fail}."""
+        """Returns (status, message); status in {ok, missing, fail}."""
         file = root / self.filename
         if not file.exists():
             return "missing", f"{self.filename}: not found"
@@ -85,13 +80,6 @@ class HeadlineCheck:
             payload = json.loads(file.read_text())
         except ValueError as exc:
             return "fail", f"{self.filename}: unreadable JSON ({exc})"
-        if self.gate_path is not None:
-            applies = _dig(payload, self.gate_path)
-            if applies is not None and not applies:
-                return "skip", (
-                    f"{self.filename}: {self.label} floor not applicable "
-                    f"({self.gate_path} is false)"
-                )
         value = _dig(payload, self.path)
         if not isinstance(value, (int, float)):
             return "fail", f"{self.filename}: no numeric value at {self.path}"
@@ -120,14 +108,6 @@ CHECKS = [
         2.5,
         "4-worker capacity ratio (model identity)",
         "sim",
-    ),
-    HeadlineCheck(
-        "BENCH_parallel.json",
-        "results.worker_scaling_wall.headline.wall_speedup_vs_serial",
-        2.0,
-        "4-worker wall speedup",
-        "wall",
-        gate_path="results.worker_scaling_wall.headline.floor_applies",
     ),
     HeadlineCheck(
         "BENCH_fleet.json",

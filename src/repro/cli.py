@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--queue-capacity", type=int, default=256)
     scale.add_argument(
         "--workers", type=int, default=1,
-        help="concurrent trunk workers on the shared edge (the M/M/c c)",
+        help="simulated trunk workers on the shared edge (the M/M/c c)",
     )
     scale.add_argument(
         "--session-batch", type=int, default=4,

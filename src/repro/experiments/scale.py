@@ -122,7 +122,6 @@ class WorkerScalingConfig:
     batch_size: int = 4
     measure: Optional[str] = None
     mode: str = "sim"
-    wall_repeats: int = 3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workers", tuple(int(c) for c in self.workers))
@@ -134,10 +133,8 @@ class WorkerScalingConfig:
             raise ValueError("batch_size must be at least 1")
         if self.measure not in (None, "module", "plan"):
             raise ValueError("measure must be None, 'module', or 'plan'")
-        if self.mode not in ("sim", "wall"):
-            raise ValueError("mode must be 'sim' or 'wall'")
-        if self.wall_repeats < 1:
-            raise ValueError("wall_repeats must be positive")
+        if self.mode != "sim":
+            raise ValueError("mode must be 'sim' (the c workers are a simulated model)")
 
 
 @dataclass(frozen=True)
@@ -365,15 +362,9 @@ class WorkerScalingPoint:
     capacity ``c / service_time`` at the same batch size — with the
     request count an exact multiple of ``workers`` it should be 1.0,
     which keeps :class:`~repro.runtime.concurrency.QueueModel` and the
-    scheduler's simulated clock priced off the same arithmetic.
-
-    The ``wall_*`` fields are filled by ``mode="wall"`` runs: real
-    wall-clock flush makespan (best of N repeats after an untimed
-    warm-up), the throughput it implies, and the M/M/c cross-check
-    against the *core-clamped* capacity ``min(c, host_cores) /
-    service_time`` — a pool of 4 threads on a 1-core host can never beat
-    one core's capacity, and the clamp keeps the bound honest instead of
-    flagging physics as a regression.
+    scheduler's simulated clock priced off the same arithmetic.  Every
+    field is a model reading: the c workers are simulated lanes, and
+    the flush runs on the caller's thread.
     """
 
     workers: int
@@ -388,15 +379,9 @@ class WorkerScalingPoint:
     mean_queue_wait_ms: float
     max_workers_busy: int
     mode: str = "sim"
-    wall_makespan_ms: Optional[float] = None
-    wall_throughput_rps: Optional[float] = None
-    wall_speedup_vs_serial: Optional[float] = None
-    wall_capacity_rps: Optional[float] = None
-    wall_capacity_ratio: Optional[float] = None
-    effective_workers: int = 0
 
     def as_dict(self) -> dict[str, object]:
-        record: dict[str, object] = {
+        return {
             "workers": self.workers,
             "samples": self.samples,
             "batches": self.batches,
@@ -410,28 +395,6 @@ class WorkerScalingPoint:
             "max_workers_busy": self.max_workers_busy,
             "mode": self.mode,
         }
-        if self.mode == "wall":
-            record.update(
-                {
-                    "wall_makespan_ms": self.wall_makespan_ms,
-                    "wall_throughput_rps": self.wall_throughput_rps,
-                    "wall_speedup_vs_serial": self.wall_speedup_vs_serial,
-                    "wall_capacity_rps": self.wall_capacity_rps,
-                    "wall_capacity_ratio": self.wall_capacity_ratio,
-                    "effective_workers": self.effective_workers,
-                }
-            )
-        return record
-
-
-def host_cores() -> int:
-    """CPU cores available to this process (affinity-aware)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 @dataclass
@@ -442,7 +405,6 @@ class WorkerScalingResult:
     requests: int
     batch_size: int
     mode: str = "sim"
-    host_cores: int = 0
     points: list[WorkerScalingPoint] = field(default_factory=list)
 
     def point(self, workers: int) -> WorkerScalingPoint:
@@ -457,7 +419,6 @@ class WorkerScalingResult:
             "requests": self.requests,
             "batch_size": self.batch_size,
             "mode": self.mode,
-            "host_cores": self.host_cores,
             "points": [p.as_dict() for p in self.points],
         }
 
@@ -489,29 +450,17 @@ def run_worker_scaling(
     machine-independent; pass ``measure="plan"`` when the numbers should
     reflect the compiled-path service times of this host.
 
-    ``mode="wall"`` additionally times the flush for real: after an
-    untimed warm-up burst (which also compiles the endpoint's plan
-    pool), the same burst is resubmitted ``wall_repeats`` times to the
-    *same* scheduler and the best wall-clock flush makespan is recorded
-    in the point's ``wall_*`` fields, cross-checked against the
-    core-clamped M/M/c capacity ``min(c, host_cores) / service_time``.
-    Wall mode defaults ``measure`` to ``"plan"`` so the capacity bound
-    is in this host's units.  Simulated metrics (and the bit-identity
-    check against the serial sweep) are reported from the warm-up burst
-    exactly as in ``mode="sim"``.
+    The c workers are a simulated model: every batch runs on the
+    caller's thread, and the sweep's speedups are capacity ratios of
+    the simulated clock, never wall-clock measurements.
     """
     from ..nn.autograd import Tensor, no_grad
-    from ..observability.clock import now_ms
 
     cfg = config if config is not None else WorkerScalingConfig()
     workers_sweep = cfg.workers
     requests = cfg.requests
     batch_size = cfg.batch_size
     measure = cfg.measure
-    mode = cfg.mode
-    wall_repeats = cfg.wall_repeats
-    if mode == "wall" and measure is None and service_model is None:
-        measure = "plan"
     images = np.asarray(images, dtype=np.float32)
     need = requests * batch_size
     if len(images) == 0:
@@ -536,41 +485,14 @@ def run_worker_scaling(
             compile_plan=(measure == "plan"),
         )
 
-    cores = host_cores()
     result = WorkerScalingResult(
         network=model.base_name,
         requests=requests,
         batch_size=batch_size,
-        mode=mode,
-        host_cores=cores,
+        mode=cfg.mode,
     )
 
-    def submit_burst(scheduler: EdgeScheduler) -> list[int]:
-        tickets: list[int] = []
-        for r in range(requests):
-            request = BatchInferenceRequest.from_features(
-                session_id=r + 1,
-                sequences=tuple(range(batch_size)),
-                codec_name="fp32",
-                features=features[r * batch_size : (r + 1) * batch_size],
-            )
-            ack = decode_frame(scheduler.submit(encode_frame(request), 0.0))
-            if not isinstance(ack, SchedulerAck):
-                raise RuntimeError(f"worker-scaling request shed: {ack}")
-            tickets.append(ack.ticket)
-        return tickets
-
-    def collect_answers(scheduler: EdgeScheduler, tickets: list[int]) -> tuple:
-        answers: list[int] = []
-        for ticket in tickets:
-            raw, _wait = scheduler.collect(ticket)
-            reply = decode_frame(raw)
-            assert isinstance(reply, BatchInferenceResponse)
-            answers.extend(reply.class_ids)
-        return tuple(answers)
-
     serial_throughput: Optional[float] = None
-    serial_wall_throughput: Optional[float] = None
     serial_answers: Optional[tuple] = None
     for c in workers_sweep:
         scheduler = EdgeScheduler.for_system(
@@ -583,81 +505,50 @@ def run_worker_scaling(
                 num_workers=c,
             ),
         )
-        # The first burst is the deterministic simulated-clock run (and,
-        # in wall mode, the untimed warm-up that fills plan pools).
-        tickets = submit_burst(scheduler)
+        tickets: list[int] = []
+        for r in range(requests):
+            request = BatchInferenceRequest.from_features(
+                session_id=r + 1,
+                sequences=tuple(range(batch_size)),
+                codec_name="fp32",
+                features=features[r * batch_size : (r + 1) * batch_size],
+            )
+            ack = decode_frame(scheduler.submit(encode_frame(request), 0.0))
+            if not isinstance(ack, SchedulerAck):
+                raise RuntimeError(f"worker-scaling request shed: {ack}")
+            tickets.append(ack.ticket)
         scheduler.flush()
-        answer_key = collect_answers(scheduler, tickets)
+        answers: list[int] = []
+        for ticket in tickets:
+            raw, _wait = scheduler.collect(ticket)
+            reply = decode_frame(raw)
+            assert isinstance(reply, BatchInferenceResponse)
+            answers.extend(reply.class_ids)
+        answer_key = tuple(answers)
 
         health = scheduler.health()
         makespan_ms = scheduler.clock_ms
         throughput = need / makespan_ms * 1e3 if makespan_ms > 0 else float("inf")
-        batches = health["batches"]
-        mean_queue_wait_ms = health["mean_queue_wait_ms"]
-        max_workers_busy = scheduler.worker_pool.max_busy
-
-        wall_makespan_ms: Optional[float] = None
-        wall_throughput: Optional[float] = None
-        if mode == "wall":
-            # Re-burst the same scheduler (dedupe entries are popped on
-            # serve) so compiled plans and caches stay warm; record the
-            # best of ``wall_repeats`` timed flushes.
-            best = float("inf")
-            for _ in range(wall_repeats):
-                rep_tickets = submit_burst(scheduler)
-                t0 = now_ms()
-                scheduler.flush()
-                best = min(best, now_ms() - t0)
-                rep_answers = collect_answers(scheduler, rep_tickets)
-                if rep_answers != answer_key:
-                    raise RuntimeError(
-                        "wall-mode repeat diverged from the warm-up answers"
-                    )
-            wall_makespan_ms = best
-            wall_throughput = (
-                need / best * 1e3 if best > 0 else float("inf")
-            )
-
         if serial_throughput is None:
             serial_throughput, serial_answers = throughput, answer_key
-            serial_wall_throughput = wall_throughput
         queue = QueueModel.from_service_model(
             scheduler.service_model, workers=c, batch_size=batch_size
         )
         capacity_rps = c / queue.service_time_s
-        effective = min(c, cores)
-        wall_capacity_rps = (
-            effective / queue.service_time_s if mode == "wall" else None
-        )
         result.points.append(
             WorkerScalingPoint(
                 workers=c,
                 samples=need,
-                batches=batches,
+                batches=health["batches"],
                 makespan_ms=makespan_ms,
                 throughput_rps=throughput,
                 speedup_vs_serial=throughput / serial_throughput,
                 analytic_capacity_rps=capacity_rps,
                 capacity_ratio=throughput / capacity_rps,
                 bit_identical=answer_key == serial_answers,
-                mean_queue_wait_ms=mean_queue_wait_ms,
-                max_workers_busy=max_workers_busy,
-                mode=mode,
-                wall_makespan_ms=wall_makespan_ms,
-                wall_throughput_rps=wall_throughput,
-                wall_speedup_vs_serial=(
-                    wall_throughput / serial_wall_throughput
-                    if wall_throughput is not None
-                    and serial_wall_throughput
-                    else None
-                ),
-                wall_capacity_rps=wall_capacity_rps,
-                wall_capacity_ratio=(
-                    wall_throughput / wall_capacity_rps
-                    if wall_throughput is not None and wall_capacity_rps
-                    else None
-                ),
-                effective_workers=effective if mode == "wall" else 0,
+                mean_queue_wait_ms=health["mean_queue_wait_ms"],
+                max_workers_busy=scheduler.worker_pool.max_busy,
+                mode=cfg.mode,
             )
         )
     return result

@@ -18,10 +18,11 @@ fixed-bucket counts (stable export schema) and the raw samples (exact
 p50/p95/p99 by nearest rank); serving runs observe at most a few
 thousand samples per metric, so exactness is cheaper than a sketch.
 
-Every mutator takes the metric's own lock: ``WorkerPool`` threads bump
-the same counters and histograms concurrently once the trunk exec lock
-is gone, and ``value += amount`` / ``insort`` are not atomic under the
-interpreter.  Reads stay lock-free — a torn read of a monotone counter
+Every mutator takes the metric's own lock.  The program itself runs on
+the caller's thread (the edge's c workers are a simulated model), but a
+caller may share a registry across its own threads, and
+``value += amount`` / ``insort`` are not atomic under the interpreter.
+Reads stay lock-free — a torn read of a monotone counter
 is at worst one update stale, which exporters tolerate.
 
 Counters and histograms additionally accept *watchers* — callbacks

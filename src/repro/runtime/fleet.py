@@ -3,7 +3,7 @@
 One :class:`~repro.runtime.scheduler.EdgeScheduler` is one box.  The
 paper's §I cost argument is about *millions* of AR users, and no single
 edge server survives that arrival rate — the fleet is the horizontal
-story: N scheduler shards, each with its own
+story: N scheduler shards, each with its own simulated c-lane
 :class:`~repro.runtime.worker_pool.WorkerPool`, bounded queue, and
 :class:`~repro.runtime.concurrency.ServiceTimeModel`, behind a
 :class:`FleetRouter` that places *sessions* (not requests) onto shards.
@@ -39,8 +39,9 @@ Every shard writes shard-labeled metric series
 fleet telemetry exports as one snapshot without shards folding into a
 single series; a bare scheduler keeps the unlabeled names bit-for-bit.
 
-Timing stays fully simulated and deterministic: shards price their own
-batches on their own worker clocks, and the fleet makespan is the
+Timing stays fully simulated and deterministic, and every shard flushes
+on the caller's thread: shards price their own batches on their own
+simulated worker lanes, and the fleet makespan is the
 latest shard's clock — which is what the M/M/c·N capacity bound in
 :mod:`repro.experiments.fleet` cross-checks.
 """
@@ -447,8 +448,8 @@ class FleetRouter:
         """A fleet whose every shard serves one calibrated LCRS trunk.
 
         Shards share the system's trunk weights (the model is read-only
-        at serving time and the engine is thread-safe) but own their
-        worker pools, queues, and compiled-plan pools independently.
+        at serving time) but own their simulated worker lanes, queues,
+        and compiled trunk plans independently.
         """
         cfg = config if config is not None else FleetConfig()
 

@@ -115,9 +115,9 @@ class SchedulerConfig:
     max_batch_size: int = 32
     queue_capacity: int = 256
     max_per_tenant: Optional[int] = None
-    #: Concurrent trunk workers (the M/M/c ``c``).  Each dynamic batch
-    #: runs whole on one worker; with ``c > 1`` batches overlap on the
-    #: simulated clock and execute through a real thread pool.
+    #: Simulated trunk workers (the M/M/c ``c``).  Each dynamic batch
+    #: is booked whole on one lane; with ``c > 1`` batches overlap on
+    #: the simulated clock.  Every batch runs on the caller's thread.
     num_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -149,12 +149,12 @@ class _Queued:
 
 @dataclass
 class _Batch:
-    """One formed dynamic batch, assigned to a simulated worker.
+    """One formed dynamic batch, booked on a simulated worker lane.
 
-    Formation and worker assignment are decided *before* any real
-    execution (membership depends only on arrivals and the window, never
-    on execution results), so the batches of a flush can run through the
-    worker pool concurrently and still route replies deterministically.
+    A flush forms and books every batch before any executes, so every
+    booking (and the clock it advances) is in place before the first
+    reply is routed; membership depends only on arrivals and the window,
+    never on execution results.
     """
 
     batch_id: int
@@ -215,19 +215,15 @@ class EdgeScheduler:
         # on the "edge" track, correlated to the submitting session by
         # the trace id carried in the request frame.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        #: Simulated time at which each trunk worker next becomes free.
-        self._worker_free = [0.0] * self.config.num_workers
         #: Queue-depth high-water gauge (samples queued at admission);
         #: consumers that want per-window readings (the fleet autoscaler)
         #: read it and reset it between windows.
         self.queue_depth_gauge = self.registry.gauge(self._series("queue_depth"))
-        #: Real thread pool for batch execution; its busy high-water
-        #: feeds the `sched.workers_busy` gauge, which :meth:`health`
-        #: reads for the busy fraction.
+        #: The simulated c-lane model (no threads); each booking's busy
+        #: reading feeds the `sched.workers_busy` gauge, which
+        #: :meth:`health` reads for the busy fraction.
         self.workers_busy_gauge = self.registry.gauge(self._series("workers_busy"))
-        self.worker_pool = WorkerPool(
-            self.config.num_workers, gauge=self.workers_busy_gauge
-        )
+        self.worker_pool = WorkerPool(self.config.num_workers)
         self._queue: list[_Queued] = []
         self._results: dict[int, tuple[bytes, float]] = {}
         self._tickets = itertools.count(1)
@@ -270,17 +266,14 @@ class EdgeScheduler:
 
     @property
     def clock_ms(self) -> float:
-        """Simulated time at which the whole trunk pool is next free.
-
-        With one worker this is exactly the pre-pool scalar clock; with
-        ``c`` workers it is the latest worker's free time (the makespan
-        of everything executed so far).
-        """
-        return max(self._worker_free)
+        """Simulated time at which every trunk lane is next free (the
+        makespan of everything executed so far); setting it resets
+        every lane."""
+        return self.worker_pool.clock_ms
 
     @clock_ms.setter
     def clock_ms(self, value: float) -> None:
-        self._worker_free = [float(value)] * len(self._worker_free)
+        self.worker_pool.clock_ms = value
 
     def register(self, tenant_id: int) -> None:
         tenant_id = int(tenant_id)
@@ -461,45 +454,30 @@ class EdgeScheduler:
         full = budget <= 0 or len(chosen) < len(eligible)
         return chosen, full
 
-    def _execute_batch(self, batch: _Batch) -> tuple[np.ndarray, float]:
-        """Run one batch's real trunk pass (worker-pool task).
-
-        Runs entirely on the pool thread with no shared lock: the engine
-        is thread-safe end-to-end — no-grad mode is thread-local,
-        kernel/geometry caches are locked, counters take atomic adds,
-        and concurrent batches lease distinct compiled-plan instances
-        from the endpoint's pool (see DESIGN.md §11).  Returns
-        ``(logits, infer_wall_ms)``.
-        """
-        rec = self.recorder
-        wall0 = now_ms() if rec.enabled else 0.0
-        features = np.concatenate(
-            [q.request.features() for q in batch.chosen], axis=0
-        )
-        logits = self.endpoint.infer(features)
-        infer_wall_ms = now_ms() - wall0 if rec.enabled else 0.0
-        return logits, infer_wall_ms
-
     def flush(self) -> list[int]:
         """Form and execute batches until the queue drains.
 
-        Two phases.  *Formation* (serial, deterministic): batches are
-        drawn from the queue exactly as a single-worker scheduler would
-        draw them — membership depends only on arrivals and the window —
-        and each is assigned to the earliest-free simulated worker
-        (ties break on the lowest worker index), starting when its
-        window closes — ``head arrival + window_ms`` — or as soon as
-        its last member arrived if it filled up early, and never before
-        its worker is free.  *Execution*: every batch is one real trunk
-        pass over the concatenated feature stacks (predictions are
-        bit-identical to per-request serving — the trunk's math is
-        per-sample), run through the worker pool and priced once by the
-        service model; replies are then routed serially in formation
-        order.  Returns the served tickets in completion order.
+        Two phases, both plain loops on the caller's thread.
+        *Formation*: batches are drawn from the queue (membership
+        depends only on arrivals and the window), and each is booked on
+        the :class:`WorkerPool`, the simulated model of the
+        ``num_workers`` lanes: it goes to the earliest-free lane (ties
+        break on the lowest index), starting when its window closes —
+        ``head arrival + window_ms`` — or as soon as its last member
+        arrived if it filled up early, and never before its lane is
+        free.  *Execution*: in formation order, every batch is one real
+        trunk pass over the concatenated feature stacks (predictions
+        are bit-identical to per-request serving — the trunk's math is
+        per-sample), priced once by the service model, and its replies
+        are routed.  Every booking is in place before the first reply
+        is routed, so the clock that reply observations see does not
+        depend on how far execution has got.  Returns the served
+        tickets in completion order.
         """
         served: list[int] = []
         cfg = self.config
         rec = self.recorder
+        c = self._counts
 
         batches: list[_Batch] = []
         while self._queue:
@@ -510,12 +488,9 @@ class EdgeScheduler:
             chosen, full = self._choose(eligible)
             total = sum(q.samples for q in chosen)
             gate = max(q.arrival_ms for q in chosen) if full else close
-            worker = min(
-                range(len(self._worker_free)), key=lambda i: (self._worker_free[i], i)
-            )
-            start = max(self._worker_free[worker], gate)
             exec_ms = self.service_model.batch_ms(total)
-            self._worker_free[worker] = start + exec_ms
+            worker, start, busy = self.worker_pool.assign(gate, exec_ms)
+            self.workers_busy_gauge.set_max(busy)
             batches.append(
                 _Batch(
                     batch_id=next(self._batch_ids),
@@ -529,10 +504,12 @@ class EdgeScheduler:
             for q in chosen:
                 self._queue.remove(q)
 
-        outputs = self.worker_pool.map(self._execute_batch, batches)
-        c = self._counts
-
-        for batch, (logits, infer_wall_ms) in zip(batches, outputs):
+        for batch in batches:
+            wall0 = now_ms() if rec.enabled else 0.0
+            logits = self.endpoint.infer(
+                np.concatenate([q.request.features() for q in batch.chosen], axis=0)
+            )
+            infer_wall_ms = now_ms() - wall0 if rec.enabled else 0.0
             # Same softmax/argmax math as EdgeProtocolServer's per-request
             # path, so scheduled answers match unscheduled ones bit-for-bit.
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))

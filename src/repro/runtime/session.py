@@ -149,11 +149,6 @@ class SessionConfig:
     seeds those draws.  ``fault_overrides`` accepts a mapping and is
     normalized to a sorted tuple of pairs so the config stays hashable.
 
-    ``num_threads`` sets the browser engines' intra-op thread count for
-    the XNOR-popcount kernels (see
-    :func:`repro.wasm.bitpack.packed_dot`); predictions, entropies, and
-    exit decisions are bit-identical for every value.
-
     ``compile_plan`` routes the stem/branch engines and the edge trunk
     through trace-compiled fused plans (see :mod:`repro.wasm.plan`).
     Plans are probe-verified bit-identical to the interpreter at compile
@@ -176,15 +171,12 @@ class SessionConfig:
     fault_profile: Optional[str] = None
     fault_overrides: tuple = ()
     fault_seed: int = 0
-    num_threads: int = 1
     compile_plan: bool = True
     quality_tier: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.num_threads < 1:
-            raise ValueError("num_threads must be at least 1")
         if self.quality_tier is not None and self.quality_tier < 1:
             raise ValueError("quality_tier must be at least 1")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
@@ -358,84 +350,27 @@ class SessionResult:
         return float(np.mean(attempts)) if attempts else 0.0
 
 
-class _TrunkPlanPool:
-    """A lease pool of compiled trunk plans for one (geometry, capacity).
-
-    A :class:`~repro.wasm.plan.CompiledPlan` owns preallocated arena
-    buffers, so one instance cannot serve two workers at once without
-    serializing on its internal lock.  The pool hands each concurrent
-    ``infer`` its *own* instance: ``lease`` pops an idle plan, or
-    compiles a fresh one from the trunk engine (outside the pool lock)
-    while fewer than ``max_instances`` exist.  When the pool is
-    exhausted — or the first compile failed — ``lease`` returns ``None``
-    and the caller runs the engine's interpreter.  That answer is
-    bit-identical to a plan's: every plan is probe-verified against the
-    interpreter, and its linear kernel implements the interpreter's
-    specified reduction order.
-    """
-
-    def __init__(self, engine: WasmModel, capacity: int, max_instances: int) -> None:
-        self._engine = engine
-        self.capacity = int(capacity)
-        self.max_instances = int(max_instances)
-        self._lock = threading.Lock()
-        self._idle: list = []
-        self._total = 0
-        self._failed = False
-
-    def lease(self):
-        with self._lock:
-            if self._failed:
-                return None
-            if self._idle:
-                return self._idle.pop()
-            if self._total >= self.max_instances:
-                return None
-            self._total += 1
-        try:
-            return compile_wasm_plan(self._engine, self.capacity)
-        except PlanCompileError:
-            with self._lock:
-                self._failed = True
-                self._total -= 1
-                self._idle.clear()
-            return None
-
-    def release(self, plan) -> None:
-        with self._lock:
-            if not self._failed:
-                self._idle.append(plan)
-
-    @property
-    def instances(self) -> int:
-        with self._lock:
-            return self._total
-
-
 class EdgeEndpoint:
     """The edge server's inference service: conv1 features → class logits.
 
     The trunk runs as an interpreter engine of its serialized bundle
     (:func:`repro.wasm.plan.load_trunk_engine`), one per feature
     geometry, built on first use from the trunk's weights at that time.
-    When ``compile_plan`` is on, batches
-    execute through a compiled plan of that engine leased from a
-    per-(feature geometry, power-of-two capacity) pool.  The engine's
-    own ``forward`` serves ``compile_plan=False``, pool exhaustion and a
+    When ``compile_plan`` is on, batches execute through one compiled
+    plan of that engine per (feature geometry, power-of-two capacity).
+    The engine's own ``forward`` serves ``compile_plan=False`` and a
     failed compile, with the same bits as the plan.  Only a trunk the
     bundle format cannot express runs the :mod:`repro.nn` module, whose
     BLAS arithmetic matches the engine to ``validate_bundle``'s
-    tolerance, not bit for bit.  ``infer`` is thread-safe: concurrent
-    callers lease distinct plan instances (each owns its own arena), the
-    engine and the module only read frozen weights, and
-    ``requests_served`` is bumped under a lock.
+    tolerance, not bit for bit.  The program calls ``infer`` from one
+    thread; callers that share an endpoint across their own threads
+    stay correct, because the plan's internal lock serializes replays
+    of its one arena, the engine and the module only read frozen
+    weights, and ``requests_served`` is bumped under a lock.
     """
 
-    #: Plan pools kept per (feature geometry, capacity), LRU.
+    #: Compiled plans kept per (feature geometry, capacity), LRU.
     PLAN_CACHE_SIZE = 8
-    #: Max compiled plan instances per pool — bounds arena memory while
-    #: letting that many workers run the trunk concurrently.
-    PLAN_POOL_SIZE = 8
 
     def __init__(self, trunk: Module, *, compile_plan: bool = True) -> None:
         self._trunk = trunk
@@ -445,43 +380,49 @@ class EdgeEndpoint:
         #: Feature geometry → trunk engine, or None when the trunk
         #: cannot be serialized.
         self._engines: dict = {}
-        self._pools: "OrderedDict[tuple, _TrunkPlanPool]" = OrderedDict()
-        self._pools_lock = threading.Lock()
+        #: (geometry, capacity) → compiled plan, or None after a failed
+        #: compile (so the fallback decision is cached too).
+        self._plans: "OrderedDict[tuple, object]" = OrderedDict()
+        self._cache_lock = threading.Lock()
         self._served_lock = threading.Lock()
 
     def _engine_for(self, feature_shape: tuple) -> Optional[WasmModel]:
         """The trunk engine for this feature geometry, or None when the
         trunk cannot be serialized."""
         key = tuple(int(d) for d in feature_shape)
-        with self._pools_lock:
+        with self._cache_lock:
             if key in self._engines:
                 return self._engines[key]
         try:
             engine = load_trunk_engine(self._trunk, key)
         except ModelFormatError:
             engine = None
-        with self._pools_lock:
+        with self._cache_lock:
             return self._engines.setdefault(key, engine)
 
-    def _pool_for(self, engine: WasmModel, batch_size: int) -> _TrunkPlanPool:
-        """The plan pool for this geometry/capacity, created on miss.
+    def _plan_for(self, engine: WasmModel, batch_size: int):
+        """The compiled plan for this geometry/capacity, or None when it
+        failed to compile.
 
         Capacity is the batch size rounded up to a power of two, so a
-        ramp of batch sizes (1, 2, .., 64) shares a handful of pools
+        ramp of batch sizes (1, 2, .., 64) shares a handful of plans
         instead of compiling one per size.
         """
         capacity = 1 << max(0, int(batch_size) - 1).bit_length()
         key = (tuple(engine.input_shape), capacity)
-        with self._pools_lock:
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = _TrunkPlanPool(engine, capacity, self.PLAN_POOL_SIZE)
-                self._pools[key] = pool
-                if len(self._pools) > self.PLAN_CACHE_SIZE:
-                    self._pools.popitem(last=False)
-            else:
-                self._pools.move_to_end(key)
-            return pool
+        with self._cache_lock:
+            if key in self._plans:
+                self._plans.move_to_end(key)
+                return self._plans[key]
+        try:
+            plan = compile_wasm_plan(engine, capacity)
+        except PlanCompileError:
+            plan = None
+        with self._cache_lock:
+            plan = self._plans.setdefault(key, plan)
+            if len(self._plans) > self.PLAN_CACHE_SIZE:
+                self._plans.popitem(last=False)
+            return plan
 
     def _count_served(self, n: int) -> None:
         with self._served_lock:
@@ -497,21 +438,16 @@ class EdgeEndpoint:
     ) -> np.ndarray:
         features = np.ascontiguousarray(features, dtype=np.float32)
         engine = self._engine_for(features.shape[1:])
+        plan = None
+        if engine is not None and self.compile_plan and len(features):
+            plan = self._plan_for(engine, len(features))
         if engine is None:
             with no_grad():
                 logits = self._trunk(Tensor(features)).data
-        elif self.compile_plan and len(features):
-            pool = self._pool_for(engine, len(features))
-            plan = pool.lease()
-            if plan is None:
-                logits = engine.forward(features)
-            else:
-                try:
-                    logits = plan.execute(
-                        features, recorder=recorder, trace_id=trace_id, track=track
-                    )
-                finally:
-                    pool.release(plan)
+        elif plan is not None:
+            logits = plan.execute(
+                features, recorder=recorder, trace_id=trace_id, track=track
+            )
         else:
             logits = engine.forward(features)
         self._count_served(len(features))
@@ -558,7 +494,6 @@ class BrowserClient:
         engine = self._tier_engines.get(tier)
         if engine is None:
             engine = WasmModel.load(self._tier_payloads[tier - 1])
-            engine.num_threads = self.branch_engine.num_threads
             self._tier_engines[tier] = engine
         return engine
 
@@ -570,21 +505,6 @@ class BrowserClient:
         :meth:`repro.wasm.WasmModel.forward_planned`).
         """
         self.compile_plan = bool(compile_plan)
-
-    def set_num_threads(self, num_threads: int) -> None:
-        """Set every engine's intra-op kernel thread count.
-
-        Purely a performance knob: the threaded popcount kernels are
-        bit-identical to serial (see
-        :func:`repro.wasm.bitpack.packed_dot`).
-        """
-        num_threads = int(num_threads)
-        if num_threads < 1:
-            raise ValueError("num_threads must be at least 1")
-        self.stem_engine.num_threads = num_threads
-        self.branch_engine.num_threads = num_threads
-        for engine in self._tier_engines.values():
-            engine.num_threads = num_threads
 
     def process(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
         """Run the local pipeline on one CHW image.
@@ -1036,7 +956,6 @@ class LCRSDeployment:
                 **dict(config.fault_overrides),
             )
         rec = recorder if recorder is not None else self.recorder
-        self.browser.set_num_threads(config.num_threads)
         self.browser.set_compile_plan(config.compile_plan)
         self.edge.compile_plan = config.compile_plan
         stem_ms = branch_ms = 0.0

@@ -32,7 +32,6 @@ and are not counted).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,7 +50,6 @@ class PackedDotStats:
     bytes_popcounted: int = 0
     block_bytes: int = DEFAULT_BLOCK_BYTES
     output_shape: tuple[int, int] = (0, 0)
-    num_threads: int = 1
 
 
 class _ThreadDotState(threading.local):
@@ -59,8 +57,9 @@ class _ThreadDotState(threading.local):
 
     ``last`` is the most recent :class:`PackedDotStats` recorded *by
     this thread* — "last call" is only a meaningful question per caller
-    once concurrent engines run, so the answer lives in thread-local
-    storage instead of a keyed global that another thread can clobber.
+    when callers share the library across their own threads, so the
+    answer lives in thread-local storage instead of a keyed global that
+    another thread can clobber.
     """
 
     last: Optional[PackedDotStats] = None
@@ -103,44 +102,6 @@ class _DotStatsRegistry:
 
 
 _REGISTRY = _DotStatsRegistry()
-
-#: Module default for :func:`packed_dot`'s ``num_threads`` (the knob a
-#: WASM host would set from ``navigator.hardwareConcurrency``).  Set by
-#: plain rebind (atomic store) in :func:`set_num_threads`.
-_NUM_THREADS = 1
-
-#: Cached executors keyed by thread count — worker threads are reused
-#: across calls, the way a WASM SIMD kernel reuses its worker pool.
-#: Creation is lock-guarded so two engines racing on first use cannot
-#: leak a second pool for the same count.
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-_EXECUTORS_LOCK = threading.Lock()
-
-
-def set_num_threads(n: int) -> int:
-    """Set the module-default intra-op thread count; returns the old one."""
-    global _NUM_THREADS
-    n = int(n)
-    if n < 1:
-        raise ValueError("num_threads must be at least 1")
-    previous = _NUM_THREADS
-    _NUM_THREADS = n
-    return previous
-
-
-def get_num_threads() -> int:
-    """The module-default intra-op thread count."""
-    return _NUM_THREADS
-
-
-def _executor(n: int) -> ThreadPoolExecutor:
-    with _EXECUTORS_LOCK:
-        pool = _EXECUTORS.get(n)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="bitpack")
-            _EXECUTORS[n] = pool
-        return pool
-
 
 def last_dot_stats() -> PackedDotStats:
     """Stats of the calling thread's most recent :func:`packed_dot` call.
@@ -223,7 +184,6 @@ def packed_dot(
     mask: np.ndarray | None = None,
     length: int | None = None,
     block_bytes: int | None = None,
-    num_threads: int | None = None,
 ) -> np.ndarray:
     """Signed dot products between two packed bitplane matrices.
 
@@ -241,14 +201,7 @@ def packed_dot(
     ``block_bytes`` (default :data:`DEFAULT_BLOCK_BYTES`); buffers are
     reused across tiles, so peak temporary memory is one tile regardless
     of ``p·q``.  :func:`last_dot_stats` reports the realised peak.
-
-    ``num_threads`` (default: the module setting, see
-    :func:`set_num_threads`) splits the *row-tile* loop across that many
-    worker threads.  Each worker owns private scratch and writes a
-    disjoint contiguous slice of rows of the output, and the tile
-    boundaries are identical to the serial schedule, so the result is
-    bit-identical for every thread count; peak scratch scales with the
-    number of workers actually used and is reported in the stats.
+    The kernel runs on the caller's thread.
     """
     va = np.ascontiguousarray(va, dtype=np.uint8)
     vb = np.ascontiguousarray(vb, dtype=np.uint8)
@@ -294,10 +247,6 @@ def packed_dot(
     budget = max(block - overhead, 64)
     pt, qt = _tile_sizes(p, q, nwords, widened, mask is not None, budget)
 
-    threads = _NUM_THREADS if num_threads is None else int(num_threads)
-    if threads < 1:
-        raise ValueError("num_threads must be at least 1")
-
     # The kernel works on little-endian uint64 words with the q axis
     # innermost — long contiguous inner loops for the XOR/popcount ufuncs
     # regardless of how few bytes one bitplane row occupies (a branch
@@ -310,94 +259,62 @@ def packed_dot(
     if mask is not None:
         mask_words = _as_words(mask, nwords)  # view unless widened
 
-    # Per-worker scratch, allocated once per worker at the chosen tile
-    # size: the XOR words, their popcounts, the int64 mismatch sums,
-    # the row-widening copy, and (masked) the per-tile mask rows,
+    # Scratch, allocated once at the chosen tile size and reused by
+    # every tile: the XOR words, their popcounts, the int64 mismatch
+    # sums, the row-widening copy, and (masked) the per-tile mask rows,
     # popcounts, and valid-bit totals.
-    per_worker = pt * nwords * qt * 8 + pt * nwords * qt + pt * qt * 8
+    scratch = pt * nwords * qt * 8 + pt * nwords * qt + pt * qt * 8
     if widened:
-        per_worker += pt * nwords * 8
+        scratch += pt * nwords * 8
     if mask is not None:
-        per_worker += pt * nwords * 8 + pt * nwords + pt * 16
+        scratch += pt * nwords * 8 + pt * nwords + pt * 16
 
-    def run_tiles(row_starts: "list[int]") -> tuple[int, int]:
-        """Run the blocked kernel over a contiguous run of row tiles.
-
-        Each worker owns this closure's scratch and writes only its own
-        ``out[i0:i1]`` rows; the tile schedule is the serial one, so the
-        arithmetic per tile is independent of how tiles are distributed.
-        """
-        xor_buf = np.empty((pt, nwords, qt), dtype=np.uint64)
-        count_buf = np.empty((pt, nwords, qt), dtype=np.uint8)
-        va_widened = (
-            None if not widened else np.zeros((pt, nwords * 8), dtype=np.uint8)
-        )
-        tiles = 0
-        popcounted = 0
-        for i0 in row_starts:
-            i1 = min(i0 + pt, p)
-            rows = i1 - i0
-            if va_widened is None:
-                va_words = va[i0:i1].view("<u8")
+    xor_buf = np.empty((pt, nwords, qt), dtype=np.uint64)
+    count_buf = np.empty((pt, nwords, qt), dtype=np.uint8)
+    va_widened = None if not widened else np.zeros((pt, nwords * 8), dtype=np.uint8)
+    tiles = 0
+    popcounted = 0
+    for i0 in range(0, p, pt):
+        i1 = min(i0 + pt, p)
+        rows = i1 - i0
+        if va_widened is None:
+            va_words = va[i0:i1].view("<u8")
+        else:
+            va_widened[:rows, :nbytes] = va[i0:i1]
+            va_words = va_widened[:rows].view("<u8")
+        if mask is not None:
+            if m == p:
+                mrows = mask_words[i0:i1]
             else:
-                va_widened[:rows, :nbytes] = va[i0:i1]
-                va_words = va_widened[:rows].view("<u8")
+                mrows = mask_words[np.arange(i0, i1) % m]
+            valid = np.bitwise_count(mrows).sum(axis=1, dtype=np.int64)[:, None]
+            popcounted += mrows.nbytes
+        for j0 in range(0, q, qt):
+            j1 = min(j0 + qt, q)
+            cols = j1 - j0
+            buf = xor_buf[:rows, :, :cols]
+            np.bitwise_xor(va_words[:, :, None], vb_words_t[None, :, j0:j1], out=buf)
             if mask is not None:
-                if m == p:
-                    mrows = mask_words[i0:i1]
-                else:
-                    mrows = mask_words[np.arange(i0, i1) % m]
-                valid = np.bitwise_count(mrows).sum(axis=1, dtype=np.int64)[:, None]
-                popcounted += mrows.nbytes
-            for j0 in range(0, q, qt):
-                j1 = min(j0 + qt, q)
-                cols = j1 - j0
-                buf = xor_buf[:rows, :, :cols]
-                np.bitwise_xor(
-                    va_words[:, :, None], vb_words_t[None, :, j0:j1], out=buf
-                )
-                if mask is not None:
-                    np.bitwise_and(buf, mrows[:, :, None], out=buf)
-                counts = count_buf[:rows, :, :cols]
-                np.bitwise_count(buf, out=counts)
-                mismatches = counts.sum(axis=1, dtype=np.int64)
-                popcounted += buf.nbytes
-                tiles += 1
-                if mask is not None:
-                    out[i0:i1, j0:j1] = valid - 2 * mismatches
-                else:
-                    # Alignment/word padding bits are zero in both
-                    # planes, so they register as matches; the true
-                    # length discounts them:
-                    # matches - mismatches = length - 2·mismatches.
-                    out[i0:i1, j0:j1] = length - 2 * mismatches
-        return tiles, popcounted
+                np.bitwise_and(buf, mrows[:, :, None], out=buf)
+            counts = count_buf[:rows, :, :cols]
+            np.bitwise_count(buf, out=counts)
+            mismatches = counts.sum(axis=1, dtype=np.int64)
+            popcounted += buf.nbytes
+            tiles += 1
+            if mask is not None:
+                out[i0:i1, j0:j1] = valid - 2 * mismatches
+            else:
+                # Alignment/word padding bits are zero in both planes,
+                # so they register as matches; the true length
+                # discounts them: matches - mismatches = length - 2·mismatches.
+                out[i0:i1, j0:j1] = length - 2 * mismatches
 
-    tile_starts = list(range(0, p, pt))
-    n_used = max(1, min(threads, len(tile_starts)))
-    if n_used == 1:
-        results = [run_tiles(tile_starts)]
-    else:
-        # Balanced contiguous split of the row tiles — deterministic,
-        # and each chunk's tiles are exactly the serial schedule's.
-        chunks: list[list[int]] = []
-        start = 0
-        total = len(tile_starts)
-        for i in range(n_used):
-            size = total // n_used + (1 if i < total % n_used else 0)
-            chunks.append(tile_starts[start : start + size])
-            start += size
-        results = list(_executor(n_used).map(run_tiles, chunks))
-
-    tiles = sum(r[0] for r in results)
-    popcounted = sum(r[1] for r in results)
     _THREAD_STATE.last = PackedDotStats(
-        peak_temp_bytes=overhead + n_used * per_worker,
+        peak_temp_bytes=overhead + scratch,
         tile_count=tiles,
         bytes_popcounted=popcounted,
         block_bytes=block,
         output_shape=(p, q),
-        num_threads=n_used,
     )
     _REGISTRY.add_bytes(popcounted)
     return out

@@ -187,11 +187,11 @@ class CompiledPlan:
     :data:`~repro.observability.tracing.NULL_RECORDER` path does no
     instrumentation work at all.
 
-    One instance owns one preallocated arena, so concurrent ``execute``
-    calls on the *same* plan would overwrite each other's buffers; an
-    internal lock serializes them (correct but not parallel).  Callers
-    that want real concurrency lease distinct instances — see
-    ``EdgeEndpoint`` in :mod:`repro.runtime.session`.
+    One instance owns one preallocated arena.  The program replays a
+    plan on the caller's thread and keeps one instance per key (see
+    ``EdgeEndpoint`` in :mod:`repro.runtime.session`); callers that
+    share it across their own threads stay correct, because an internal
+    lock serializes ``execute`` calls on the same plan.
     """
 
     def __init__(

@@ -100,8 +100,39 @@ def _host_fingerprint() -> dict:
     }
 
 
+def _margin(entropy: float) -> float:
+    """Distance of one sample's entropy from the exit threshold τ."""
+    return abs(entropy - SESSION["threshold"])
+
+
+def margin_report(entropies) -> str:
+    """One line per sample: ``|H − τ|``, flagged when inside the atol."""
+    tau = SESSION["threshold"]
+    lines = [f"|H - tau| per sample (tau={tau}, atol={ENTROPY_ATOL:g}):"]
+    for i, h in enumerate(entropies):
+        flag = "  INSIDE ENTROPY_ATOL" if _margin(h) <= ENTROPY_ATOL else ""
+        lines.append(f"  sample {i}: H={h:.6f} |H - tau|={_margin(h):.3g}{flag}")
+    return "\n".join(lines)
+
+
 def assert_matches_golden(record: dict, golden: dict, label: str = "") -> None:
-    """Exact on every field but the entropies (``ENTROPY_ATOL``)."""
+    """Exact on every field but the entropies (``ENTROPY_ATOL``).
+
+    An exit-decision mismatch names each flipped sample with its margin
+    ``|H − τ|``, so a flip caused by host drift at the threshold reads
+    differently from a real behaviour change.
+    """
+    flipped = [
+        f"sample {i}: exited {got} (golden {want}), H={h:.6f}, "
+        f"|H - tau|={_margin(h):.3g} (atol {ENTROPY_ATOL:g})"
+        for i, (got, want, h) in enumerate(
+            zip(record["exited_locally"], golden["exited_locally"], record["entropies"])
+        )
+        if got != want
+    ]
+    assert not flipped, f"{label} exit decisions drifted from the golden trace:\n" + (
+        "\n".join(flipped)
+    )
     exact = {k: v for k, v in record.items() if k != "entropies"}
     frozen = {k: v for k, v in golden.items() if k not in ("entropies", "host")}
     assert exact == frozen, f"{label} drifted from the golden trace"
@@ -126,15 +157,21 @@ def solo_record(golden_system, golden_images) -> dict:
     return _trace_record(golden_system, session)
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture(scope="session", autouse=True)
 def _maybe_regenerate(request):
-    """With REPRO_REGEN_GOLDEN set, rewrite the fixture before checking."""
+    """With REPRO_REGEN_GOLDEN set, rewrite the fixture before checking,
+    and print every sample's margin from τ so a sample regenerated
+    inside ``ENTROPY_ATOL`` is visible."""
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         record = request.getfixturevalue("solo_record")
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(
             json.dumps({**record, "host": _host_fingerprint()}, indent=2) + "\n"
         )
+        # Output capture would swallow a print made during setup.
+        capman = request.config.pluginmanager.getplugin("capturemanager")
+        with capman.global_and_fixture_disabled():
+            print("\n" + margin_report(record["entropies"]))
 
 
 @pytest.mark.slow

@@ -80,9 +80,6 @@ _MUTABLE_FACTORIES = {
 #: stated reason: frozen after import (registries/preset tables) or
 #: mutated only under a module lock.
 _MUTABLE_GLOBAL_ALLOWLIST: dict[str, set[str]] = {
-    # Executor pool cache: guarded by _EXECUTORS_LOCK.
-    # _NUM_THREADS: atomic rebind of an int via set_num_threads.
-    "src/repro/wasm/bitpack.py": {"_EXECUTORS", "global _NUM_THREADS"},
     # Backend singleton: double-checked init under _BACKEND_LOCK.
     "src/repro/wasm/plan_compile.py": {"global _BACKEND, _BACKEND_ERROR, _TRIED"},
     # Preset/registry tables, frozen after import:
@@ -143,7 +140,8 @@ def test_no_new_mutable_module_globals_in_hot_paths():
                     offenders.append(f"{rel}:{lineno}: {name}")
     assert not offenders, (
         "new module-level mutable globals in engine hot paths — these "
-        "race across WorkerPool threads; move the state into a "
+        "race when callers share the library across their own threads; "
+        "move the state into a "
         "lock-guarded class, thread-local, or per-instance attribute "
         "(or audit and allowlist it in test_lint.py):\n"
         + "\n".join(offenders)

@@ -1,12 +1,11 @@
-"""Parallel edge execution: worker pool, c-worker scheduling, threaded kernels.
+"""Simulated c-worker edge: the lane model and c-worker scheduling.
 
-Three tiers.  The unit tier exercises :class:`WorkerPool` directly
-(deterministic partitioning, order-preserving map, busy accounting).
-The scheduler tier checks the simulated c-worker clock arithmetic
-against hand-computed makespans and the bit-identity guarantee — a
-multi-worker flush must produce exactly the answers of a serial one.
-The kernel tier checks that intra-op threading in the blocked
-XNOR-popcount path never changes a single bit of output.
+Two tiers.  The unit tier exercises :class:`WorkerPool` directly: the
+earliest-free lane assignment and the busy reading it derives from the
+simulated schedule.  The scheduler tier checks the simulated c-worker
+clock arithmetic against hand-computed makespans and the bit-identity
+guarantee — a multi-worker flush must produce exactly the answers of a
+serial one, and every batch runs on the caller's thread.
 """
 
 import threading
@@ -14,10 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.experiments import WorkerScalingConfig, run_worker_scaling
-from repro.nn.autograd import Tensor, no_grad
-from repro.observability.metrics import Gauge
 from repro.runtime import (
     EdgeScheduler,
     LCRSDeployment,
@@ -34,14 +30,6 @@ from repro.runtime.protocol import (
     SchedulerAck,
     decode_frame,
     encode_frame,
-)
-from repro.wasm import WasmModel, serialize_browser_bundle
-from repro.wasm.bitpack import (
-    get_num_threads,
-    last_dot_stats,
-    pack_signs,
-    packed_dot,
-    set_num_threads,
 )
 
 pytestmark = pytest.mark.par
@@ -85,85 +73,34 @@ def make_frame(session_id, seqs, classes=None):
 # ----------------------------------------------------------------------
 # WorkerPool unit tier
 # ----------------------------------------------------------------------
-class TestPartition:
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 7, 16, 100])
-    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 16])
-    def test_covers_range_contiguously(self, n, parts):
-        ranges = WorkerPool.partition(n, parts)
-        cursor = 0
-        for start, end in ranges:
-            assert start == cursor
-            assert end > start  # never empty
-            cursor = end
-        assert cursor == n or (n == 0 and not ranges)
-
-    def test_balanced_and_front_loaded(self):
-        sizes = [e - s for s, e in WorkerPool.partition(10, 4)]
-        assert sizes == [3, 3, 2, 2]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_never_more_parts_than_items(self):
-        assert len(WorkerPool.partition(2, 8)) == 2
-
-    def test_deterministic(self):
-        assert WorkerPool.partition(17, 4) == WorkerPool.partition(17, 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool.partition(-1, 2)
-        with pytest.raises(ValueError):
-            WorkerPool.partition(4, 0)
-
-
 class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
 
-    def test_map_preserves_item_order(self):
-        with WorkerPool(4) as pool:
-            out = pool.map(lambda x: x * x, list(range(20)))
-        assert out == [x * x for x in range(20)]
-
-    def test_single_worker_runs_inline(self):
-        pool = WorkerPool(1)
-        tid = []
-        pool.map(lambda _: tid.append(threading.get_ident()), [1, 2, 3])
-        assert set(tid) == {threading.get_ident()}
-        assert pool._executor is None  # no threads were ever spawned
-
-    def test_exceptions_propagate(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.map(lambda x: (_ for _ in ()).throw(RuntimeError("boom")), [1, 2])
-
-    def test_busy_high_water_reaches_pool_size(self):
-        """With as many blocking tasks as workers, all must be in flight
-        at once: each task waits until the pool reports full occupancy."""
-        gauge = Gauge("workers_busy")
-        pool = WorkerPool(3, gauge=gauge)
-        release = threading.Event()
-
-        def task(_):
-            # Wait (bounded) for every worker to have entered its task.
-            for _ in range(2000):
-                if pool.busy >= 3:
-                    release.set()
-                if release.wait(0.005):
-                    return True
-            raise AssertionError("pool never reached full occupancy")
-
-        try:
-            assert pool.map(task, [0, 1, 2]) == [True, True, True]
-        finally:
-            pool.close()
+    def test_earliest_free_lane_lowest_index_on_ties(self):
+        pool = WorkerPool(3)
+        assert pool.assign(0.0, 2.0) == (0, 0.0, 1)
+        assert pool.assign(0.0, 1.0) == (1, 0.0, 2)
+        assert pool.assign(0.0, 3.0) == (2, 0.0, 3)
+        # Lane 1 frees first (t=1); lanes 0 and 2 are still busy then.
+        assert pool.assign(0.0, 1.0) == (1, 1.0, 3)
+        # Lanes 0 and 1 tie at t=2; lane 0 wins and lane 2 is busy.
+        assert pool.assign(0.0, 1.0) == (0, 2.0, 2)
         assert pool.max_busy == 3
-        assert gauge.value == 3
-        assert pool.busy == 0  # everything exited cleanly
+        assert pool.free_ms == [3.0, 2.0, 3.0]
+        assert pool.clock_ms == 3.0
+
+    def test_gate_delays_start_and_idle_lanes_read_one(self):
+        pool = WorkerPool(2)
+        pool.assign(0.0, 1.0)
+        # Lane 1 is idle; the batch waits for its gate, and lane 0 is
+        # free by then, so only this lane is busy.
+        assert pool.assign(5.0, 1.0) == (1, 5.0, 1)
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(2)
-        pool.map(lambda x: x, [1, 2, 3])
+        pool.assign(0.0, 1.0)
         pool.close()
         pool.close()
 
@@ -244,107 +181,48 @@ class TestParallelScheduler:
             sched.submit(make_frame(tenant, [0]), 0.0)
         sched.flush()
         gauge = sched.registry.gauge("sched.workers_busy")
-        assert 1 <= sched.worker_pool.max_busy <= 2
+        assert sched.worker_pool.max_busy == 2
         assert gauge.value == sched.worker_pool.max_busy
+
+    def test_burst_reads_full_busy_at_four_workers(self):
+        """The busy reading comes from the simulated schedule, so a
+        16-request burst at 4 workers reads 4 on every run."""
+        for _ in range(5):
+            sched = make_scheduler(window_ms=0.0, max_batch_size=1, num_workers=4)
+            for tenant in range(1, 17):
+                sched.submit(make_frame(tenant, [0]), 0.0)
+            sched.flush()
+            assert sched.worker_pool.max_busy == 4
+            assert sched.registry.gauge("sched.workers_busy").value == 4
+
+    def test_single_worker_busy_reads_one(self):
+        sched = make_scheduler(window_ms=0.0, max_batch_size=1, num_workers=1)
+        for tenant in (1, 2, 3):
+            sched.submit(make_frame(tenant, [0]), 0.0)
+        sched.flush()
+        assert sched.worker_pool.max_busy == 1
+
+    def test_flush_runs_on_callers_thread(self):
+        """The c workers are a model: every trunk pass runs inline."""
+        sched = make_scheduler(window_ms=0.0, max_batch_size=1, num_workers=4)
+        threads = []
+        infer = sched.endpoint.infer
+
+        def spy(features):
+            threads.append(threading.get_ident())
+            return infer(features)
+
+        sched.endpoint.infer = spy
+        for tenant in range(1, 9):
+            sched.submit(make_frame(tenant, [0]), 0.0)
+        sched.flush()
+        assert threads == [threading.get_ident()] * 8
 
     def test_clock_setter_resets_all_workers(self):
         sched = make_scheduler(num_workers=3)
         sched.clock_ms = 12.5
-        assert sched._worker_free == [12.5] * 3
+        assert sched.worker_pool.free_ms == [12.5] * 3
         assert sched.clock_ms == 12.5
-
-
-# ----------------------------------------------------------------------
-# Kernel tier: intra-op threading is bit-identical
-# ----------------------------------------------------------------------
-class TestThreadedPackedDot:
-    def setup_method(self):
-        rng = np.random.default_rng(5)
-        a = np.sign(rng.standard_normal((33, 200))) >= 0
-        b = np.sign(rng.standard_normal((17, 200))) >= 0
-        self.pa, self.la = pack_signs(a)
-        self.pb, _ = pack_signs(b)
-        #: Small enough that the row loop splits into many tiles (so the
-        #: thread split is real), large enough to hold one tile's scratch.
-        self.block = 2048
-
-    def test_thread_count_does_not_change_bits(self):
-        serial = packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-        assert last_dot_stats().tile_count > 1  # the split is exercised
-        for threads in (2, 3, 8):
-            out = packed_dot(
-                self.pa, self.pb, length=self.la,
-                block_bytes=self.block, num_threads=threads,
-            )
-            np.testing.assert_array_equal(out, serial)
-
-    def test_masked_path_bit_identical(self):
-        rng = np.random.default_rng(6)
-        mask = rng.integers(0, 256, size=self.pa.shape, dtype=np.uint8)
-        serial = packed_dot(self.pa, self.pb, mask=mask, block_bytes=self.block)
-        threaded = packed_dot(
-            self.pa, self.pb, mask=mask, block_bytes=self.block, num_threads=3
-        )
-        np.testing.assert_array_equal(threaded, serial)
-
-    def test_stats_report_effective_threads(self):
-        packed_dot(
-            self.pa, self.pb, length=self.la,
-            block_bytes=self.block, num_threads=4,
-        )
-        assert last_dot_stats().num_threads == 4
-        packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-        assert last_dot_stats().num_threads == 1
-
-    def test_single_tile_runs_serial_regardless_of_knob(self):
-        """One row-tile leaves nothing to split: the kernel stays serial."""
-        packed_dot(self.pa, self.pb, length=self.la, num_threads=8)
-        stats = last_dot_stats()
-        assert stats.tile_count == 1
-        assert stats.num_threads == 1
-
-    def test_global_knob_round_trips(self):
-        prev = set_num_threads(3)
-        try:
-            assert get_num_threads() == 3
-            out = packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-            assert last_dot_stats().num_threads == 3
-        finally:
-            set_num_threads(prev)
-        assert get_num_threads() == prev
-        serial = packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-        np.testing.assert_array_equal(out, serial)
-
-    def test_invalid_thread_counts_rejected(self):
-        with pytest.raises(ValueError):
-            packed_dot(self.pa, self.pb, length=self.la, num_threads=0)
-        with pytest.raises(ValueError):
-            set_num_threads(0)
-
-
-class TestThreadedEngine:
-    def test_binary_bundle_forward_bit_identical(self, rng):
-        """A serialized binary branch run with 1 vs 3 intra-op threads
-        produces byte-identical logits."""
-        bundle = nn.Sequential(
-            nn.BinaryConv2d(1, 8, kernel_size=3, padding=1),
-            nn.ReLU(),
-            nn.Flatten(),
-            nn.BinaryLinear(8 * 8 * 8, 10),
-        )
-        bundle.eval()
-        payload = serialize_browser_bundle(bundle, (1, 8, 8))
-        x = rng.standard_normal((4, 1, 8, 8)).astype(np.float32)
-        serial = WasmModel.load(payload, num_threads=1).forward(x)
-        threaded = WasmModel.load(payload, num_threads=3).forward(x)
-        assert serial.tobytes() == threaded.tobytes()
-
-    def test_invalid_num_threads_rejected(self):
-        bundle = nn.Sequential(nn.Flatten(), nn.BinaryLinear(4, 2))
-        bundle.eval()
-        payload = serialize_browser_bundle(bundle, (1, 2, 2))
-        with pytest.raises(ValueError, match="num_threads"):
-            WasmModel.load(payload, num_threads=0)
 
 
 # ----------------------------------------------------------------------
@@ -352,10 +230,6 @@ class TestThreadedEngine:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestWorkerScalingIntegration:
-    def test_session_config_validates_num_threads(self):
-        with pytest.raises(ValueError):
-            SessionConfig(num_threads=0)
-
     def test_scheduled_sessions_bit_identical_across_workers(self, trained_system, tiny_mnist):
         _, test = tiny_mnist
         images = test.images[:12]

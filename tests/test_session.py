@@ -51,29 +51,35 @@ class TestEdgeEndpoint:
         assert logits.shape == (4, test.num_classes)
         assert endpoint.requests_served == 4
 
-    def test_pool_exhaustion_fallback_matches_the_plan(
-        self, trained_system, tiny_mnist
+    def test_failed_compile_serves_through_the_interpreter(
+        self, trained_system, tiny_mnist, monkeypatch
     ):
-        """With the pool's only plan held, ``infer`` runs the trunk
-        engine's interpreter, and its logits equal the plan's bit for
-        bit."""
+        """When the trunk plan fails to compile, ``infer`` runs the trunk
+        engine's interpreter, whose logits equal the plan's bit for bit,
+        and the failure is cached rather than retried."""
+        from repro.runtime import session as session_mod
+        from repro.wasm import PlanCompileError
+
         _, test = tiny_mnist
         model = trained_system.model
         model.eval()
         with no_grad():
             features = model.forward_features(Tensor(test.images[:4])).data
+        planned = EdgeEndpoint(model.main_trunk).infer(features)
+
+        attempts = []
+
+        def failing_compile(engine, capacity):
+            attempts.append(capacity)
+            raise PlanCompileError("forced")
+
+        monkeypatch.setattr(session_mod, "compile_wasm_plan", failing_compile)
         endpoint = EdgeEndpoint(model.main_trunk)
-        endpoint.PLAN_POOL_SIZE = 1
-        planned = endpoint.infer(features)
-        pool = endpoint._pool_for(endpoint._engine_for(features.shape[1:]), 4)
-        plan = pool.lease()
-        try:
-            assert plan is not None and pool.instances == 1
-            assert pool.lease() is None
-            fallback = endpoint.infer(features)
-        finally:
-            pool.release(plan)
+        fallback = endpoint.infer(features)
+        again = endpoint.infer(features)
         np.testing.assert_array_equal(fallback.view(np.uint32), planned.view(np.uint32))
+        np.testing.assert_array_equal(again.view(np.uint32), planned.view(np.uint32))
+        assert attempts == [4]
         assert endpoint.requests_served == 8
 
 

@@ -1,10 +1,12 @@
-"""Concurrency stress suite: the engine with no exec lock.
+"""Concurrency stress suite: the library's thread-safety contract.
 
-PR 7's contract is that the inference engine is thread-safe end-to-end —
-no-grad mode is thread-local, kernel and geometry caches are locked,
-counters take atomic adds, and a shared :class:`EdgeEndpoint` leases
-distinct compiled-plan instances per concurrent caller.  These tests
-hammer each piece from real threads and assert *exact* outcomes: bit
+The program runs on the caller's thread (the edge's c workers are a
+simulated model), but callers may share the library across their own
+threads, so the engine is thread-safe end-to-end — no-grad mode is
+thread-local, kernel and geometry caches are locked, counters take
+atomic adds, and a shared :class:`EdgeEndpoint` keeps one compiled plan
+per key whose internal lock serializes replays.  These tests hammer
+each piece from the tests' own threads and assert *exact* outcomes: bit
 wise-identical predictions versus serial, and counter totals exactly
 equal to the summed per-thread work.  Lost-update races are
 probabilistic, so the hammer tests use barriers and enough iterations
@@ -331,7 +333,7 @@ class TestSharedEndpointConcurrency:
 # Concurrent metric mutation + export (JSONL / Chrome / Prometheus)
 # ----------------------------------------------------------------------
 class TestConcurrentMutationAndExport:
-    """WorkerPool threads hammer one registry while exporters read it.
+    """Test-owned threads hammer one registry while exporters read it.
 
     The contract: totals are exact (no lost updates through the watcher
     path either), every exporter produces valid output mid-hammer, and
@@ -343,7 +345,6 @@ class TestConcurrentMutationAndExport:
 
     def _hammer(self, registry, tracer):
         from repro.observability import labeled
-        from repro.runtime import WorkerPool
 
         def work(idx):
             shard = idx % 2
@@ -358,8 +359,8 @@ class TestConcurrentMutationAndExport:
                     pass
             return idx
 
-        with WorkerPool(self.WORKERS) as pool:
-            done = pool.map(work, list(range(self.WORKERS)))
+        with ThreadPoolExecutor(max_workers=self.WORKERS) as pool:
+            done = list(pool.map(work, range(self.WORKERS)))
         assert sorted(done) == list(range(self.WORKERS))
 
     def test_exact_totals_and_valid_exports(self, tmp_path):
@@ -424,7 +425,6 @@ class TestConcurrentMutationAndExport:
 
     def test_export_during_mutation_is_well_formed(self):
         from repro.observability import MetricsRegistry, Tracer, prometheus_text
-        from repro.runtime import WorkerPool
 
         registry = MetricsRegistry()
         tracer = Tracer()
