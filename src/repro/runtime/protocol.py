@@ -29,6 +29,21 @@ Messages:
 * ``SchedulerAck``      — edge → browser: a batched miss request was
   admitted to the shared scheduler queue; the correlated
   ``BatchInferenceResponse`` follows once its dynamic batch executes.
+  It keeps its own encode/decode pair even in process (about 3 µs per
+  miss): it is part of the wire contract, and the fleet renumbers its
+  ticket on the way through.
+
+Wire cost rules, which keep the miss path cheap without changing a byte:
+
+* **One copy each way.**  A message is packed as a tuple of parts that
+  :func:`encode_frame` joins once behind the frame header, so a payload
+  is copied once into the frame.  :func:`decode_frame` reads through a
+  ``memoryview`` of the frame (``bytes``, ``bytearray`` or
+  ``memoryview``), and every ``unpack`` copies its payload at most once.
+* **One reply helper.**  :func:`reply_fields` turns a batch of trunk
+  logits into the class ids and confidences of a
+  ``BatchInferenceResponse``, for the protocol server and the shared
+  scheduler alike.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ from .feature_codec import FEATURE_CODECS, get_codec
 MAGIC = b"LCRP"
 PROTOCOL_VERSION = 1
 _HEADER = struct.Struct("<4sBBI")
+_U32 = struct.Struct("<I")
 
 
 class ProtocolError(ValueError):
@@ -63,8 +79,17 @@ class MessageType(enum.IntEnum):
     SCHEDULER_ACK = 8
 
 
+class _Packed:
+    """A message whose body is a tuple of parts (``_parts``), which
+    :func:`encode_frame` joins once behind the frame header."""
+
+    def pack(self) -> bytes:
+        """The message body on its own."""
+        return b"".join(self._parts())
+
+
 @dataclass(frozen=True)
-class BatchInferenceRequest:
+class BatchInferenceRequest(_Packed):
     """Browser → edge: classify this stack of conv1 feature maps.
 
     The payload carries one codec-encoded ``(M, C, H, W)`` tensor — the
@@ -75,6 +100,12 @@ class BatchInferenceRequest:
     trace (see :mod:`repro.observability.tracing`); it rides in the JSON
     header only when set, so untraced frames are byte-identical to the
     pre-tracing wire format and old decoders remain compatible.
+
+    The header is ``json.dumps`` of its fields with the default
+    separators; the decoder uses ``json.loads``, so it accepts any valid
+    JSON layout.  The session id and every sequence id must fit the
+    reply's ``u64`` columns: ``unpack`` rejects any other as malformed,
+    so an unanswerable request is refused before it is served or queued.
     """
 
     session_id: int
@@ -86,7 +117,7 @@ class BatchInferenceRequest:
 
     type = MessageType.BATCH_INFERENCE_REQUEST
 
-    def pack(self) -> bytes:
+    def _parts(self) -> tuple:
         meta: dict[str, object] = {
             "session_id": self.session_id,
             "sequences": list(self.sequences),
@@ -96,32 +127,38 @@ class BatchInferenceRequest:
         if self.trace_id:
             meta["trace_id"] = self.trace_id
         header = json.dumps(meta).encode("utf-8")
-        return struct.pack("<I", len(header)) + header + self.payload
+        return (_U32.pack(len(header)), header, self.payload)
 
     @classmethod
-    def unpack(cls, body: bytes) -> "BatchInferenceRequest":
+    def unpack(cls, body) -> "BatchInferenceRequest":
         if len(body) < 4:
             raise ProtocolError("truncated batch inference request")
-        (hlen,) = struct.unpack("<I", body[:4])
-        if len(body) < 4 + hlen:
+        (hlen,) = _U32.unpack_from(body)
+        end = 4 + hlen
+        if len(body) < end:
             raise ProtocolError("truncated batch inference request header")
         try:
-            meta = json.loads(body[4 : 4 + hlen].decode("utf-8"))
+            meta = json.loads(str(body[4:end], "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"bad batch request header: {exc}") from exc
         try:
-            return cls(
+            request = cls(
                 session_id=int(meta["session_id"]),
-                sequences=tuple(int(s) for s in meta["sequences"]),
+                sequences=tuple(map(int, meta["sequences"])),
                 codec=str(meta["codec"]),
-                feature_shape=tuple(int(d) for d in meta["shape"]),
-                payload=body[4 + hlen :],
+                feature_shape=tuple(map(int, meta["shape"])),
+                payload=bytes(body[end:]),
                 trace_id=str(meta.get("trace_id", "")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            # Valid JSON, wrong schema (missing/mistyped fields): still a
-            # malformed frame, not a server crash.
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # Valid JSON, wrong schema (missing/mistyped fields, or an
+            # ``Infinity`` where an int belongs): still a malformed frame,
+            # not a server crash.
             raise ProtocolError(f"bad batch request header fields: {exc!r}") from exc
+        ids = (request.session_id, *request.sequences)
+        if min(ids) < 0 or max(ids) >= 1 << 64:
+            raise ProtocolError("batch request ids must fit in u64")
+        return request
 
     def features(self) -> np.ndarray:
         """Decode the carried feature stack through the named codec.
@@ -153,7 +190,7 @@ class BatchInferenceRequest:
         codec = get_codec(codec_name)
         return cls(
             session_id=session_id,
-            sequences=tuple(int(s) for s in sequences),
+            sequences=tuple(map(int, sequences)),
             codec=codec_name,
             feature_shape=tuple(features.shape),
             payload=codec.encode(features),
@@ -162,8 +199,13 @@ class BatchInferenceRequest:
 
 
 @dataclass(frozen=True)
-class BatchInferenceResponse:
-    """Edge → browser: per-sample answers for one batched request."""
+class BatchInferenceResponse(_Packed):
+    """Edge → browser: per-sample answers for one batched request.
+
+    The body is the ``(session id, count)`` head, then three columns:
+    sequences (``u64``), class ids (``i32``) and confidences (``f32``),
+    each written and read by one ``struct`` format of ``count`` rows.
+    """
 
     session_id: int
     sequences: tuple[int, ...]
@@ -173,43 +215,44 @@ class BatchInferenceResponse:
     type = MessageType.BATCH_INFERENCE_RESPONSE
     _HEAD = struct.Struct("<QI")
 
-    def pack(self) -> bytes:
+    def _parts(self) -> tuple:
         count = len(self.sequences)
         if len(self.class_ids) != count or len(self.confidences) != count:
             raise ProtocolError("batch response field lengths differ")
         return (
-            self._HEAD.pack(self.session_id, count)
-            + np.asarray(self.sequences, dtype="<u8").tobytes()
-            + np.asarray(self.class_ids, dtype="<i4").tobytes()
-            + np.asarray(self.confidences, dtype="<f4").tobytes()
+            struct.pack(
+                "<QI%dQ%di%df" % (count, count, count),
+                self.session_id,
+                count,
+                *self.sequences,
+                *self.class_ids,
+                *self.confidences,
+            ),
         )
 
     @classmethod
-    def unpack(cls, body: bytes) -> "BatchInferenceResponse":
+    def unpack(cls, body) -> "BatchInferenceResponse":
         if len(body) < cls._HEAD.size:
             raise ProtocolError("truncated batch inference response")
-        session_id, count = cls._HEAD.unpack(body[: cls._HEAD.size])
+        session_id, count = cls._HEAD.unpack_from(body)
         expected = cls._HEAD.size + count * (8 + 4 + 4)
         if len(body) != expected:
             raise ProtocolError(
                 f"bad batch response size: expected {expected}B, got {len(body)}B"
             )
-        offset = cls._HEAD.size
-        sequences = np.frombuffer(body, dtype="<u8", count=count, offset=offset)
-        offset += count * 8
-        class_ids = np.frombuffer(body, dtype="<i4", count=count, offset=offset)
-        offset += count * 4
-        confidences = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
+        rows = struct.unpack_from(
+            "<%dQ%di%df" % (count, count, count), body, cls._HEAD.size
+        )
         return cls(
             session_id=session_id,
-            sequences=tuple(int(s) for s in sequences),
-            class_ids=tuple(int(c) for c in class_ids),
-            confidences=tuple(float(c) for c in confidences),
+            sequences=rows[:count],
+            class_ids=rows[count : 2 * count],
+            confidences=rows[2 * count :],
         )
 
 
 @dataclass(frozen=True)
-class SchedulerAck:
+class SchedulerAck(_Packed):
     """Edge → browser: batched miss request admitted to the scheduler.
 
     The answer is *deferred*: the scheduler aggregates admitted requests
@@ -228,11 +271,11 @@ class SchedulerAck:
     type = MessageType.SCHEDULER_ACK
     _BODY = struct.Struct("<QQI")
 
-    def pack(self) -> bytes:
-        return self._BODY.pack(self.session_id, self.ticket, self.queued_samples)
+    def _parts(self) -> tuple:
+        return (self._BODY.pack(self.session_id, self.ticket, self.queued_samples),)
 
     @classmethod
-    def unpack(cls, body: bytes) -> "SchedulerAck":
+    def unpack(cls, body) -> "SchedulerAck":
         if len(body) != cls._BODY.size:
             raise ProtocolError("bad scheduler ack size")
         session_id, ticket, queued = cls._BODY.unpack(body)
@@ -240,26 +283,26 @@ class SchedulerAck:
 
 
 @dataclass(frozen=True)
-class ModelRequest:
+class ModelRequest(_Packed):
     """Browser → edge: fetch a named bundle (page-load path)."""
 
     bundle_name: str
 
     type = MessageType.MODEL_REQUEST
 
-    def pack(self) -> bytes:
-        return self.bundle_name.encode("utf-8")
+    def _parts(self) -> tuple:
+        return (self.bundle_name.encode("utf-8"),)
 
     @classmethod
-    def unpack(cls, body: bytes) -> "ModelRequest":
+    def unpack(cls, body) -> "ModelRequest":
         try:
-            return cls(bundle_name=body.decode("utf-8"))
+            return cls(bundle_name=str(body, "utf-8"))
         except UnicodeDecodeError as exc:
             raise ProtocolError("bad model request name") from exc
 
 
 @dataclass(frozen=True)
-class ModelResponse:
+class ModelResponse(_Packed):
     """Edge → browser: the requested ``.lcrs`` payload."""
 
     bundle_name: str
@@ -267,26 +310,27 @@ class ModelResponse:
 
     type = MessageType.MODEL_RESPONSE
 
-    def pack(self) -> bytes:
+    def _parts(self) -> tuple:
         name = self.bundle_name.encode("utf-8")
-        return struct.pack("<I", len(name)) + name + self.payload
+        return (_U32.pack(len(name)), name, self.payload)
 
     @classmethod
-    def unpack(cls, body: bytes) -> "ModelResponse":
+    def unpack(cls, body) -> "ModelResponse":
         if len(body) < 4:
             raise ProtocolError("truncated model response")
-        (nlen,) = struct.unpack("<I", body[:4])
-        if len(body) < 4 + nlen:
+        (nlen,) = _U32.unpack_from(body)
+        end = 4 + nlen
+        if len(body) < end:
             raise ProtocolError("truncated model response name")
         try:
-            name = body[4 : 4 + nlen].decode("utf-8")
+            name = str(body[4:end], "utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError("bad model response name") from exc
-        return cls(bundle_name=name, payload=body[4 + nlen :])
+        return cls(bundle_name=name, payload=bytes(body[end:]))
 
 
 @dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(_Packed):
     """Edge → browser: structured failure."""
 
     code: int
@@ -294,15 +338,15 @@ class ErrorResponse:
 
     type = MessageType.ERROR
 
-    def pack(self) -> bytes:
-        return struct.pack("<I", self.code) + self.message.encode("utf-8")
+    def _parts(self) -> tuple:
+        return (_U32.pack(self.code), self.message.encode("utf-8"))
 
     @classmethod
-    def unpack(cls, body: bytes) -> "ErrorResponse":
+    def unpack(cls, body) -> "ErrorResponse":
         if len(body) < 4:
             raise ProtocolError("truncated error response")
-        (code,) = struct.unpack("<I", body[:4])
-        return cls(code=code, message=body[4:].decode("utf-8", errors="replace"))
+        (code,) = _U32.unpack_from(body)
+        return cls(code=code, message=str(body[4:], "utf-8", "replace"))
 
 
 Message = Union[
@@ -325,28 +369,50 @@ _DECODERS = {
 
 
 def encode_frame(message: Message) -> bytes:
-    """Wrap a message in the versioned wire frame."""
-    body = message.pack()
-    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(message.type), len(body)) + body
+    """Wrap a message in the versioned wire frame: one join of the frame
+    header and the message's parts, so each part is copied once."""
+    parts = message._parts()
+    head = _HEADER.pack(MAGIC, PROTOCOL_VERSION, message.type, sum(map(len, parts)))
+    return b"".join((head, *parts))
 
 
-def decode_frame(frame: bytes) -> Message:
-    """Parse one frame; raises :class:`ProtocolError` on any corruption."""
-    if len(frame) < _HEADER.size:
+def decode_frame(frame) -> Message:
+    """Parse one frame (``bytes``, ``bytearray`` or ``memoryview``).
+
+    The body is read through a ``memoryview``, so the decoder copies a
+    payload at most once.  Raises :class:`ProtocolError` on any
+    corruption.
+    """
+    view = memoryview(frame).cast("B")
+    if len(view) < _HEADER.size:
         raise ProtocolError("frame shorter than header")
-    magic, version, mtype, length = _HEADER.unpack(frame[: _HEADER.size])
+    magic, version, mtype, length = _HEADER.unpack_from(view)
     if magic != MAGIC:
         raise ProtocolError("bad magic")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
-    body = frame[_HEADER.size :]
-    if len(body) != length:
-        raise ProtocolError(f"frame length mismatch: header says {length}, got {len(body)}")
-    try:
-        decoder = _DECODERS[MessageType(mtype)]
-    except ValueError as exc:
-        raise ProtocolError(f"unknown message type {mtype}") from exc
-    return decoder(body)
+    size = len(view) - _HEADER.size
+    if size != length:
+        raise ProtocolError(f"frame length mismatch: header says {length}, got {size}")
+    decoder = _DECODERS.get(mtype)
+    if decoder is None:
+        raise ProtocolError(f"unknown message type {mtype}")
+    return decoder(view[_HEADER.size :])
+
+
+def reply_fields(logits: np.ndarray) -> tuple[list[int], list[float]]:
+    """The class ids and confidences answering a batch of trunk logits.
+
+    Each row's class is its logits' argmax, and its confidence is that
+    class's softmax probability: ``e[i, c] / e.sum(axis=1)[i]`` with
+    ``e = exp(logits - rowmax)``, the same division of the same operands
+    as normalizing the whole row first, so the bits do not depend on
+    which caller built the reply.
+    """
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    class_ids = logits.argmax(axis=1)
+    confidences = e[np.arange(len(class_ids)), class_ids] / e.sum(axis=1)
+    return class_ids.tolist(), confidences.tolist()
 
 
 class EdgeProtocolServer:
@@ -373,17 +439,12 @@ class EdgeProtocolServer:
             except Exception as exc:  # codec/shape errors become 422s
                 return encode_frame(ErrorResponse(code=422, message=str(exc)))
             try:
-                logits = self.endpoint.infer(features)
-                probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-                probs /= probs.sum(axis=1, keepdims=True)
-                class_ids = logits.argmax(axis=1)
+                class_ids, confidences = reply_fields(self.endpoint.infer(features))
                 response = BatchInferenceResponse(
                     session_id=message.session_id,
                     sequences=message.sequences,
-                    class_ids=tuple(int(c) for c in class_ids),
-                    confidences=tuple(
-                        float(probs[i, c]) for i, c in enumerate(class_ids)
-                    ),
+                    class_ids=tuple(class_ids),
+                    confidences=tuple(confidences),
                 )
             except Exception as exc:  # endpoint failures stay on the wire
                 return encode_frame(

@@ -57,6 +57,7 @@ from .protocol import (
     SchedulerAck,
     decode_frame,
     encode_frame,
+    reply_fields,
 )
 from .session import (
     SERVED_BY_FALLBACK,
@@ -372,6 +373,7 @@ class EdgeScheduler:
         row["submitted"].add(n)
 
         key = (tenant, message.sequences)
+        queued = self.queued_samples()
         if key in self._dedupe:
             # Duplicate delivery of an already-queued request: same
             # ticket, no new queue entry — submission is idempotent.
@@ -379,14 +381,14 @@ class EdgeScheduler:
                 SchedulerAck(
                     session_id=tenant,
                     ticket=self._dedupe[key],
-                    queued_samples=self.queued_samples(),
+                    queued_samples=queued,
                 )
             )
         held = self.queued_samples(tenant)
         shed = None
-        if self.queued_samples() + n > self.config.queue_capacity:
+        if queued + n > self.config.queue_capacity:
             shed = (
-                f"queue full: {self.queued_samples()}+{n} over "
+                f"queue full: {queued}+{n} over "
                 f"{self.config.queue_capacity} samples"
             )
         # Fairness sheds a tenant's *additional* requests; a tenant with
@@ -414,7 +416,7 @@ class EdgeScheduler:
         c["accepted_requests"].add(1)
         c["accepted_samples"].add(n)
         row["accepted"].add(n)
-        depth = self.queued_samples()
+        depth = queued + n
         self._max_queue_depth.set_max(depth)
         self.queue_depth_gauge.set_max(depth)
         return encode_frame(
@@ -510,31 +512,27 @@ class EdgeScheduler:
                 np.concatenate([q.request.features() for q in batch.chosen], axis=0)
             )
             infer_wall_ms = now_ms() - wall0 if rec.enabled else 0.0
-            # Same softmax/argmax math as EdgeProtocolServer's per-request
-            # path, so scheduled answers match unscheduled ones bit-for-bit.
-            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs /= probs.sum(axis=1, keepdims=True)
-            class_ids = logits.argmax(axis=1)
+            # The protocol server's reply helper, so scheduled answers
+            # match unscheduled ones bit for bit.
+            class_ids, confidences = reply_fields(logits)
 
             start = batch.start_ms
             waits = 0.0
             offset = 0
             for q in batch.chosen:
-                ids = class_ids[offset : offset + q.samples]
+                end = offset + q.samples
                 response = BatchInferenceResponse(
                     session_id=q.request.session_id,
                     sequences=q.request.sequences,
-                    class_ids=tuple(int(c) for c in ids),
-                    confidences=tuple(
-                        float(probs[offset + i, c]) for i, c in enumerate(ids)
-                    ),
+                    class_ids=tuple(class_ids[offset:end]),
+                    confidences=tuple(confidences[offset:end]),
                 )
                 wait = start - q.arrival_ms
                 self._results[q.ticket] = (encode_frame(response), wait)
                 self._request_wait_h.observe(wait)
                 self._tenants[q.tenant]["served"].add(q.samples)
                 waits += wait * q.samples
-                offset += q.samples
+                offset = end
                 served.append(q.ticket)
                 self._dedupe.pop((q.tenant, q.request.sequences), None)
                 if rec.enabled:

@@ -1044,7 +1044,7 @@ class LCRSDeployment:
                 with rec.span("codec.encode", track=ctx.track, trace_id=trace_id) as enc:
                     request = BatchInferenceRequest.from_features(
                         self._session_id,
-                        [start + int(j) for j in miss_idx],
+                        (miss_idx + start).tolist(),
                         ctx.codec.name,
                         features[miss_idx],
                         trace_id=trace_id,
@@ -1058,7 +1058,7 @@ class LCRSDeployment:
             else:
                 request = BatchInferenceRequest.from_features(
                     self._session_id,
-                    [start + int(j) for j in miss_idx],
+                    (miss_idx + start).tolist(),
                     ctx.codec.name,
                     features[miss_idx],
                 )
@@ -1087,11 +1087,11 @@ class LCRSDeployment:
             pending.served_by = SERVED_BY_FALLBACK
             self._faults["fallbacks"].add(int(pending.miss_idx.size))
         else:
-            by_sequence = {
-                int(s): int(c) for s, c in zip(reply.sequences, reply.class_ids)
-            }
-            for j in pending.miss_idx:
-                pending.predictions[j] = by_sequence[pending.start + int(j)]
+            by_sequence = dict(zip(reply.sequences, reply.class_ids))
+            start = pending.start
+            pending.predictions[pending.miss_idx] = [
+                by_sequence[start + j] for j in pending.miss_idx.tolist()
+            ]
             pending.served_by = SERVED_BY_EDGE
 
     def _finish_chunk(
