@@ -2,7 +2,9 @@
 # tier-1 suite as-is, then again with the fault-injection smoke profile
 # enabled so the degraded (retry/fallback) path is exercised end to end,
 # then the hardening tier (protocol fuzz, codec properties, the frozen
-# golden trace), the tracing smoke run and a smoke run of the end-to-end
+# golden trace), the tracing smoke run, the two guarding ablations
+# (`ablation-smoke`: the τ controller on a degrading link and the
+# edge-load study, with timing off) and a smoke run of the end-to-end
 # benchmark (`make bench-e2e` is the full one).  `make fuzz` reruns the
 # property suites under the randomized Hypothesis profile.
 # REPRO_FAULT_PROFILE selects the profile consumed by tests/test_faults.py
@@ -18,7 +20,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
 
-.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-threads stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-plan bench-fleet bench-tau bench-check bench-check-dry
+.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke ablation-smoke golden golden-threads stress fuzz verify bench bench-e2e bench-e2e-smoke bench-sched bench-par bench-plan bench-fleet bench-tau bench-check bench-check-dry
 
 test:
 	$(PYTEST)
@@ -41,6 +43,9 @@ obs-smoke:
 tau-smoke:
 	$(PYTEST) -m tau tests/test_tau_control.py tests/test_tiered_branch.py tests/test_golden_tau.py
 
+ablation-smoke:
+	$(PYTEST) --benchmark-disable benchmarks/test_ablation_adaptive_tau.py benchmarks/test_ablation_edge_load.py
+
 golden:
 	$(PYTEST) tests/test_protocol_fuzz.py tests/test_codec_properties.py tests/test_golden_trace.py tests/test_parallel.py
 
@@ -58,7 +63,7 @@ stress:
 fuzz:
 	$(PYTEST) --hypothesis-profile=fuzz tests/test_codec_properties.py tests/test_protocol_wire.py tests/test_properties.py tests/test_properties_extensions.py tests/test_plan_properties.py tests/test_tau_control.py tests/test_observability.py tests/test_windows.py
 
-verify: test fault-smoke golden golden-threads stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke bench-check-dry bench-e2e-smoke
+verify: test fault-smoke golden golden-threads stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke ablation-smoke bench-check-dry bench-e2e-smoke
 
 bench:
 	PYTHONPATH=src $(PY) benchmarks/bench_kernels.py

@@ -2,11 +2,13 @@
 
 Three artifacts from :mod:`repro.experiments.fleet`:
 
-* **Capacity sweep** — a saturating miss burst over 1/2/4 shards, each
-  point cross-checked per shard against its M/M/c capacity and for the
-  fleet against the M/M/c·N bound; the single-shard point additionally
-  verified bit-identical to a bare :class:`EdgeScheduler`.  Headline:
-  the fleet speedup at 4 shards (must be ≥3× on this workload).
+* **Capacity sweep** — :func:`~repro.experiments.fleet.run_capacity_sweep`
+  over 1/2/4 shards at one worker each (``make bench-par`` runs it over
+  workers on one shard): each point cross-checked per shard against its
+  M/M/c capacity and for the fleet against the M/M/c·N bound, and every
+  point's answers verified bit-identical to a bare 1-worker
+  :class:`EdgeScheduler`.  Headline: the fleet speedup at 4 shards (must
+  be ≥3× on this workload).
 * **Partition drill** — live concurrent sessions with one shard
   partitioned mid-run; every sample must still be answered (re-routes
   and binary fallbacks counted, never an error).
@@ -67,7 +69,7 @@ def _build_system():
 def bench_fleet() -> dict:
     from repro.experiments import (
         capacity_planning_table,
-        run_fleet_capacity,
+        run_capacity_sweep,
         run_fleet_partition,
     )
     from repro.profiling import NetworkProfile
@@ -75,15 +77,15 @@ def bench_fleet() -> dict:
 
     system, test = _build_system()
 
-    capacity = run_fleet_capacity(
+    capacity = run_capacity_sweep(
         system,
         test.images,
-        shard_counts=SHARD_COUNTS,
+        shards=SHARD_COUNTS,
+        workers=(WORKERS_PER_SHARD,),
         requests=REQUESTS,
         batch_size=BATCH_SIZE,
-        workers_per_shard=WORKERS_PER_SHARD,
     )
-    top = capacity.point(max(SHARD_COUNTS))
+    top = capacity.point(shards=max(SHARD_COUNTS), workers=WORKERS_PER_SHARD)
 
     drill = run_fleet_partition(
         system,
@@ -108,14 +110,12 @@ def bench_fleet() -> dict:
         "capacity": capacity.as_dict(),
         "partition": drill.as_dict(),
         "planning": [row.as_dict() for row in planning],
-        "headline_speedup": top.speedup_vs_single,
+        "headline_speedup": top.speedup,
         "checks": {
-            "single_shard_bit_identical": capacity.point(1).bit_identical_to_bare,
-            "worst_shard_vs_mmc": min(
-                p.per_shard_capacity_ratio for p in capacity.points
-            ),
-            "fleet_vs_mmc_n": min(p.fleet_capacity_ratio for p in capacity.points),
-            "speedup_1_to_4": top.speedup_vs_single,
+            "single_shard_bit_identical": capacity.points[0].bit_identical,
+            "worst_shard_vs_mmc": min(p.worst_shard_ratio for p in capacity.points),
+            "fleet_vs_mmc_n": min(p.capacity_ratio for p in capacity.points),
+            "speedup_1_to_4": top.speedup,
             "partition_all_served": drill.all_samples_served,
             "partition_tickets_lost": drill.tickets_lost,
         },

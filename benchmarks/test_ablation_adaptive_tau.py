@@ -1,21 +1,22 @@
 """Adaptive-τ ablation under unstable bandwidth (§IV-D.1's concern).
 
 A link that degrades mid-session makes the fixed calibrated threshold
-suboptimal; the integral controller raises τ when observed latency
-drifts over the SLA and relaxes it when the link recovers.  This is an
+suboptimal; the τ controller raises τ when observed latency drifts over
+the SLA and relaxes it when the link recovers.  This is an
 extension in the spirit of the paper's future work ("more simulation in
 different system environments").
 
 The sweep itself lives in :func:`repro.experiments.adaptive_tau_study`
 so this ablation and the closed-loop fleet experiment
-(``repro tau`` / ``make bench-tau``) share one τ-sweep path.
+(``repro tau`` / ``make bench-tau``) share one τ controller,
+:class:`repro.runtime.TauController`.
 """
 
 from __future__ import annotations
 
-from repro.core import AdaptiveThresholdController
 from repro.experiments import adaptive_tau_study
 from repro.experiments.reporting import render_table
+from repro.runtime import TauControlConfig, TauController
 
 
 def test_adaptive_threshold_under_unstable_link(benchmark, announce):
@@ -39,5 +40,13 @@ def test_adaptive_threshold_under_unstable_link(benchmark, announce):
 
 
 def test_benchmark_controller_step(benchmark):
-    controller = AdaptiveThresholdController(tau_initial=0.3, target_latency_ms=80.0)
-    benchmark(lambda: controller.observe(120.0))
+    controller = TauController(
+        TauControlConfig(
+            tau_min=0.0,
+            tau_max=0.95,
+            tau_initial=0.3,
+            target_wait_ms=80.0,
+            low_wait_ms=40.0,
+        )
+    )
+    benchmark(lambda: controller.step(0, 120.0))

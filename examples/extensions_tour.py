@@ -18,19 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import (
-    AdaptiveThresholdController,
     LCRS,
     JointTrainingConfig,
     branch_entropies,
     load_system,
     save_system,
-    simulate_adaptive_session,
 )
 from repro.data import make_dataset
 from repro.experiments import DEFAULT_EXIT_RATES, build_network_assets, build_plans
 from repro.runtime import (
     FEATURE_CODECS,
     LCRSDeployment,
+    TauControlConfig,
+    TauController,
     edge_load_curve,
     expected_sample_energy,
     four_g,
@@ -101,21 +101,30 @@ def main() -> None:
     # Start from a mid operating point (40 % exits) so the fixed policy
     # has real misses to pay for when the link turns bad.
     tau_mid = float(np.quantile(entropies, 0.4))
-    controller = AdaptiveThresholdController(
-        tau_initial=tau_mid,
-        target_latency_ms=80.0,
-        tau_max=0.95,
-        gain=0.08,
+    # The fleet's τ controller, fed the mean latency of the last 20
+    # samples: over 80 ms raises τ (more local exits), under 40 ms
+    # drains it back toward tau_mid.
+    controller = TauController(
+        TauControlConfig(
+            tau_min=0.0,
+            tau_max=0.95,
+            tau_initial=tau_mid,
+            target_wait_ms=80.0,
+            low_wait_ms=40.0,
+        )
     )
-    adaptive_ms, adaptive_exits = simulate_adaptive_session(
-        entropies, 5.0, miss_ms, controller
-    )
-    fixed_exits = entropies < controller.tau_initial
+    adaptive_exits = np.empty(n, dtype=bool)
+    adaptive_ms = np.empty(n)
+    for i in range(n):
+        adaptive_exits[i] = entropies[i] < controller.threshold(0)
+        adaptive_ms[i] = 5.0 if adaptive_exits[i] else 5.0 + miss_ms[i]
+        controller.step(0, float(adaptive_ms[max(0, i - 19) : i + 1].mean()))
+    fixed_exits = entropies < tau_mid
     fixed_ms = np.where(fixed_exits, 5.0, 5.0 + miss_ms)
     print(
         f"fixed tau:    mean={fixed_ms.mean():6.1f}ms exit={fixed_exits.mean():.2f}\n"
         f"adaptive tau: mean={adaptive_ms.mean():6.1f}ms exit={adaptive_exits.mean():.2f} "
-        f"(final tau={controller.threshold:.3f})"
+        f"(final tau={controller.threshold(0):.3f})"
     )
 
 

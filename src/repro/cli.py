@@ -736,7 +736,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from .experiments import (
         capacity_planning_table,
         render_capacity_table,
-        run_fleet_capacity,
+        run_capacity_sweep,
         run_fleet_partition,
     )
     from .profiling.layer_stats import NetworkProfile
@@ -751,13 +751,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if system.calibration is None:
         system.calibrate(test)
 
-    capacity = run_fleet_capacity(
+    capacity = run_capacity_sweep(
         system,
         test.images,
-        shard_counts=tuple(args.shards),
+        shards=tuple(args.shards),
+        workers=(args.workers,),
         requests=args.requests,
         batch_size=args.batch_size,
-        workers_per_shard=args.workers,
     )
     print(
         f"{capacity.network}: {args.requests} requests x {args.batch_size} samples, "
@@ -768,11 +768,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"{'shard/MMc':>9} {'fleet/MMcN':>10} {'identical':>9}"
     )
     for p in capacity.points:
-        ident = "-" if p.bit_identical_to_bare is None else str(p.bit_identical_to_bare)
         print(
             f"{p.shards:>6} {p.makespan_ms:>9.2f} {p.throughput_rps:>10.0f} "
-            f"{p.speedup_vs_single:>8.2f} {p.per_shard_capacity_ratio:>9.2f} "
-            f"{p.fleet_capacity_ratio:>10.2f} {ident:>9}"
+            f"{p.speedup:>8.2f} {p.worst_shard_ratio:>9.2f} "
+            f"{p.capacity_ratio:>10.2f} {str(p.bit_identical):>9}"
         )
 
     records: dict[str, object] = {"capacity": capacity.as_dict()}

@@ -1,10 +1,5 @@
 """Core LCRS contribution: composite network, joint training, exit policy."""
 
-from .adaptive import (
-    AdaptiveSessionSummary,
-    AdaptiveThresholdController,
-    simulate_adaptive_session,
-)
 from .checkpoint import CheckpointError, load_system, save_system
 from .composite import (
     BinaryBranchConfig,
@@ -42,8 +37,6 @@ from .training import (
 )
 
 __all__ = [
-    "AdaptiveSessionSummary",
-    "AdaptiveThresholdController",
     "BinaryBranchConfig",
     "CheckpointError",
     "EXIT_CRITERIA",
@@ -73,5 +66,4 @@ __all__ = [
     "max_probability_criterion",
     "normalized_entropy",
     "save_system",
-    "simulate_adaptive_session",
 ]

@@ -12,7 +12,8 @@
 | §IV-D ablations| :mod:`repro.experiments.ablations` |
 | §IV-D.1 instability | :func:`repro.experiments.faults_exp.run_degradation` |
 | §I concurrency | :func:`repro.experiments.scale.run_concurrency` |
-| §I fleet scale | :mod:`repro.experiments.fleet` |
+| §I edge capacity (workers × shards) | :func:`repro.experiments.fleet.run_capacity_sweep` |
+| §I fleet failure and planning | :mod:`repro.experiments.fleet` |
 | §III-C closed loop | :mod:`repro.experiments.adaptive_tau` |
 """
 
@@ -44,13 +45,13 @@ from .faults_exp import (
 )
 from .fleet import (
     CapacityPlanRow,
-    FleetCapacityPoint,
-    FleetCapacityResult,
+    CapacityPoint,
+    CapacityResult,
     FleetPartitionResult,
     FleetSloResult,
     capacity_planning_table,
     render_capacity_table,
-    run_fleet_capacity,
+    run_capacity_sweep,
     run_fleet_partition,
     run_fleet_slo,
 )
@@ -83,11 +84,7 @@ from .scale import (
     ConcurrencyResult,
     ConcurrencySweepConfig,
     ExperimentScale,
-    WorkerScalingConfig,
-    WorkerScalingPoint,
-    WorkerScalingResult,
     run_concurrency,
-    run_worker_scaling,
 )
 from .structure import Figure4Result, StructurePoint, run_figure4
 from .table1 import Table1Cell, Table1Result, run_table1, run_table1_cell
@@ -98,6 +95,8 @@ __all__ = [
     "BranchCountResult",
     "BranchLocationResult",
     "CapacityPlanRow",
+    "CapacityPoint",
+    "CapacityResult",
     "ConcurrencyPoint",
     "ConcurrencyResult",
     "ConcurrencySweepConfig",
@@ -112,8 +111,6 @@ __all__ = [
     "Figure5Result",
     "Figure6Result",
     "Figure7Result",
-    "FleetCapacityPoint",
-    "FleetCapacityResult",
     "FleetPartitionResult",
     "FleetSloResult",
     "LatencyComparison",
@@ -131,9 +128,6 @@ __all__ = [
     "Table1Result",
     "Table1Row",
     "TauDrillResult",
-    "WorkerScalingConfig",
-    "WorkerScalingPoint",
-    "WorkerScalingResult",
     "adaptive_tau_study",
     "build_network_assets",
     "build_overload_stream",
@@ -148,11 +142,11 @@ __all__ = [
     "run_adaptive_tau",
     "run_branch_count",
     "run_branch_location",
+    "run_capacity_sweep",
     "run_concurrency",
     "run_degradation",
     "run_device_sensitivity",
     "run_figure10",
-    "run_fleet_capacity",
     "run_fleet_partition",
     "run_fleet_slo",
     "run_figure4",
@@ -163,6 +157,5 @@ __all__ = [
     "run_table1",
     "run_table1_cell",
     "run_tau_drill",
-    "run_worker_scaling",
     "shape_check",
 ]

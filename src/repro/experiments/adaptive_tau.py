@@ -26,11 +26,11 @@ Two layers:
   fleet sheds, the controlled fleet does not, and the accuracy cost of
   the extra local exits is bounded.
 
-:func:`adaptive_tau_study` is the offline single-link integral-
-controller study the ablation benchmark
-(``benchmarks/test_ablation_adaptive_tau.py``) reports — it shares this
-module so the ablation and the fleet experiment exercise one τ-sweep
-path.
+:func:`adaptive_tau_study` is the offline single-link study the
+ablation benchmark (``benchmarks/test_ablation_adaptive_tau.py``)
+reports: the same :class:`~repro.runtime.tau_control.TauController`
+state machine, fed per-sample latency instead of queue wait, so the
+ablation and the fleet experiment exercise one τ controller.
 """
 
 from __future__ import annotations
@@ -40,13 +40,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.adaptive import AdaptiveThresholdController, simulate_adaptive_session
 from ..runtime.concurrency import ServiceTimeModel
 from ..runtime.fleet import FleetConfig, FleetRouter
 from ..runtime.network import four_g
 from ..runtime.scheduler import SchedulerConfig, run_concurrent_sessions
 from ..runtime.session import LCRSDeployment, SERVED_BY_FALLBACK, SessionConfig
-from ..runtime.tau_control import TauControlConfig
+from ..runtime.tau_control import TauControlConfig, TauController
+
+#: Per-sample latencies in the study's running latency reading.
+LATENCY_WINDOW = 20
 
 
 def congested_edge_model(
@@ -78,14 +80,17 @@ def adaptive_tau_study(
     congested_sigma_ms: float = 60.0,
     target_latency_ms: float = 80.0,
     tau_max: float = 0.95,
-    gain: float = 0.08,
 ) -> dict[str, float]:
-    """Fixed vs integral-controlled τ over a degrading single link.
+    """Fixed vs controlled τ over a degrading single link.
 
-    A three-phase link trace (healthy → congested → recovered) drives
-    :func:`~repro.core.adaptive.simulate_adaptive_session`; the fixed
-    policy keeps τ at ``fixed_tau`` throughout.  Returns the comparison
-    row the ablation benchmark renders and asserts on.
+    A three-phase link trace (healthy → congested → recovered) is served
+    sample by sample; the fixed policy keeps τ at ``fixed_tau``
+    throughout, the controlled one gates each sample with a
+    :class:`TauController`'s τ and then steps it with the mean of the
+    last :data:`LATENCY_WINDOW` per-sample latencies — over
+    ``target_latency_ms`` raises τ, under half of it drains τ back
+    toward ``fixed_tau``.  Returns the comparison row the ablation
+    benchmark renders and asserts on.
     """
     rng = np.random.default_rng(seed)
     entropies = rng.uniform(0, 1, n)
@@ -100,15 +105,22 @@ def adaptive_tau_study(
     fixed_exits = entropies < fixed_tau
     fixed_latency = np.where(fixed_exits, hit_ms, hit_ms + miss_ms)
 
-    controller = AdaptiveThresholdController(
-        tau_initial=fixed_tau,
-        target_latency_ms=target_latency_ms,
-        tau_max=tau_max,
-        gain=gain,
+    controller = TauController(
+        TauControlConfig(
+            tau_min=0.0,
+            tau_max=tau_max,
+            tau_initial=fixed_tau,
+            target_wait_ms=target_latency_ms,
+            low_wait_ms=target_latency_ms / 2,
+        )
     )
-    adaptive_latency, adaptive_exits = simulate_adaptive_session(
-        entropies, hit_ms, miss_ms, controller
-    )
+    adaptive_exits = np.empty(n, dtype=bool)
+    adaptive_latency = np.empty(n)
+    for i in range(n):
+        adaptive_exits[i] = entropies[i] < controller.threshold(0)
+        adaptive_latency[i] = hit_ms if adaptive_exits[i] else hit_ms + miss_ms[i]
+        window = adaptive_latency[max(0, i + 1 - LATENCY_WINDOW) : i + 1]
+        controller.step(0, float(window.mean()))
     return {
         "fixed_mean": float(fixed_latency.mean()),
         "adaptive_mean": float(adaptive_latency.mean()),
@@ -116,7 +128,7 @@ def adaptive_tau_study(
         "adaptive_exit": float(adaptive_exits.mean()),
         "congested_fixed": float(fixed_latency[n // 3 : 2 * n // 3].mean()),
         "congested_adaptive": float(adaptive_latency[n // 3 : 2 * n // 3].mean()),
-        "recovered_tau": controller.threshold,
+        "recovered_tau": controller.threshold(0),
     }
 
 

@@ -4,11 +4,13 @@ The single-edge story ends at one box's M/M/c capacity; the paper's
 "millions of users" framing (§I) needs the horizontal axis.  Three
 harnesses, all deterministic (simulated clocks, seeded placement):
 
-* :func:`run_fleet_capacity` — a saturating miss burst over N shards for
-  each shard count, measured fleet throughput cross-checked per shard
-  against its own M/M/c prediction and for the fleet against the
-  ``N·c/service_time`` bound.  The acceptance bar: each shard within
-  10 % of its model, and ≥3× fleet capacity from 1→4 shards.
+* :func:`run_capacity_sweep` — a saturating miss burst over each
+  (shards, workers per shard) cell, measured throughput cross-checked
+  for the fleet against the ``N·c/service_time`` bound and per shard
+  against its own M/M/c capacity, and every answer against a bare
+  1-worker edge.  ``make bench-par`` sweeps workers on one shard,
+  ``make bench-fleet`` shards at one worker: ≥2.5× at 4 workers and
+  ≥3× at 4 shards, with bit-identical answers.
 * :func:`run_fleet_partition` — full concurrent sessions through a
   :class:`~repro.runtime.fleet.FleetRouter` with one shard partitioned
   mid-run; every session must complete with correct ``served_by``
@@ -23,7 +25,7 @@ harnesses, all deterministic (simulated clocks, seeded placement):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +41,7 @@ from ..runtime.protocol import (
     decode_frame,
     encode_frame,
 )
-from ..runtime.scheduler import SchedulerConfig, run_concurrent_sessions
+from ..runtime.scheduler import EdgeScheduler, SchedulerConfig, run_concurrent_sessions
 from ..runtime.session import (
     SERVED_BY_BRANCH,
     SERVED_BY_EDGE,
@@ -50,112 +52,97 @@ from ..runtime.session import (
 
 
 # ----------------------------------------------------------------------
-# Capacity sweep: fleet throughput vs shard count, vs M/M/c·N
+# Capacity sweep: one saturating burst per (shards, workers) cell
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FleetCapacityPoint:
-    """One shard count under a saturating, deterministic miss burst.
+class CapacityPoint:
+    """One (shards, workers per shard) cell under a saturating burst.
 
-    ``per_shard_capacity_ratio`` is the worst shard's measured
-    throughput over its own M/M/c capacity ``c/service_time`` — the
-    per-failure-domain honesty check; ``fleet_capacity_ratio`` compares
-    fleet throughput to the ``N·c/service_time`` bound.  With the
-    request count an exact multiple of ``shards × workers`` and full
-    batches both should be 1.0 on the simulated clock.
+    ``capacity_rps`` is the M/M/c·N bound ``shards · workers /
+    service_time`` at the burst's batch size and ``capacity_ratio`` the
+    measured throughput over it; ``worst_shard_ratio`` is the lowest
+    shard's throughput over its own ``workers / service_time`` — the
+    per-failure-domain check.  With the request count an exact multiple
+    of ``shards × workers`` and full batches all three ratios read 1.0
+    on the simulated clock.  ``speedup`` is throughput over the sweep's
+    first cell, ``mean_queue_wait_ms`` the mean of the shards' mean
+    waits, and ``bit_identical`` compares every answer with a bare
+    1-worker :class:`~repro.runtime.scheduler.EdgeScheduler`'s.  Every
+    field is a model reading: workers are simulated lanes and every
+    batch runs on the caller's thread.
     """
 
     shards: int
-    workers_per_shard: int
+    workers: int
     samples: int
     batches: int
     makespan_ms: float
     throughput_rps: float
-    speedup_vs_single: float
-    fleet_capacity_rps: float
-    fleet_capacity_ratio: float
-    per_shard_throughput_rps: tuple[float, ...]
-    per_shard_capacity_rps: float
-    per_shard_capacity_ratio: float
-    bit_identical_to_bare: Optional[bool] = None
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "shards": self.shards,
-            "workers_per_shard": self.workers_per_shard,
-            "samples": self.samples,
-            "batches": self.batches,
-            "makespan_ms": self.makespan_ms,
-            "throughput_rps": self.throughput_rps,
-            "speedup_vs_single": self.speedup_vs_single,
-            "fleet_capacity_rps": self.fleet_capacity_rps,
-            "fleet_capacity_ratio": self.fleet_capacity_ratio,
-            "per_shard_throughput_rps": list(self.per_shard_throughput_rps),
-            "per_shard_capacity_rps": self.per_shard_capacity_rps,
-            "per_shard_capacity_ratio": self.per_shard_capacity_ratio,
-            "bit_identical_to_bare": self.bit_identical_to_bare,
-        }
+    speedup: float
+    capacity_rps: float
+    capacity_ratio: float
+    worst_shard_ratio: float
+    mean_queue_wait_ms: float
+    max_workers_busy: int
+    bit_identical: bool
 
 
 @dataclass
-class FleetCapacityResult:
-    """The shard-count sweep, single shard first."""
+class CapacityResult:
+    """The capacity sweep, one point per (shards, workers) cell."""
 
     network: str
     requests: int
     batch_size: int
-    points: list[FleetCapacityPoint] = field(default_factory=list)
+    points: list[CapacityPoint] = field(default_factory=list)
 
-    def point(self, shards: int) -> FleetCapacityPoint:
+    def point(self, shards: int = 1, workers: int = 1) -> CapacityPoint:
         for p in self.points:
-            if p.shards == shards:
+            if p.shards == shards and p.workers == workers:
                 return p
-        raise KeyError(f"no point for shards={shards}")
+        raise KeyError(f"no point for shards={shards}, workers={workers}")
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "network": self.network,
-            "requests": self.requests,
-            "batch_size": self.batch_size,
-            "points": [p.as_dict() for p in self.points],
-        }
+        return asdict(self)
 
 
-def run_fleet_capacity(
+def run_capacity_sweep(
     system,
     images: np.ndarray,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    requests: int = 48,
+    shards: Sequence[int] = (1,),
+    workers: Sequence[int] = (1,),
+    requests: int = 16,
     batch_size: int = 4,
-    workers_per_shard: int = 1,
     service_model: Optional[ServiceTimeModel] = None,
-) -> FleetCapacityResult:
-    """Sweep shard counts under a saturating miss burst.
+) -> CapacityResult:
+    """Sweep shard counts × workers per shard under a saturating burst.
 
     ``requests`` frames of exactly ``batch_size`` stem-feature samples
     (one session each, so least-loaded placement spreads them evenly)
     all arrive at simulated t=0 against a zero batching window; every
-    request forms its own full batch, so a fleet of N shards serves
-    ``requests/N`` batches per shard and the makespan shrinks ∝ 1/N
-    whenever N divides the request count.  The single-shard point also
-    verifies bit-identity against a bare :class:`EdgeScheduler` — the
-    router must be a zero-cost wrapper at N=1.
+    request forms its own full batch, so each of the ``shards × workers``
+    lanes serves ``requests / (shards × workers)`` batches and the
+    makespan shrinks in proportion.  Each cell is a ``least-loaded``
+    :class:`FleetRouter` (a 1-shard fleet is the single edge), every
+    cell replays the same features from one shared stem pass, and every
+    cell's answers are checked against a bare 1-worker
+    :class:`~repro.runtime.scheduler.EdgeScheduler`.
     """
     from ..nn.autograd import Tensor, no_grad
-    from ..runtime.scheduler import EdgeScheduler
 
     if requests < 1:
         raise ValueError("requests must be positive")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    shard_counts = tuple(int(n) for n in shard_counts)
-    if not shard_counts or any(n < 1 for n in shard_counts):
-        raise ValueError("shard_counts must be non-empty and positive")
-    for n in shard_counts:
-        if requests % (n * workers_per_shard):
+    cells = [(int(n), int(c)) for n in shards for c in workers]
+    if not cells or any(n < 1 or c < 1 for n, c in cells):
+        raise ValueError("shards and workers must be non-empty and positive")
+    for n, c in cells:
+        if requests % (n * c):
             raise ValueError(
                 f"requests={requests} must divide evenly across "
-                f"{n} shards x {workers_per_shard} workers for the "
-                "capacity cross-check to be exact"
+                f"{n} shards x {c} workers for the capacity cross-check "
+                "to be exact"
             )
 
     images = np.asarray(images, dtype=np.float32)
@@ -172,15 +159,19 @@ def run_fleet_capacity(
     with no_grad():
         features = model.stem(Tensor(images)).data.astype(np.float32)
 
-    scheduler_config = SchedulerConfig(
-        window_ms=0.0,
-        max_batch_size=batch_size,
-        queue_capacity=need,
-        num_workers=workers_per_shard,
-    )
+    def scheduler_config(num_workers: int) -> SchedulerConfig:
+        return SchedulerConfig(
+            window_ms=0.0,
+            max_batch_size=batch_size,
+            queue_capacity=need,
+            num_workers=num_workers,
+        )
 
-    def submit_burst(target) -> list[int]:
+    def serve_burst(target) -> tuple:
+        """Submit the burst at t=0, flush once, return every answer."""
         tickets: list[int] = []
+        for r in range(requests):
+            target.register(r + 1)
         for r in range(requests):
             request = BatchInferenceRequest.from_features(
                 session_id=r + 1,
@@ -190,11 +181,9 @@ def run_fleet_capacity(
             )
             ack = decode_frame(target.submit(encode_frame(request), 0.0))
             if not isinstance(ack, SchedulerAck):
-                raise RuntimeError(f"fleet capacity request shed: {ack}")
+                raise RuntimeError(f"capacity request shed: {ack}")
             tickets.append(ack.ticket)
-        return tickets
-
-    def collect_answers(target, tickets: list[int]) -> tuple:
+        target.flush()
         answers: list[int] = []
         for ticket in tickets:
             raw, _wait = target.collect(ticket)
@@ -203,87 +192,61 @@ def run_fleet_capacity(
             answers.extend(reply.class_ids)
         return tuple(answers)
 
-    result = FleetCapacityResult(
+    bare_answers = serve_burst(
+        EdgeScheduler.for_system(
+            system, service_model=service_model, config=scheduler_config(1)
+        )
+    )
+    result = CapacityResult(
         network=model.base_name, requests=requests, batch_size=batch_size
     )
-    queue = QueueModel.from_service_model(
-        service_model
-        if service_model is not None
-        else _analytic_service_model(system),
-        workers=workers_per_shard,
-        batch_size=batch_size,
-    )
-    per_shard_capacity = workers_per_shard / queue.service_time_s
-
-    # The comparator for single-shard bit-identity.
-    bare = EdgeScheduler.for_system(
-        system, service_model=service_model, config=scheduler_config
-    )
-    for r in range(requests):
-        bare.register(r + 1)
-    bare_tickets = submit_burst(bare)
-    bare.flush()
-    bare_answers = collect_answers(bare, bare_tickets)
-
-    single_throughput: Optional[float] = None
-    for n in shard_counts:
+    first_throughput: Optional[float] = None
+    for n, c in cells:
         fleet = FleetRouter.for_system(
             system,
             config=FleetConfig(
                 num_shards=n,
                 placement="least-loaded",
-                scheduler=scheduler_config,
+                scheduler=scheduler_config(c),
             ),
             service_model=service_model,
         )
-        for r in range(requests):
-            fleet.register(r + 1)
-        tickets = submit_burst(fleet)
-        fleet.flush()
-        answers = collect_answers(fleet, tickets)
-
+        answers = serve_burst(fleet)
         makespan_ms = fleet.clock_ms
         throughput = need / makespan_ms * 1e3 if makespan_ms > 0 else float("inf")
-        if single_throughput is None:
-            single_throughput = throughput
-        shard_stats = [fleet.shard(sid).describe() for sid in fleet.shard_ids]
-        per_shard_tput = tuple(
-            float(s["samples_served"]) / float(s["clock_ms"]) * 1e3
-            for s in shard_stats
-            if float(s["clock_ms"]) > 0
+        if first_throughput is None:
+            first_throughput = throughput
+        schedulers = [fleet.shard(sid).scheduler for sid in fleet.shard_ids]
+        health = [s.health() for s in schedulers]
+        per_shard_capacity = c / schedulers[0].service_model.service_time_s(
+            batch_size
         )
-        worst_ratio = (
-            min(t / per_shard_capacity for t in per_shard_tput)
-            if per_shard_tput
-            else 0.0
-        )
-        fleet_capacity = n * per_shard_capacity
+        capacity = n * per_shard_capacity
         result.points.append(
-            FleetCapacityPoint(
+            CapacityPoint(
                 shards=n,
-                workers_per_shard=workers_per_shard,
+                workers=c,
                 samples=need,
-                batches=sum(int(s["batches"]) for s in shard_stats),
+                batches=sum(int(h["batches"]) for h in health),
                 makespan_ms=makespan_ms,
                 throughput_rps=throughput,
-                speedup_vs_single=throughput / single_throughput,
-                fleet_capacity_rps=fleet_capacity,
-                fleet_capacity_ratio=throughput / fleet_capacity,
-                per_shard_throughput_rps=per_shard_tput,
-                per_shard_capacity_rps=per_shard_capacity,
-                per_shard_capacity_ratio=worst_ratio,
-                bit_identical_to_bare=(answers == bare_answers) if n == 1 else None,
+                speedup=throughput / first_throughput,
+                capacity_rps=capacity,
+                capacity_ratio=throughput / capacity,
+                worst_shard_ratio=min(
+                    (
+                        h["samples_served"] / h["clock_ms"] * 1e3 / per_shard_capacity
+                        for h in health
+                        if h["clock_ms"] > 0
+                    ),
+                    default=0.0,
+                ),
+                mean_queue_wait_ms=sum(h["mean_queue_wait_ms"] for h in health) / n,
+                max_workers_busy=max(s.worker_pool.max_busy for s in schedulers),
+                bit_identical=answers == bare_answers,
             )
         )
     return result
-
-
-def _analytic_service_model(system) -> ServiceTimeModel:
-    from ..profiling.layer_stats import NetworkProfile
-
-    return ServiceTimeModel.from_profile(
-        NetworkProfile.of(system.model.main_trunk, system.model.stem_output_shape)
-    )
 
 
 # ----------------------------------------------------------------------

@@ -20,15 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..runtime.concurrency import QueueModel, ServiceTimeModel, measure_service_model
+from ..runtime.concurrency import QueueModel, ServiceTimeModel
 from ..runtime.network import four_g
-from ..runtime.protocol import (
-    BatchInferenceRequest,
-    BatchInferenceResponse,
-    SchedulerAck,
-    decode_frame,
-    encode_frame,
-)
 from ..runtime.scheduler import EdgeScheduler, SchedulerConfig, run_concurrent_sessions
 from ..runtime.session import LCRSDeployment, SessionConfig
 
@@ -111,30 +104,6 @@ class ConcurrencySweepConfig:
             raise ValueError("num_workers must be at least 1")
         if not isinstance(self.session_config, SessionConfig):
             raise TypeError("session_config must be a SessionConfig")
-
-
-@dataclass(frozen=True)
-class WorkerScalingConfig:
-    """Everything one :func:`run_worker_scaling` sweep can vary."""
-
-    workers: tuple[int, ...] = (1, 2, 4)
-    requests: int = 16
-    batch_size: int = 4
-    measure: Optional[str] = None
-    mode: str = "sim"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", tuple(int(c) for c in self.workers))
-        if not self.workers or any(c < 1 for c in self.workers):
-            raise ValueError("workers must be a non-empty sequence of positive ints")
-        if self.requests < 1:
-            raise ValueError("requests must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.measure not in (None, "module", "plan"):
-            raise ValueError("measure must be None, 'module', or 'plan'")
-        if self.mode != "sim":
-            raise ValueError("mode must be 'sim' (the c workers are a simulated model)")
 
 
 @dataclass(frozen=True)
@@ -348,207 +317,4 @@ def run_concurrency(
                     service_model,
                 )
             )
-    return result
-
-
-# ----------------------------------------------------------------------
-# Worker scaling: trunk throughput vs pool size, cross-checked vs M/M/c
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerScalingPoint:
-    """One worker-pool size under a saturating, deterministic load.
-
-    ``capacity_ratio`` is measured throughput over the M/M/c service
-    capacity ``c / service_time`` at the same batch size — with the
-    request count an exact multiple of ``workers`` it should be 1.0,
-    which keeps :class:`~repro.runtime.concurrency.QueueModel` and the
-    scheduler's simulated clock priced off the same arithmetic.  Every
-    field is a model reading: the c workers are simulated lanes, and
-    the flush runs on the caller's thread.
-    """
-
-    workers: int
-    samples: int
-    batches: int
-    makespan_ms: float
-    throughput_rps: float
-    speedup_vs_serial: float
-    analytic_capacity_rps: float
-    capacity_ratio: float
-    bit_identical: bool
-    mean_queue_wait_ms: float
-    max_workers_busy: int
-    mode: str = "sim"
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "workers": self.workers,
-            "samples": self.samples,
-            "batches": self.batches,
-            "makespan_ms": self.makespan_ms,
-            "throughput_rps": self.throughput_rps,
-            "speedup_vs_serial": self.speedup_vs_serial,
-            "analytic_capacity_rps": self.analytic_capacity_rps,
-            "capacity_ratio": self.capacity_ratio,
-            "bit_identical": self.bit_identical,
-            "mean_queue_wait_ms": self.mean_queue_wait_ms,
-            "max_workers_busy": self.max_workers_busy,
-            "mode": self.mode,
-        }
-
-
-@dataclass
-class WorkerScalingResult:
-    """The worker sweep: one point per pool size, serial first."""
-
-    network: str
-    requests: int
-    batch_size: int
-    mode: str = "sim"
-    points: list[WorkerScalingPoint] = field(default_factory=list)
-
-    def point(self, workers: int) -> WorkerScalingPoint:
-        for p in self.points:
-            if p.workers == workers:
-                return p
-        raise KeyError(f"no point for workers={workers}")
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "network": self.network,
-            "requests": self.requests,
-            "batch_size": self.batch_size,
-            "mode": self.mode,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-
-def run_worker_scaling(
-    system,
-    images: np.ndarray,
-    config: Optional[WorkerScalingConfig] = None,
-    service_model: Optional[ServiceTimeModel] = None,
-) -> WorkerScalingResult:
-    """Sweep trunk worker-pool sizes under a saturating miss burst.
-
-    ``config`` (a :class:`WorkerScalingConfig`) shapes the sweep.
-    ``requests`` batch frames of exactly ``batch_size`` stem-feature
-    samples each (distinct tenants) all arrive at simulated t=0 with a
-    zero batching window, so every request forms its own full batch and
-    the pool is saturated from the first flush.  Makespan is then
-    ``ceil(requests / c) · batch_ms`` on the simulated clock, so
-    throughput scales ideally with ``c`` whenever ``c`` divides the
-    request count — measured against the M/M/c capacity per point and
-    against the serial run's predictions bit-for-bit.
-
-    ``measure`` opts into a *measured* service model when
-    ``service_model`` is not given: ``"module"`` times the edge endpoint
-    without compiled plans (its trunk interpreter), ``"plan"`` times the
-    trace-compiled trunk plan the edge endpoint actually replays (see
-    :func:`repro.runtime.concurrency.measure_service_model`).  The
-    default stays the analytic FLOPs model so the M/M/c cross-check is
-    machine-independent; pass ``measure="plan"`` when the numbers should
-    reflect the compiled-path service times of this host.
-
-    The c workers are a simulated model: every batch runs on the
-    caller's thread, and the sweep's speedups are capacity ratios of
-    the simulated clock, never wall-clock measurements.
-    """
-    from ..nn.autograd import Tensor, no_grad
-
-    cfg = config if config is not None else WorkerScalingConfig()
-    workers_sweep = cfg.workers
-    requests = cfg.requests
-    batch_size = cfg.batch_size
-    measure = cfg.measure
-    images = np.asarray(images, dtype=np.float32)
-    need = requests * batch_size
-    if len(images) == 0:
-        raise ValueError("need at least one image")
-    if len(images) < need:
-        reps = -(-need // len(images))
-        images = np.concatenate([images] * reps, axis=0)
-    images = images[:need]
-
-    # One shared stem pass: the sweep measures trunk serving, so every
-    # pool size replays the identical feature stacks.
-    model = system.model
-    model.eval()
-    with no_grad():
-        features = model.stem(Tensor(images)).data.astype(np.float32)
-
-    if service_model is None and measure is not None:
-        service_model = measure_service_model(
-            model.main_trunk,
-            tuple(features.shape[1:]),
-            batch_sizes=sorted({1, batch_size, 2 * batch_size}),
-            compile_plan=(measure == "plan"),
-        )
-
-    result = WorkerScalingResult(
-        network=model.base_name,
-        requests=requests,
-        batch_size=batch_size,
-        mode=cfg.mode,
-    )
-
-    serial_throughput: Optional[float] = None
-    serial_answers: Optional[tuple] = None
-    for c in workers_sweep:
-        scheduler = EdgeScheduler.for_system(
-            system,
-            service_model=service_model,
-            config=SchedulerConfig(
-                window_ms=0.0,
-                max_batch_size=batch_size,
-                queue_capacity=need,
-                num_workers=c,
-            ),
-        )
-        tickets: list[int] = []
-        for r in range(requests):
-            request = BatchInferenceRequest.from_features(
-                session_id=r + 1,
-                sequences=tuple(range(batch_size)),
-                codec_name="fp32",
-                features=features[r * batch_size : (r + 1) * batch_size],
-            )
-            ack = decode_frame(scheduler.submit(encode_frame(request), 0.0))
-            if not isinstance(ack, SchedulerAck):
-                raise RuntimeError(f"worker-scaling request shed: {ack}")
-            tickets.append(ack.ticket)
-        scheduler.flush()
-        answers: list[int] = []
-        for ticket in tickets:
-            raw, _wait = scheduler.collect(ticket)
-            reply = decode_frame(raw)
-            assert isinstance(reply, BatchInferenceResponse)
-            answers.extend(reply.class_ids)
-        answer_key = tuple(answers)
-
-        health = scheduler.health()
-        makespan_ms = scheduler.clock_ms
-        throughput = need / makespan_ms * 1e3 if makespan_ms > 0 else float("inf")
-        if serial_throughput is None:
-            serial_throughput, serial_answers = throughput, answer_key
-        queue = QueueModel.from_service_model(
-            scheduler.service_model, workers=c, batch_size=batch_size
-        )
-        capacity_rps = c / queue.service_time_s
-        result.points.append(
-            WorkerScalingPoint(
-                workers=c,
-                samples=need,
-                batches=health["batches"],
-                makespan_ms=makespan_ms,
-                throughput_rps=throughput,
-                speedup_vs_serial=throughput / serial_throughput,
-                analytic_capacity_rps=capacity_rps,
-                capacity_ratio=throughput / capacity_rps,
-                bit_identical=answer_key == serial_answers,
-                mean_queue_wait_ms=health["mean_queue_wait_ms"],
-                max_workers_busy=scheduler.worker_pool.max_busy,
-                mode=cfg.mode,
-            )
-        )
     return result

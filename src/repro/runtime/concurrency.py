@@ -8,7 +8,8 @@ request arrival rate — only binary-branch misses ever reach the server.
 This module models the edge as an M/M/c queue:
 
 * arrival rate ``λ = users · frame_rate · (1 − exit_rate)`` requests/s;
-* per-request service time from the trunk's FLOPs on one worker;
+* per-request service time from the trunk's FLOPs and per-layer
+  dispatch on one worker (:meth:`ServiceTimeModel.from_profile`);
 * ``c`` identical workers (cores of the E5-2640-class box).
 
 Outputs: utilization, Erlang-C waiting probability, mean/percentile
@@ -233,14 +234,18 @@ class EdgeLoadPoint:
     stable: bool
 
 
-def edge_service_time_s(
-    trunk_profile: NetworkProfile, edge: DeviceProfile = EDGE_SERVER
-) -> float:
-    """Per-request service time of the main trunk on one edge worker."""
-    total_ms = edge.compute_ms(trunk_profile.total_flops) + (
-        edge.layer_overhead_ms * len(trunk_profile)
-    )
-    return total_ms / 1e3
+def _edge_queue(
+    trunk_profile: NetworkProfile, workers: int, edge: DeviceProfile
+) -> QueueModel:
+    """The edge box as ``workers`` servers of one-request trunk passes.
+
+    The request price is :meth:`ServiceTimeModel.from_profile` without
+    the request-handling overhead: FLOPs plus per-layer dispatch.
+    DeviceProfile throughput describes the whole box; one worker owns
+    1/workers of it, so its per-request service time is scaled up.
+    """
+    model = ServiceTimeModel.from_profile(trunk_profile, edge, request_overhead_ms=0.0)
+    return QueueModel(workers=workers, service_time_s=model.service_time_s(1) * workers)
 
 
 def edge_load_curve(
@@ -258,10 +263,7 @@ def edge_load_curve(
     """
     if not 0.0 <= exit_rate <= 1.0:
         raise ValueError("exit_rate must be in [0, 1]")
-    # DeviceProfile throughput describes the whole box; one worker owns
-    # 1/workers of it, so its per-request service time is scaled up.
-    per_worker = edge_service_time_s(trunk_profile, edge) * workers
-    queue = QueueModel(workers=workers, service_time_s=per_worker)
+    queue = _edge_queue(trunk_profile, workers, edge)
     points = []
     for users in user_counts:
         arrival = users * frame_rate_hz * (1.0 - exit_rate)
@@ -296,7 +298,6 @@ def max_sustainable_users(
     """
     if exit_rate >= 1.0:
         return math.inf
-    per_worker = edge_service_time_s(trunk_profile, edge) * workers  # see edge_load_curve
-    queue = QueueModel(workers=workers, service_time_s=per_worker)
+    queue = _edge_queue(trunk_profile, workers, edge)
     capacity = utilization_cap * queue.workers * queue.service_rate
     return capacity / (frame_rate_hz * (1.0 - exit_rate))

@@ -60,10 +60,12 @@ def _encode_fp32(features: np.ndarray) -> bytes:
 
 
 def _decode_fp32(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only view of the payload: ``decode_frame`` already copied
+    it into the request's own ``bytes``, so no second copy is made."""
     expected = int(np.prod(shape)) * 4
     if len(payload) != expected:
         raise CodecError(f"fp32 payload is {len(payload)}B, expected {expected}B")
-    return np.frombuffer(payload, dtype=np.float32).reshape(shape).copy()
+    return np.frombuffer(payload, dtype=np.float32).reshape(shape)
 
 
 def _encode_fp16(features: np.ndarray) -> bytes:

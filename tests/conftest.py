@@ -75,9 +75,9 @@ def trained_system(tiny_mnist) -> LCRS:
 def golden_system() -> LCRS:
     """The same recipe, loaded from the committed one-thread checkpoint.
 
-    Only the golden suites use it: their fixtures pin decisions that the
-    host BLAS would otherwise move through training (see
-    ``golden_system.py``).  With ``REPRO_REGEN_GOLDEN`` set, the checkpoint
+    Only the golden suites and the committed capacity-record pins use
+    it: their fixtures pin decisions that the host BLAS would otherwise
+    move through training (see ``golden_system.py``).  With ``REPRO_REGEN_GOLDEN`` set, the checkpoint
     is first retrained in a subprocess with ``OPENBLAS_NUM_THREADS=1``.
     """
     if os.environ.get("REPRO_REGEN_GOLDEN"):

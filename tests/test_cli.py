@@ -242,7 +242,7 @@ class TestFleetCommand:
         assert {"capacity", "partition", "planning"} <= set(record)
         points = record["capacity"]["points"]
         assert [p["shards"] for p in points] == [1, 2]
-        assert points[0]["bit_identical_to_bare"] is True
+        assert all(p["bit_identical"] is True for p in points)
         assert record["partition"]["all_samples_served"] is True
 
     def test_fleet_rejects_indivisible_requests(self, checkpoint, capsys):

@@ -7,10 +7,10 @@ import pytest
 
 from repro.experiments import build_network_assets
 from repro.runtime import (
+    EDGE_SERVER,
     QueueModel,
     ServiceTimeModel,
     edge_load_curve,
-    edge_service_time_s,
     max_sustainable_users,
     measure_service_model,
 )
@@ -60,7 +60,8 @@ class TestQueueModel:
 
 class TestEdgeLoad:
     def test_service_time_positive(self, trunk_profile):
-        assert edge_service_time_s(trunk_profile) > 0
+        model = ServiceTimeModel.from_profile(trunk_profile, request_overhead_ms=0.0)
+        assert model.service_time_s(1) > 0
 
     def test_exit_rate_scales_capacity(self, trunk_profile):
         edge_only = max_sustainable_users(trunk_profile, exit_rate=0.0)
@@ -115,12 +116,28 @@ class TestServiceTimeModel:
             0.25 / 1e3, rel=1e-2
         )
 
-    def test_from_profile_matches_edge_service_time(self, trunk_profile):
-        model = ServiceTimeModel.from_profile(trunk_profile, request_overhead_ms=0.0)
-        assert model.service_time_s(1) == pytest.approx(
-            edge_service_time_s(trunk_profile), rel=1e-9
+    def test_load_curve_prices_flops_plus_layer_dispatch(self, trunk_profile):
+        """The curves price one request at exactly compute + per-layer
+        dispatch on one worker's share of the box, with no request
+        overhead — pinned with ``==`` so the load study stays bit-equal."""
+        edge, workers, exit_rate = EDGE_SERVER, 12, 0.79
+        request_ms = edge.compute_ms(trunk_profile.total_flops) + (
+            edge.layer_overhead_ms * len(trunk_profile)
         )
-        assert ServiceTimeModel.from_profile(trunk_profile).base_ms > model.base_ms
+        queue = QueueModel(workers=workers, service_time_s=request_ms / 1e3 * workers)
+        for point in edge_load_curve(trunk_profile, exit_rate, [100, 1000, 5000]):
+            assert point.utilization == queue.utilization(point.arrival_rate)
+            response = queue.mean_response_s(point.arrival_rate)
+            assert point.mean_response_ms == (
+                response * 1e3 if math.isfinite(response) else math.inf
+            )
+        assert max_sustainable_users(trunk_profile, exit_rate) == (
+            0.8 * workers * queue.service_rate / (1.0 - exit_rate)
+        )
+        overhead = ServiceTimeModel.from_profile(trunk_profile)
+        assert overhead.base_ms > ServiceTimeModel.from_profile(
+            trunk_profile, request_overhead_ms=0.0
+        ).base_ms
 
     def test_from_measurements_recovers_affine_fit(self):
         truth = ServiceTimeModel(base_ms=3.0, per_sample_ms=0.7)

@@ -9,6 +9,9 @@ a fleet with a mid-run shard partition, plus the
 :mod:`repro.experiments.fleet` harnesses end to end.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -556,30 +559,78 @@ class TestFleetSessionsIntegration:
         assert "shard-down" in events
 
     def test_fleet_capacity_matches_mmc_and_scales(self, trained_system, tiny_mnist):
-        from repro.experiments import run_fleet_capacity
+        from repro.experiments import run_capacity_sweep
 
         _, test = tiny_mnist
-        result = run_fleet_capacity(
+        result = run_capacity_sweep(
             trained_system,
             test.images,
-            shard_counts=(1, 2, 4),
+            shards=(1, 2, 4),
             requests=16,
             batch_size=4,
         )
         for point in result.points:
-            assert point.per_shard_capacity_ratio == pytest.approx(1.0, rel=0.10)
-            assert point.fleet_capacity_ratio == pytest.approx(1.0, rel=0.10)
-        assert result.point(1).bit_identical_to_bare is True
-        assert result.point(4).speedup_vs_single >= 3.0
+            assert point.worst_shard_ratio == pytest.approx(1.0, rel=0.10)
+            assert point.capacity_ratio == pytest.approx(1.0, rel=0.10)
+            assert point.bit_identical is True
+        assert result.point(shards=4).speedup >= 3.0
 
     def test_capacity_rejects_indivisible_requests(self, trained_system, tiny_mnist):
-        from repro.experiments import run_fleet_capacity
+        from repro.experiments import run_capacity_sweep
 
         _, test = tiny_mnist
         with pytest.raises(ValueError, match="divide evenly"):
-            run_fleet_capacity(
-                trained_system, test.images, shard_counts=(3,), requests=16
+            run_capacity_sweep(trained_system, test.images, shards=(3,), requests=16)
+        with pytest.raises(ValueError, match="divide evenly"):
+            run_capacity_sweep(
+                trained_system, test.images, shards=(2,), workers=(3,), requests=16
             )
+        with pytest.raises(ValueError, match="positive"):
+            run_capacity_sweep(trained_system, test.images, workers=(0,))
+
+
+class TestCommittedCapacityRecords:
+    """The committed ``make bench-par`` / ``make bench-fleet`` capacity
+    points re-run exactly on the golden checkpoint: the simulated clock
+    prices only the trunk's FLOPs and layer count, never its weights, so
+    a stale record fails here instead of in the next benchmark change."""
+
+    PINNED = (
+        "makespan_ms",
+        "throughput_rps",
+        "speedup",
+        "capacity_ratio",
+        "worst_shard_ratio",
+        "batches",
+        "max_workers_busy",
+    )
+
+    @pytest.mark.parametrize(
+        "record,section",
+        [("BENCH_parallel.json", "worker_scaling"), ("BENCH_fleet.json", "capacity")],
+    )
+    def test_sweep_matches_committed_record(
+        self, golden_system, tiny_mnist, record, section
+    ):
+        from repro.experiments import run_capacity_sweep
+
+        root = Path(__file__).resolve().parent.parent
+        committed = json.loads((root / record).read_text())["results"][section]
+        points = committed["points"]
+        result = run_capacity_sweep(
+            golden_system,
+            tiny_mnist[1].images,
+            shards=sorted({p["shards"] for p in points}),
+            workers=sorted({p["workers"] for p in points}),
+            requests=committed["requests"],
+            batch_size=committed["batch_size"],
+        )
+        assert [(p.shards, p.workers) for p in result.points] == [
+            (p["shards"], p["workers"]) for p in points
+        ]
+        for point, pinned in zip(result.points, points):
+            for name in self.PINNED:
+                assert getattr(point, name) == pinned[name], (record, name)
 
 
 class TestCapacityPlanning:
@@ -629,26 +680,14 @@ class TestSweepConfigs:
         with pytest.raises(TypeError):
             ConcurrencySweepConfig(session_config={"batch_size": 4})
 
-    def test_worker_scaling_config_validation(self):
-        from repro.experiments import WorkerScalingConfig
-
-        with pytest.raises(ValueError):
-            WorkerScalingConfig(workers=(0,))
-        with pytest.raises(ValueError):
-            WorkerScalingConfig(measure="magic")
-        with pytest.raises(ValueError):
-            WorkerScalingConfig(mode="dry-run")
-
     def test_configs_are_frozen_and_normalized(self):
-        from repro.experiments import ConcurrencySweepConfig, WorkerScalingConfig
+        from repro.experiments import ConcurrencySweepConfig
 
         cfg = ConcurrencySweepConfig(users=[1, 2], windows_ms=[0.0])
         assert cfg.users == (1, 2)
         assert cfg.windows_ms == (0.0,)
         with pytest.raises(AttributeError):
             cfg.users = (4,)
-        wcfg = WorkerScalingConfig(workers=[1, 2])
-        assert wcfg.workers == (1, 2)
 
 
 class TestBurnRateAutoscaler:

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.experiments import WorkerScalingConfig, run_worker_scaling
+from repro.experiments import run_capacity_sweep
 from repro.runtime import (
     EdgeScheduler,
     LCRSDeployment,
@@ -229,7 +229,7 @@ class TestParallelScheduler:
 # Integration tier: trained system, sessions, and the scaling sweep
 # ----------------------------------------------------------------------
 @pytest.mark.slow
-class TestWorkerScalingIntegration:
+class TestWorkerSweepIntegration:
     def test_scheduled_sessions_bit_identical_across_workers(self, trained_system, tiny_mnist):
         _, test = tiny_mnist
         images = test.images[:12]
@@ -259,16 +259,18 @@ class TestWorkerScalingIntegration:
         bit-identical predictions, and measured throughput matching the
         M/M/c capacity when c divides the request count."""
         _, test = tiny_mnist
-        result = run_worker_scaling(
+        result = run_capacity_sweep(
             trained_system,
             test.images[:64],
-            config=WorkerScalingConfig(workers=(1, 2, 4), requests=16, batch_size=4),
+            workers=(1, 2, 4),
+            requests=16,
+            batch_size=4,
         )
-        serial = result.point(1)
-        assert serial.speedup_vs_serial == pytest.approx(1.0)
-        assert result.point(2).speedup_vs_serial == pytest.approx(2.0, rel=1e-6)
-        quad = result.point(4)
-        assert quad.speedup_vs_serial >= 2.5
+        serial = result.point(workers=1)
+        assert serial.speedup == pytest.approx(1.0)
+        assert result.point(workers=2).speedup == pytest.approx(2.0, rel=1e-6)
+        quad = result.point(workers=4)
+        assert quad.speedup >= 2.5
         for p in result.points:
             assert p.bit_identical
             assert p.samples == 64

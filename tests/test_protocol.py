@@ -145,6 +145,72 @@ class TestBatchMessages:
             BatchInferenceResponse(1, (0, 1), (3,), (0.5,)).pack()
 
 
+class TestFp32DecodeIsReadOnlyView:
+    """fp32 decodes to a read-only view of the request's own payload
+    (``decode_frame`` already copied it out of the frame).  The edge
+    must serve that view exactly as it serves a writable copy — plan on
+    and off, through the direct server and through the scheduler — and
+    must never write to it."""
+
+    def test_decoded_features_view_the_payload(self):
+        features = np.arange(2 * 3 * 4 * 4, dtype=np.float32).reshape(2, 3, 4, 4)
+        frame = encode_frame(
+            BatchInferenceRequest.from_features(1, [0, 1], "fp32", features)
+        )
+        request = decode_frame(frame)
+        decoded = request.features()
+        assert not decoded.flags.writeable
+        assert np.shares_memory(decoded, np.frombuffer(request.payload, np.uint8))
+        assert decoded.tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize("compile_plan", [True, False])
+    def test_edge_serves_the_view_bit_identically(
+        self, trained_system, tiny_mnist, compile_plan
+    ):
+        from repro.nn.autograd import Tensor, no_grad
+        from repro.runtime import (
+            EdgeEndpoint,
+            EdgeScheduler,
+            SchedulerAck,
+            SchedulerConfig,
+            ServiceTimeModel,
+        )
+        from repro.runtime.protocol import reply_fields
+
+        _, test = tiny_mnist
+        model = trained_system.model
+        model.eval()
+        with no_grad():
+            features = model.forward_features(Tensor(test.images[:8])).data
+        endpoint = EdgeEndpoint(model.main_trunk, compile_plan=compile_plan)
+        class_ids, confidences = reply_fields(endpoint.infer(features.copy()))
+        frame = encode_frame(
+            BatchInferenceRequest.from_features(5, list(range(8)), "fp32", features)
+        )
+
+        view = decode_frame(frame).features()
+        before = view.tobytes()
+        assert reply_fields(endpoint.infer(view)) == (class_ids, confidences)
+        assert view.tobytes() == before
+
+        direct = decode_frame(EdgeProtocolServer(endpoint).handle(frame))
+        assert isinstance(direct, BatchInferenceResponse)
+        assert direct.class_ids == tuple(class_ids)
+        assert direct.confidences == tuple(confidences)
+
+        scheduler = EdgeScheduler(
+            endpoint,
+            ServiceTimeModel(base_ms=0.5, per_sample_ms=0.1),
+            SchedulerConfig(window_ms=0.0, max_batch_size=8),
+        )
+        ack = decode_frame(scheduler.submit(frame, 0.0))
+        assert isinstance(ack, SchedulerAck)
+        scheduler.flush()
+        scheduled = decode_frame(scheduler.collect(ack.ticket)[0])
+        assert scheduled.class_ids == tuple(class_ids)
+        assert scheduled.confidences == tuple(confidences)
+
+
 class TestEdgeProtocolServer:
     @pytest.fixture
     def server(self, trained_system):
