@@ -60,10 +60,19 @@ def labeled(name: str, **labels: object) -> str:
     registry (e.g. the N shard schedulers of a fleet); with no labels the
     bare name comes back unchanged, so single-instance callers keep their
     historical series names bit-for-bit.  Label keys are sorted so the
-    same label set always produces the same series name.
+    same label set always produces the same series name.  A label value
+    must be a ``str`` or an ``int``: any other value would be written
+    through its ``repr`` (an object address, say), which no reader could
+    name again, so it raises :class:`TypeError`.
     """
     if not labels:
         return name
+    for key, value in labels.items():
+        if not isinstance(value, (str, int)):
+            raise TypeError(
+                f"label {key}={value!r} of {name!r} must be a str or an int, "
+                f"not {type(value).__name__}"
+            )
     inner = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
     return f"{name}{{{inner}}}"
 

@@ -60,12 +60,12 @@ from ..observability.slo import BurnRatePolicy, SloMonitor, default_fleet_slos
 from ..observability.windows import DEAD_BAND, OVER, UNDER, Hysteresis
 from .network import FAULT_PROFILES, FrameDropped, FrameTimeout, NetworkLink, faulty
 from .protocol import (
-    BatchInferenceRequest,
     ErrorResponse,
     ProtocolError,
     SchedulerAck,
     decode_frame,
     encode_frame,
+    peek_session,
 )
 from .scheduler import EdgeScheduler, SchedulerConfig
 from .tau_control import TauControlConfig, TauController
@@ -652,13 +652,6 @@ class FleetRouter:
             tau=self._tau.describe() if self._tau is not None else None,
         )
 
-    def analytic_capacity_rps(self, batch_size: int = 1) -> float:
-        """The M/M/c·N bound: active shards × per-shard capacity."""
-        any_shard = next(iter(self._shards.values()))
-        model = any_shard.scheduler.service_model
-        c = self.config.scheduler.num_workers
-        return len(self.active_shard_ids) * c / model.service_time_s(batch_size)
-
     # -- membership ----------------------------------------------------
     def _record(self, event: str, **detail: object) -> None:
         self.events.append({"round": self.rounds, "event": event, **detail})
@@ -852,22 +845,24 @@ class FleetRouter:
         fleet's: a 503 naming an unreachable shard when the control link
         eats the frame.  Accepted frames return the shard's ack with the
         ticket renumbered into the fleet-global space.
+
+        The router reads only the request header
+        (:func:`~repro.runtime.protocol.peek_session`, which refuses the
+        frames a full decode would), so the shard's decode is the
+        request's only full one.
         """
         try:
-            message = decode_frame(frame)
+            kind, session_id = peek_session(frame)
         except ProtocolError as exc:
             return encode_frame(ErrorResponse(code=400, message=str(exc)))
-        if not isinstance(message, BatchInferenceRequest):
+        if session_id is None:
             return encode_frame(
                 ErrorResponse(
                     code=405,
-                    message=(
-                        "fleet serves batched inference only, got "
-                        f"{type(message).__name__}"
-                    ),
+                    message=f"fleet serves batched inference only, got {kind.__name__}",
                 )
             )
-        shard = self.route(message.session_id)
+        shard = self.route(session_id)
         scheduler = shard.scheduler
         try:
             raw = shard.link.exchange(

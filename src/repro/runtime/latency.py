@@ -299,6 +299,7 @@ def simulate_plan(
         plan = PricedPlan.of(plan.plan, browser, edge)
 
     has_miss_steps = bool(plan.plan.miss_steps)
+    tier = int(quality_tier)
     samples: list[SampleCost] = []
     for i in range(num_samples):
         compute = 0.0
@@ -320,15 +321,17 @@ def simulate_plan(
         queued = float(queue_ms[i]) if queue_ms is not None else 0.0
         comm += retries + queued
 
+        # Positional, in declaration order: this runs once per frame, and
+        # keywords cost the frozen record about a microsecond more.
         samples.append(
             SampleCost(
-                total_ms=compute + comm,
-                compute_ms=compute,
-                communication_ms=comm,
-                exited_locally=None if missed is None else not missed,
-                retry_ms=retries,
-                queue_ms=queued,
-                quality_tier=int(quality_tier),
+                compute + comm,
+                compute,
+                comm,
+                None if missed is None else not missed,
+                retries,
+                queued,
+                tier,
             )
         )
     return SessionTrace(

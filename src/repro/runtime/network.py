@@ -23,6 +23,21 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
+def _generator(link) -> np.random.Generator:
+    """A link's random generator, built from its ``seed`` on first use.
+
+    A link draws only when it jitters or carries a frame through fault
+    injection.  Every session wraps its link afresh, and a session whose
+    frames all exit in the browser never draws, so an eager generator
+    (about 17 µs) would be paid for nothing.  The draws see the same
+    stream as a generator built at construction.
+    """
+    rng = link._rng
+    if rng is None:
+        rng = link._rng = np.random.default_rng(link.seed)
+    return rng
+
+
 class LinkFault(ConnectionError):
     """A frame exchange failed at the transport level."""
 
@@ -62,7 +77,8 @@ class NetworkLink:
             raise ValueError("bandwidths must be positive")
         if self.rtt_ms < 0:
             raise ValueError("rtt_ms must be non-negative")
-        self._rng = np.random.default_rng(self.seed)
+        #: Built from ``seed`` on the first jitter draw (see :func:`_generator`).
+        self._rng: Optional[np.random.Generator] = None
         #: Faults injected during the most recent :meth:`exchange` call.
         self.last_faults: tuple[str, ...] = ()
 
@@ -78,7 +94,7 @@ class NetworkLink:
     def _jitter(self) -> float:
         if self.jitter_sigma <= 0:
             return 1.0
-        return float(self._rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
+        return float(_generator(self).lognormal(mean=0.0, sigma=self.jitter_sigma))
 
     def download_ms(self, num_bytes: float) -> float:
         """Edge/cloud → browser transfer time, including half an RTT."""
@@ -166,7 +182,8 @@ class FaultyLink:
             unknown = set(self.script) - set(self._FAULT_KINDS)
             if unknown:
                 raise ValueError(f"unknown scripted faults: {sorted(unknown)}")
-        self._rng = np.random.default_rng(self.seed)
+        #: Built from ``seed`` on the first fault draw (see :func:`_generator`).
+        self._rng: Optional[np.random.Generator] = None
         self._script_pos = 0
         self.last_faults: tuple[str, ...] = ()
 
@@ -198,7 +215,8 @@ class FaultyLink:
                 self._script_pos += 1
                 return kind
             return "ok"
-        u = float(self._rng.random())
+        rng = _generator(self)
+        u = float(rng.random())
         if u < self.drop_prob:
             return "drop"
         u -= self.drop_prob
@@ -207,7 +225,7 @@ class FaultyLink:
         u -= self.timeout_prob
         if u < self.corrupt_prob:
             return "corrupt"
-        if self.duplicate_prob > 0 and float(self._rng.random()) < self.duplicate_prob:
+        if self.duplicate_prob > 0 and float(rng.random()) < self.duplicate_prob:
             return "duplicate"
         return "ok"
 
@@ -216,8 +234,9 @@ class FaultyLink:
         # decode time (the protocol carries no payload checksum; header
         # corruption is the crisp, deterministic failure model).
         mangled = bytearray(frame)
-        idx = int(self._rng.integers(0, min(4, len(mangled)) or 1))
-        mangled[idx] ^= int(self._rng.integers(1, 256))
+        rng = _generator(self)
+        idx = int(rng.integers(0, min(4, len(mangled)) or 1))
+        mangled[idx] ^= int(rng.integers(1, 256))
         return bytes(mangled)
 
     def exchange(self, frame: bytes, handler: Callable[[bytes], bytes]) -> bytes:

@@ -44,6 +44,10 @@ Wire cost rules, which keep the miss path cheap without changing a byte:
   logits into the class ids and confidences of a
   ``BatchInferenceResponse``, for the protocol server and the shared
   scheduler alike.
+* **Route on the header.**  :func:`peek_session` reads a request's
+  session id with the same checks as :func:`decode_frame`, so a fleet
+  router places a request without decoding it, and the shard's decode
+  is the only full one.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -129,8 +133,14 @@ class BatchInferenceRequest(_Packed):
         header = json.dumps(meta).encode("utf-8")
         return (_U32.pack(len(header)), header, self.payload)
 
-    @classmethod
-    def unpack(cls, body) -> "BatchInferenceRequest":
+    @staticmethod
+    def _header(body) -> tuple:
+        """The checked header of a request body: ``(session_id, sequences,
+        codec, feature_shape, trace_id, payload offset)``.
+
+        Every check :meth:`unpack` makes is made here, so a frame whose
+        header passes is one that decodes.
+        """
         if len(body) < 4:
             raise ProtocolError("truncated batch inference request")
         (hlen,) = _U32.unpack_from(body)
@@ -142,23 +152,25 @@ class BatchInferenceRequest(_Packed):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"bad batch request header: {exc}") from exc
         try:
-            request = cls(
-                session_id=int(meta["session_id"]),
-                sequences=tuple(map(int, meta["sequences"])),
-                codec=str(meta["codec"]),
-                feature_shape=tuple(map(int, meta["shape"])),
-                payload=bytes(body[end:]),
-                trace_id=str(meta.get("trace_id", "")),
-            )
+            session_id = int(meta["session_id"])
+            sequences = tuple(map(int, meta["sequences"]))
+            codec = str(meta["codec"])
+            shape = tuple(map(int, meta["shape"]))
+            trace_id = str(meta.get("trace_id", ""))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # Valid JSON, wrong schema (missing/mistyped fields, or an
             # ``Infinity`` where an int belongs): still a malformed frame,
             # not a server crash.
             raise ProtocolError(f"bad batch request header fields: {exc!r}") from exc
-        ids = (request.session_id, *request.sequences)
+        ids = (session_id, *sequences)
         if min(ids) < 0 or max(ids) >= 1 << 64:
             raise ProtocolError("batch request ids must fit in u64")
-        return request
+        return session_id, sequences, codec, shape, trace_id, end
+
+    @classmethod
+    def unpack(cls, body) -> "BatchInferenceRequest":
+        session_id, sequences, codec, shape, trace_id, end = cls._header(body)
+        return cls(session_id, sequences, codec, shape, bytes(body[end:]), trace_id)
 
     def features(self) -> np.ndarray:
         """Decode the carried feature stack through the named codec.
@@ -243,12 +255,7 @@ class BatchInferenceResponse(_Packed):
         rows = struct.unpack_from(
             "<%dQ%di%df" % (count, count, count), body, cls._HEAD.size
         )
-        return cls(
-            session_id=session_id,
-            sequences=rows[:count],
-            class_ids=rows[count : 2 * count],
-            confidences=rows[2 * count :],
-        )
+        return cls(session_id, rows[:count], rows[count : 2 * count], rows[2 * count :])
 
 
 @dataclass(frozen=True)
@@ -278,8 +285,7 @@ class SchedulerAck(_Packed):
     def unpack(cls, body) -> "SchedulerAck":
         if len(body) != cls._BODY.size:
             raise ProtocolError("bad scheduler ack size")
-        session_id, ticket, queued = cls._BODY.unpack(body)
-        return cls(session_id=session_id, ticket=ticket, queued_samples=queued)
+        return cls(*cls._BODY.unpack(body))
 
 
 @dataclass(frozen=True)
@@ -376,12 +382,12 @@ def encode_frame(message: Message) -> bytes:
     return b"".join((head, *parts))
 
 
-def decode_frame(frame) -> Message:
-    """Parse one frame (``bytes``, ``bytearray`` or ``memoryview``).
+def _frame_body(frame) -> tuple[int, memoryview]:
+    """The message type and body of one frame, after the frame checks.
 
-    The body is read through a ``memoryview``, so the decoder copies a
-    payload at most once.  Raises :class:`ProtocolError` on any
-    corruption.
+    The body is a ``memoryview`` of the frame, so nothing is copied.
+    Raises :class:`ProtocolError` on a bad header, a length mismatch or
+    an unknown message type.
     """
     view = memoryview(frame).cast("B")
     if len(view) < _HEADER.size:
@@ -394,10 +400,37 @@ def decode_frame(frame) -> Message:
     size = len(view) - _HEADER.size
     if size != length:
         raise ProtocolError(f"frame length mismatch: header says {length}, got {size}")
-    decoder = _DECODERS.get(mtype)
-    if decoder is None:
+    if mtype not in _DECODERS:
         raise ProtocolError(f"unknown message type {mtype}")
-    return decoder(view[_HEADER.size :])
+    return mtype, view[_HEADER.size :]
+
+
+def decode_frame(frame) -> Message:
+    """Parse one frame (``bytes``, ``bytearray`` or ``memoryview``).
+
+    The body is read through a ``memoryview``, so the decoder copies a
+    payload at most once.  Raises :class:`ProtocolError` on any
+    corruption.
+    """
+    mtype, body = _frame_body(frame)
+    return _DECODERS[mtype](body)
+
+
+def peek_session(frame) -> tuple[type, Optional[int]]:
+    """The message class of one frame and, for a batch inference
+    request, the session id in its header.
+
+    A router places a request by its session id alone, so this reads the
+    request header without copying the payload or building the request.
+    It raises :class:`ProtocolError` on exactly the frames
+    :func:`decode_frame` rejects: the frame checks and the request
+    header's checks are the same code.  A frame of any other type is
+    decoded in full and comes back with ``None``.
+    """
+    mtype, body = _frame_body(frame)
+    if mtype == MessageType.BATCH_INFERENCE_REQUEST:
+        return BatchInferenceRequest, BatchInferenceRequest._header(body)[0]
+    return type(_DECODERS[mtype](body)), None
 
 
 def reply_fields(logits: np.ndarray) -> tuple[list[int], list[float]]:

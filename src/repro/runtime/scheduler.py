@@ -38,6 +38,7 @@ batches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -508,8 +509,9 @@ class EdgeScheduler:
 
         for batch in batches:
             wall0 = now_ms() if rec.enabled else 0.0
+            stacks = [q.request.features() for q in batch.chosen]
             logits = self.endpoint.infer(
-                np.concatenate([q.request.features() for q in batch.chosen], axis=0)
+                stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=0)
             )
             infer_wall_ms = now_ms() - wall0 if rec.enabled else 0.0
             # The protocol server's reply helper, so scheduled answers
@@ -587,6 +589,17 @@ class EdgeScheduler:
         return self._results.pop(ticket)
 
 
+@functools.lru_cache(maxsize=None)
+def _session_series(base: str, shard: Optional[int], suffix: str = "") -> str:
+    """Registry name of one ``session.*`` series: ``session.<base><suffix>``,
+    shard-labeled when the sessions run against one shard's scheduler.
+
+    Cached, so a round resolves its series without formatting a name.
+    """
+    name = f"session.{base}{suffix}"
+    return labeled(name, shard=shard) if shard is not None else name
+
+
 def _browser_chunk_ms(ctx, count: int) -> float:
     """Deterministic estimate of a chunk's local compute time.
 
@@ -658,17 +671,13 @@ def run_concurrent_sessions(
     # served each sample and the running fallback fraction.
     # ``scheduler`` may be a FleetRouter, whose registry these series
     # share with no shard identity (they aggregate the whole fleet;
-    # sessions move across shards).
+    # sessions move across shards).  Only a shard's own scheduler labels
+    # them: the router's ``shard`` is its shard lookup method.
     registry = scheduler.registry
-    shard = getattr(scheduler, "shard", None)
-    session_labels = {"shard": shard} if shard is not None else {}
-    samples_c = registry.counter(labeled("session.samples", **session_labels))
-    fallback_c = registry.counter(
-        labeled("session.fallback_samples", **session_labels)
-    )
-    fallback_rate_g = registry.gauge(
-        labeled("session.fallback_rate", **session_labels)
-    )
+    shard = scheduler.shard if isinstance(scheduler, EdgeScheduler) else None
+    samples_c = registry.counter(_session_series("samples", shard))
+    fallback_c = registry.counter(_session_series("fallback_samples", shard))
+    fallback_rate_g = registry.gauge(_session_series("fallback_rate", shard))
     served_by_c: dict[str, Counter] = {}
     sessions: list[_SessionState] = []
     for deployment, images in zip(deployments, streams):
@@ -757,7 +766,7 @@ def run_concurrent_sessions(
                     counter = served_by_c.get(who)
                     if counter is None:
                         counter = registry.counter(
-                            labeled(f"session.served_by.{who}", **session_labels)
+                            _session_series("served_by.", shard, who)
                         )
                         served_by_c[who] = counter
                     counter.add(1)

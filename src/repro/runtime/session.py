@@ -1160,15 +1160,16 @@ class LCRSDeployment:
                 pending.entropies.tolist(),
             )
         ):
+            # Positional, in declaration order (a per-frame record).
             outcomes.append(
                 RecognitionOutcome(
-                    index=pending.start + j,
-                    prediction=prediction,
-                    exited_locally=not miss,
-                    entropy=entropy,
-                    cost=cost,
-                    served_by=miss_served if miss else branch_served,
-                    attempts=pending.attempts if miss else 0,
+                    pending.start + j,
+                    prediction,
+                    not miss,
+                    entropy,
+                    cost,
+                    miss_served if miss else branch_served,
+                    pending.attempts if miss else 0,
                 )
             )
         if pending.root is not None:

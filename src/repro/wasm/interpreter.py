@@ -596,20 +596,18 @@ class WasmModel:
         when compilation or bit-identity verification failed — callers
         fall back to :meth:`forward`, which stays the reference path.
         """
-        from .plan import compile_wasm_plan
-
         batch_size = int(batch_size)
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        capacity = 1
-        while capacity < batch_size:
-            capacity *= 2
+        capacity = 1 << (batch_size - 1).bit_length()
         with self._plan_cache_lock:
             cached = self._plan_cache.get(capacity, _PLAN_UNSET)
             if cached is not _PLAN_UNSET:
                 self._plan_cache_stats["hits"] += 1
                 self._plan_cache.move_to_end(capacity)
                 return cached
+            from .plan import compile_wasm_plan
+
             self._plan_cache_stats["misses"] += 1
             try:
                 plan = compile_wasm_plan(self, capacity)

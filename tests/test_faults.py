@@ -12,9 +12,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.runtime import (
     FAULT_COUNTERS,
+    FAULT_PROFILES,
     SERVED_BY_BRANCH,
     SERVED_BY_EDGE,
     SERVED_BY_FALLBACK,
@@ -156,6 +158,69 @@ class TestFaultyLink:
 
         assert run(11) == run(11)
         assert run(11) != run(12)
+
+    def test_link_that_never_exchanges_builds_no_generator(self, monkeypatch):
+        built = []
+        real = np.random.default_rng
+
+        def counting(seed=None):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        link = faulty(four_g(seed=3).deterministic(), "harsh", seed=9)
+        link.upload_ms(4096)
+        link.download_ms(4096)
+        link.reseeded(4).deterministic()
+        assert built == []
+        # A jitter-free link never draws, so it never builds one either.
+        four_g(seed=3).deterministic().upload_ms(4096)
+        assert built == []
+        link.exchange(b"LCRPframe", lambda f: b"R")
+        assert built == [9]
+
+    @given(
+        profile=st.sampled_from(sorted(FAULT_PROFILES)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        draws=st.integers(min_value=0, max_value=40),
+    )
+    @example(profile="none", seed=0, draws=0)
+    @example(profile="harsh", seed=7, draws=40)
+    def test_lazy_fault_stream_is_the_eager_stream(self, profile, seed, draws):
+        """The generator is built on the first draw, from the same seed,
+        so the faults (and each corrupted frame's bytes) are the ones a
+        generator built at construction gives."""
+        frame = b"LCRPframe"
+        link = faulty(four_g(seed=1), profile, seed=seed)
+        p = FAULT_PROFILES[profile]
+        drop, timeout = p.get("drop_prob", 0.0), p.get("timeout_prob", 0.0)
+        corrupt, duplicate = p.get("corrupt_prob", 0.0), p.get("duplicate_prob", 0.0)
+        eager = np.random.default_rng(seed)
+        for _ in range(draws):
+            # Timing draws come from the wrapped link's own generator.
+            link.upload_ms(len(frame))
+            u = float(eager.random())
+            if u < drop:
+                expected = ("drop", [])
+            elif u - drop < timeout:
+                expected = ("timeout", [frame])
+            elif u - drop - timeout < corrupt:
+                mangled = bytearray(frame)
+                mangled[int(eager.integers(0, 4))] ^= int(eager.integers(1, 256))
+                expected = ("corrupt", [bytes(mangled)])
+            elif duplicate > 0 and float(eager.random()) < duplicate:
+                expected = ("duplicate", [frame, frame])
+            else:
+                expected = ("ok", [frame])
+            seen: list[bytes] = []
+            try:
+                link.exchange(frame, lambda f: seen.append(f) or b"R")
+                kind = "/".join(link.last_faults) or "ok"
+            except FrameDropped:
+                kind = "drop"
+            except FrameTimeout:
+                kind = "timeout"
+            assert (kind, seen) == expected
 
     def test_timing_delegates_to_wrapped_link(self):
         plain = four_g(seed=3)

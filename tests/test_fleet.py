@@ -39,6 +39,7 @@ from repro.runtime.protocol import (
     BatchInferenceRequest,
     BatchInferenceResponse,
     ErrorResponse,
+    ModelRequest,
     SchedulerAck,
     decode_frame,
     encode_frame,
@@ -251,6 +252,44 @@ class TestTicketNamespace:
         fleet = make_fleet(num_shards=2)
         with pytest.raises(KeyError):
             fleet.collect(999)
+
+
+class TestRouterAdmission:
+    """The router reads only the request header, and answers 400/405
+    itself before it places any session."""
+
+    def test_corrupt_frame_is_400_and_places_nothing(self):
+        fleet = make_fleet(num_shards=2)
+        frame = bytearray(make_frame(1, [0]))
+        frame[0] ^= 0xFF  # magic
+        reply = submit(fleet, bytes(frame))
+        assert isinstance(reply, ErrorResponse) and reply.code == 400
+        assert "magic" in reply.message
+        assert fleet.placement_snapshot() == {}
+
+    def test_malformed_request_header_is_400_and_places_nothing(self):
+        fleet = make_fleet(num_shards=2)
+        good = make_frame(1, [0])
+        # Same length, so the frame checks pass and the header's fail.
+        bad = good.replace(b'"session_id": 1', b'"session_id": x')
+        assert len(bad) == len(good) and bad != good
+        reply = submit(fleet, bad)
+        assert isinstance(reply, ErrorResponse) and reply.code == 400
+        assert "bad batch request header" in reply.message
+        assert fleet.placement_snapshot() == {}
+
+    def test_non_batch_message_is_405(self):
+        fleet = make_fleet(num_shards=2)
+        reply = submit(fleet, encode_frame(ModelRequest("lenet")))
+        assert isinstance(reply, ErrorResponse) and reply.code == 405
+        assert "ModelRequest" in reply.message
+        assert fleet.placement_snapshot() == {}
+
+    def test_routes_on_the_header_session_id(self):
+        fleet = make_fleet(num_shards=2, placement="least-loaded")
+        ack = submit(fleet, make_frame(5, [0, 1]))
+        assert isinstance(ack, SchedulerAck) and ack.session_id == 5
+        assert set(fleet.placement_snapshot()) == {5}
 
 
 class TestFailureDomains:
@@ -587,6 +626,33 @@ class TestFleetSessionsIntegration:
             )
         with pytest.raises(ValueError, match="positive"):
             run_capacity_sweep(trained_system, test.images, workers=(0,))
+
+    def test_session_series_are_fleet_wide(self, trained_system, tiny_mnist):
+        """The sessions' series carry no shard label in a fleet, so the
+        unlabeled series the fleet SLOs watch count every sample."""
+        _, test = tiny_mnist
+        fleet = FleetRouter.for_system(trained_system, FleetConfig(num_shards=2))
+        deployments = [
+            LCRSDeployment(trained_system, four_g(seed=40 + i).deterministic())
+            for i in range(4)
+        ]
+        results = run_concurrent_sessions(
+            deployments,
+            [test.images[:8]] * 4,
+            fleet,
+            config=SessionConfig(
+                batch_size=2, threshold=0.0, fault_profile="partition"
+            ),
+        )
+        outcomes = [o for r in results for o in r.outcomes]
+        fallbacks = sum(o.served_by == "binary-fallback" for o in outcomes)
+        assert fallbacks > 0
+        counters = fleet.registry.as_dict()["counters"]
+        assert counters["session.samples"] == len(outcomes) == 32
+        assert counters["session.fallback_samples"] == fallbacks
+        names = [metric.name for metric in fleet.registry]
+        assert not any("bound method" in name for name in names)
+        assert not any(name.startswith("session.") and "{" in name for name in names)
 
 
 class TestCommittedCapacityRecords:

@@ -499,6 +499,15 @@ class TestLabeledRoundTrip:
     def test_label_keys_sorted_canonically(self):
         assert labeled("m", b=1, a=2) == labeled("m", a=2, b=1)
 
+    @pytest.mark.parametrize(
+        "value", [None, 1.5, (1,), [].append], ids=["none", "float", "tuple", "method"]
+    )
+    def test_label_value_must_be_str_or_int(self, value):
+        # A repr in a series name (an object address, say) could never
+        # be named again by a reader.
+        with pytest.raises(TypeError, match="must be a str or an int"):
+            labeled("session.samples", shard=value)
+
     @settings(max_examples=200, deadline=None)
     @given(base=_base_names, labels=st.dictionaries(_label_keys, _label_values, max_size=4))
     def test_round_trip_property(self, base, labels):

@@ -31,6 +31,7 @@ from repro.runtime.protocol import (
     SchedulerAck,
     decode_frame,
     encode_frame,
+    peek_session,
 )
 
 SEED = 1337
@@ -140,6 +141,41 @@ class TestFrameCorruption:
             for offset in rng.integers(0, len(frame), rng.integers(1, 17)):
                 corrupted[offset] = int(rng.integers(0, 256))
             _decode_or_protocol_error(bytes(corrupted))
+
+
+def _peek_matches_decode(frame: bytes) -> None:
+    """A router's header read refuses exactly the frames the decoder
+    refuses, and reads the session id the decoder would."""
+    try:
+        message = decode_frame(frame)
+    except ProtocolError:
+        with pytest.raises(ProtocolError):
+            peek_session(frame)
+        return
+    session_id = (
+        message.session_id if isinstance(message, BatchInferenceRequest) else None
+    )
+    assert peek_session(frame) == (type(message), session_id)
+
+
+@pytest.mark.parametrize("name,frame", sorted(exemplar_frames().items()))
+class TestPeekSession:
+    """The fleet routes on :func:`peek_session`, so its accept/refuse
+    decision must be the decoder's under every corruption."""
+
+    def test_exemplar(self, name, frame):
+        _peek_matches_decode(frame)
+
+    def test_every_single_byte_corruption(self, name, frame):
+        for offset in range(len(frame)):
+            for pattern in PATTERNS:
+                corrupted = bytearray(frame)
+                corrupted[offset] ^= pattern
+                _peek_matches_decode(bytes(corrupted))
+
+    def test_every_truncation(self, name, frame):
+        for k in range(len(frame)):
+            _peek_matches_decode(frame[:k])
 
 
 class TestDecoderHardening:

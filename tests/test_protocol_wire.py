@@ -19,6 +19,8 @@ from hypothesis import example, given, strategies as st
 
 from repro.runtime import (
     EdgeScheduler,
+    FleetConfig,
+    FleetRouter,
     LCRSDeployment,
     SchedulerConfig,
     ServiceTimeModel,
@@ -393,3 +395,28 @@ class TestFrameCount:
         misses = 3 * (12 // 4)
         # Request, ack and reply: each encoded once and decoded once.
         assert frame_calls == {"encode": 3 * misses, "decode": 3 * misses}
+
+    def test_eight_per_miss_through_the_fleet(
+        self, trained_system, tiny_mnist, frame_calls
+    ):
+        _, test = tiny_mnist
+        deployments = [
+            LCRSDeployment(trained_system, four_g(seed=30 + i).deterministic())
+            for i in range(3)
+        ]
+        router = FleetRouter.for_system(
+            trained_system,
+            FleetConfig(num_shards=2, scheduler=SchedulerConfig(window_ms=4.0)),
+        )
+        results = run_concurrent_sessions(
+            deployments,
+            [test.images[:12]] * 3,
+            router,
+            config=SessionConfig(batch_size=4, threshold=0.0),
+        )
+        assert all(o.served_by == "edge" for r in results for o in r.outcomes)
+        misses = 3 * (12 // 4)
+        # The router reads only the request's header, so the shard's
+        # decode is its one full decode.  The ack is decoded by the
+        # router and re-encoded with the fleet's ticket.
+        assert frame_calls == {"encode": 4 * misses, "decode": 4 * misses}

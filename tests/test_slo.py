@@ -316,6 +316,17 @@ class TestPartitionDrill:
         assert row["peak_value"] == pytest.approx(max(spikes))
         assert row["min_budget_remaining"] == 0.0  # budget was consumed
 
+    def test_fallback_rate_objective_sees_the_sessions(self, drill):
+        """The fleet-wide fallback ratio reads the sessions' unlabeled
+        series, so its row carries a value, not ``None``."""
+        (row,) = [r for r in drill.report["slos"] if r["slo"] == "fallback-rate"]
+        assert row["labels"] == {}
+        assert row["fast_value"] is not None
+        assert row["slow_value"] is not None
+        counters = drill.registry.as_dict()["counters"]
+        assert counters["session.samples"] == drill.samples
+        assert counters["session.fallback_samples"] == drill.served_by["binary-fallback"]
+
     def test_health_snapshot_shape(self, drill):
         health = drill.health
         assert health["active_shards"] == 2  # healed by the end
