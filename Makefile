@@ -61,7 +61,7 @@ stress:
 # Exploratory: randomized examples, many more of them, with the example
 # database on.  Commit anything it finds as an explicit @example.
 fuzz:
-	$(PYTEST) --hypothesis-profile=fuzz tests/test_codec_properties.py tests/test_protocol_wire.py tests/test_properties.py tests/test_properties_extensions.py tests/test_plan_properties.py tests/test_tau_control.py tests/test_observability.py tests/test_windows.py
+	$(PYTEST) --hypothesis-profile=fuzz tests/test_codec_properties.py tests/test_protocol_wire.py tests/test_properties.py tests/test_properties_extensions.py tests/test_plan_properties.py tests/test_tau_control.py tests/test_observability.py tests/test_windows.py tests/test_faults.py tests/test_gate_records.py
 
 verify: test fault-smoke golden golden-threads stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke ablation-smoke bench-check-dry bench-e2e-smoke
 

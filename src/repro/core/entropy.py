@@ -34,6 +34,39 @@ def normalized_entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     return ent / np.log(num_classes)
 
 
+def softmax_entropy(logits: np.ndarray, log_classes: Optional[float] = None) -> np.ndarray:
+    """Eq. 7 of the softmax of each row of an ``(N, |C|)`` logit batch.
+
+    Bit for bit ``normalized_entropy(softmax(logits, axis=1), axis=1)``
+    (the reference): the same ufuncs on the same values in the same
+    order and layout, in fewer calls and temporaries.  The softmax runs
+    in one buffer, the log skips ``p <= 0`` (and NaN) through ``where=``
+    into zeros instead of a ``np.where`` copy, the products and row sums
+    reuse buffers, and every ufunc takes its output positionally (a
+    keyword ``out=`` costs about 0.2 us a call to parse).
+    ``log_classes`` is ``np.log(|C|)``, for a caller that gates every
+    batch of one branch and keeps it.
+    """
+    num_classes = logits.shape[1]
+    if num_classes < 2:
+        raise ValueError("entropy needs at least two classes")
+    if log_classes is None:
+        log_classes = np.log(num_classes)
+    probs = np.subtract(logits, np.maximum.reduce(logits, 1, None, None, True))
+    np.exp(probs, probs)
+    np.divide(probs, np.add.reduce(probs, 1, None, None, True), probs)
+    probs = probs.astype(np.float64, copy=False)
+    terms = np.zeros(probs.shape)
+    np.log(probs, terms, where=np.greater(probs, 0.0))
+    np.multiply(probs, terms, terms)
+    ent = np.add.reduce(terms, 1)
+    # Negate, then divide: dividing by -log|C| gives the same numbers but
+    # flips the sign bit of a NaN row's entropy.
+    np.negative(ent, ent)
+    np.divide(ent, log_classes, ent)
+    return ent
+
+
 @dataclass(frozen=True)
 class ThresholdCalibration:
     """Outcome of a BranchyNet-style τ screening."""

@@ -756,7 +756,7 @@ def run_concurrent_sessions(
                         deployment._faults["replies_rejected"].add(1)
                         reply = None
                 deployment._apply_reply(pending, reply)
-            deployment._finish_chunk(
+            chunk_ms = deployment._finish_chunk(
                 pending, s.ctx, s.outcomes, s.costs, sim_now=s.clock_ms
             )
             if pending.count:
@@ -775,7 +775,7 @@ def run_concurrent_sessions(
                 fallback_rate_g.set(
                     fallback_c.value / samples_c.value if samples_c.value else 0.0
                 )
-            s.clock_ms += sum(c.total_ms for c in s.costs[-pending.count :])
+            s.clock_ms += chunk_ms
             s.cursor += pending.count
 
     telemetry = rec.summary() if rec.enabled else None

@@ -33,11 +33,10 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ..core.entropy import normalized_entropy
+from ..core.entropy import softmax_entropy
 from ..core.system import LCRS
 from ..nn import Sequential
 from ..nn.autograd import Tensor, no_grad
-from ..nn.functional import softmax
 from ..nn.module import Module
 from ..observability import NULL_RECORDER, MetricsRegistry, TelemetrySummary
 from ..profiling import FLOAT_BYTES, NetworkProfile
@@ -58,6 +57,7 @@ from .latency import (
     SampleCost,
     SessionTrace,
     TransferStep,
+    _record_builder,
     profile_compute_step,
     simulate_plan,
 )
@@ -295,6 +295,10 @@ class RecognitionOutcome:
     attempts: int = 0
 
 
+#: Builds a :class:`RecognitionOutcome` from all seven fields, positionally.
+_outcome = _record_builder(RecognitionOutcome)
+
+
 @dataclass
 class SessionResult:
     """A full session: outcomes plus the aggregate latency trace.
@@ -487,6 +491,16 @@ class BrowserClient:
         self._tier_engines: dict[int, WasmModel] = {
             self.max_quality_tier: self.branch_engine
         }
+        #: ``(|C|, np.log(|C|))`` of the last gated batch: every tier of
+        #: the branch has the same classes, so the log is taken once.
+        self._log_classes: tuple = (0, 0.0)
+
+    def _entropies(self, logits: np.ndarray) -> np.ndarray:
+        """The gate's normalized entropies (:func:`softmax_entropy`)."""
+        classes = logits.shape[1]
+        if self._log_classes[0] != classes:
+            self._log_classes = (classes, np.log(classes))
+        return softmax_entropy(logits, self._log_classes[1])
 
     def branch_engine_for(self, quality_tier: int) -> WasmModel:
         """The branch engine for an accuracy tier (clamped; lazy-loaded)."""
@@ -558,8 +572,7 @@ class BrowserClient:
             else:
                 features = self.stem_engine.forward(images)
                 logits = branch.forward(features)
-            probs = softmax(logits, axis=1)
-            entropies = normalized_entropy(probs, axis=1)
+            entropies = self._entropies(logits)
             return features, logits, entropies, entropies < gate
         with recorder.span(
             "stem", track=track, trace_id=trace_id, samples=len(images)
@@ -580,8 +593,7 @@ class BrowserClient:
             else:
                 logits = branch.forward(features)
         with recorder.span("entropy_gate", track=track, trace_id=trace_id) as gate_span:
-            probs = softmax(logits, axis=1)
-            entropies = normalized_entropy(probs, axis=1)
+            entropies = self._entropies(logits)
             exit_mask = entropies < gate
         exits = int(exit_mask.sum())
         gate_span.set(
@@ -755,9 +767,10 @@ class LCRSDeployment:
             },
         )
         self._session_id = next(_SESSION_IDS)
-        # (codec, tier, browser device, edge device) → PricedPlan: every
-        # input of the price, so the cache never needs invalidating.
+        # (codec name, tier) → (codec, PricedPlan), priced for the
+        # devices in `_priced_for`; see `_priced_plan`.
         self._priced_plans: dict = {}
+        self._priced_for: tuple = (browser_device, edge_device)
         # Backoff jitter draws are independent of the link's latency
         # jitter, so fault-free sessions consume identical RNG streams
         # to the pre-retry implementation.
@@ -772,19 +785,31 @@ class LCRSDeployment:
     def _priced_plan(self, codec: FeatureCodec, quality_tier: int) -> PricedPlan:
         """The LCRS plan for a codec and tier, priced once per device pair.
 
-        The link is not part of the key: it enters only per call, through
-        the plan's transfers.
+        The price depends on the codec, the tier and the two devices; the
+        link is not part of it, because it enters only per call, through
+        the plan's transfers.  The lookup keys on ``(codec.name, tier)``
+        and checks the codec by identity (or, failing that, ``==``), and
+        the whole cache is dropped when ``browser_device`` or
+        ``edge_device`` is reassigned, so no lookup hashes a frozen
+        dataclass field by field.
         """
-        key = (codec, quality_tier, self.browser_device, self.edge_device)
-        priced = self._priced_plans.get(key)
-        if priced is None:
-            priced = PricedPlan.of(
-                self.assets.plan(codec=codec, quality_tier=quality_tier),
-                self.browser_device,
-                self.edge_device,
+        devices = self._priced_for
+        if devices[0] is not self.browser_device or devices[1] is not self.edge_device:
+            self._priced_plans = {}
+            self._priced_for = (self.browser_device, self.edge_device)
+        key = (codec.name, quality_tier)
+        entry = self._priced_plans.get(key)
+        if entry is None or (entry[0] is not codec and entry[0] != codec):
+            entry = (
+                codec,
+                PricedPlan.of(
+                    self.assets.plan(codec=codec, quality_tier=quality_tier),
+                    self.browser_device,
+                    self.edge_device,
+                ),
             )
-            self._priced_plans[key] = priced
-        return priced
+            self._priced_plans[key] = entry
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Fault-tolerant miss-path transport
@@ -1036,8 +1061,10 @@ class LCRSDeployment:
             track=ctx.track,
             spans=spans,
         )
-        predictions = logits.argmax(axis=1).astype(np.int64)
-        miss_idx = np.flatnonzero(~exits)
+        # argmax returns intp, which is int64 on the 64-bit hosts served;
+        # a copy is made only where it is not.
+        predictions = logits.argmax(axis=1).astype(np.int64, copy=False)
+        miss_idx = (~exits).nonzero()[0]
         request = None
         if miss_idx.size:
             if rec.enabled:
@@ -1101,8 +1128,11 @@ class LCRSDeployment:
         outcomes: list[RecognitionOutcome],
         costs: list[SampleCost],
         sim_now: float = 0.0,
-    ) -> None:
+    ) -> float:
         """Pricing phase: per-sample latency model + outcome emission.
+
+        Returns the chunk's priced total (simulated ms), the amount the
+        session's simulated clock advances by.
 
         Costs stay per sample regardless of chunking: one
         :func:`simulate_plan` call prices the chunk's frames in order,
@@ -1119,8 +1149,18 @@ class LCRSDeployment:
         ``link.exchange``) and the root span is closed.
         """
         config = ctx.config
-        misses = [not e for e in pending.exits.tolist()]
-        edge_served = pending.served_by == SERVED_BY_EDGE
+        start = pending.start
+        # A chunk whose frames all exit prices no miss, retry or queue
+        # cost: simulate_plan reads a missing vector as all False / 0.0.
+        misses = miss_mask = retry_ms = queue_ms = None
+        if pending.miss_idx.size:
+            misses = (~pending.exits).tolist()
+            # Miss steps are priced only when the exchange succeeded; a
+            # fallback sample pays its failed attempts via retry_ms.
+            if pending.served_by == SERVED_BY_EDGE:
+                miss_mask = misses
+            retry_ms = [pending.retry_ms if m else 0.0 for m in misses]
+            queue_ms = [pending.queue_ms if m else 0.0 for m in misses]
         trace = simulate_plan(
             # Price with the plan of the tier the chunk *ran* at
             # (captured at begin time), not the context's current
@@ -1132,17 +1172,16 @@ class LCRSDeployment:
             browser=self.browser_device,
             edge=self.edge_device,
             cold_start=config.cold_start,
-            # Miss steps are priced only when the exchange succeeded;
-            # a fallback sample pays its failed attempts via retry_ms.
-            miss_mask=[m and edge_served for m in misses],
-            retry_ms=[pending.retry_ms if m else 0.0 for m in misses],
-            queue_ms=[pending.queue_ms if m else 0.0 for m in misses],
+            miss_mask=miss_mask,
+            retry_ms=retry_ms,
+            queue_ms=queue_ms,
             # The bundle loads on the first visit only unless every
             # scan is a fresh page load (cold_start).
-            include_setup=config.cold_start or pending.start == 0,
+            include_setup=config.cold_start or start == 0,
             quality_tier=pending.quality_tier,
         )
-        costs.extend(trace.samples)
+        samples = trace.samples
+        costs.extend(samples)
         # Degraded tiers are visible in `served_by` for branch-served
         # samples; edge-served answers came from the fp32 trunk, whose
         # quality is tier-independent.
@@ -1152,28 +1191,25 @@ class LCRSDeployment:
         miss_served = pending.served_by
         if miss_served == SERVED_BY_BRANCH:
             miss_served = branch_served
-        for j, (cost, miss, prediction, entropy) in enumerate(
-            zip(
-                trace.samples,
-                misses,
-                pending.predictions.tolist(),
-                pending.entropies.tolist(),
+        attempts = pending.attempts
+        predictions = pending.predictions.tolist()
+        entropies = pending.entropies.tolist()
+        outcomes.extend(
+            _outcome(
+                start + j,
+                predictions[j],
+                not miss,
+                entropies[j],
+                cost,
+                miss_served if miss else branch_served,
+                attempts if miss else 0,
             )
-        ):
-            # Positional, in declaration order (a per-frame record).
-            outcomes.append(
-                RecognitionOutcome(
-                    pending.start + j,
-                    prediction,
-                    not miss,
-                    entropy,
-                    cost,
-                    miss_served if miss else branch_served,
-                    pending.attempts if miss else 0,
-                )
+            for j, (cost, miss) in enumerate(
+                zip(samples, misses or itertools.repeat(False))
             )
+        )
+        chunk_total = sum(c.total_ms for c in samples)
         if pending.root is not None:
-            chunk_total = sum(c.total_ms for c in trace.samples)
             stem_total = ctx.stem_ms * pending.count
             branch_total = ctx.branch_ms * pending.count
             spans = pending.spans
@@ -1206,6 +1242,7 @@ class LCRSDeployment:
                 queue_ms=pending.queue_ms,
             )
             ctx.recorder.end_span(pending.root)
+        return chunk_total
 
     def run_session(
         self,
@@ -1259,8 +1296,9 @@ class LCRSDeployment:
                     ),
                 )
                 self._apply_reply(pending, reply)
-            self._finish_chunk(pending, ctx, outcomes, costs, sim_now=sim_clock)
-            sim_clock += sum(c.total_ms for c in costs[len(costs) - pending.count :])
+            sim_clock += self._finish_chunk(
+                pending, ctx, outcomes, costs, sim_now=sim_clock
+            )
 
         result = SessionResult(
             outcomes=outcomes,

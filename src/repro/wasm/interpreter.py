@@ -632,9 +632,10 @@ class WasmModel:
 
         Bit-identical to :meth:`forward` by construction: every plan is
         probe-verified against the interpreter at compile time, and any
-        model the compiler cannot handle transparently falls back.
+        model the compiler cannot handle transparently falls back.  The
+        input is made a contiguous float32 array once, by whichever of
+        the two runs it.
         """
-        x = np.ascontiguousarray(x, dtype=np.float32)
         plan = self.plan_for(max(len(x), 1))
         if plan is None:
             return self.forward(x)

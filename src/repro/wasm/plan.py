@@ -237,7 +237,7 @@ class CompiledPlan:
         """Replay the plan on an NCHW float32 batch of ≤ capacity samples."""
         rec = NULL_RECORDER if recorder is None else recorder
         x = np.ascontiguousarray(x, dtype=np.float32)
-        if tuple(x.shape[1:]) != self.input_shape:
+        if x.shape[1:] != self.input_shape:
             raise PlanExecutionError(
                 f"expected input shape (N, {self.input_shape}), got {x.shape}"
             )
